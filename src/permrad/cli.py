@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -226,6 +226,8 @@ def _cmd_decode(args) -> int:
 
 
 def _resolve_waveform(args) -> tuple[list[int], WaveformParams]:
+    if not (args.t_sec > 0 and isfinite(args.t_sec)):
+        raise ValidationError(f"pulse width must be positive and finite, got {args.t_sec}")
     delta_f = args.delta_f_hz if args.delta_f_hz is not None else 1.0 / args.t_sec
     params = WaveformParams(
         m=args.m,
@@ -376,6 +378,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_af(args) -> int:
+    if args.tau_steps < 1 or args.doppler_steps < 1:
+        raise ValidationError(
+            f"grid steps must be at least 1, got --tau-steps {args.tau_steps}, "
+            f"--doppler-steps {args.doppler_steps}"
+        )
     perm, params = _resolve_waveform(args)
     t = params.t
     tau_min = args.tau_min_sec if args.tau_min_sec is not None else -params.duration

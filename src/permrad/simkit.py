@@ -11,20 +11,15 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import factorial, sqrt
+from math import factorial, isfinite, sqrt
 from typing import Iterable
 
 import numpy as np
 
 from .channel import CHANNEL_KINDS, ChannelParams, draw_fading_batch
 from .errors import ValidationError
-from .lehmer import MAX_M, rank_to_permutation
-from .receiver import (
-    MAX_EXHAUSTIVE_M,
-    hungarian_detect,
-    permutation_table,
-    statistic_matrices,
-)
+from .lehmer import MAX_M
+from .receiver import MAX_EXHAUSTIVE_M, statistic_matrices
 from .waveform import WaveformParams
 
 RECEIVERS = ("hungarian", "exhaustive")
@@ -35,6 +30,10 @@ MODES = ("statistic", "sampled")
 # hence the smaller block.
 _STATISTIC_BLOCK = 8192
 _SAMPLED_BLOCK = 1024
+
+# float64 elements per (slice, m, m) array of the block error test; its few
+# such temporaries stay near 2 MB, since peak memory is part of its cost
+_DECISION_ELEMS = 1 << 16
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -88,8 +87,12 @@ class SimConfig:
             raise ValidationError(
                 f"exhaustive receiver sweeps are limited to m <= 8, got m={self.m}"
             )
-        if not self.energy > 0:
-            raise ValidationError(f"energy must be positive, got {self.energy}")
+        if not (self.energy > 0 and isfinite(self.energy)):
+            raise ValidationError(f"energy must be positive and finite, got {self.energy}")
+        if not all(isfinite(x) for x in self.snr_db):
+            raise ValidationError(f"snr grid must be finite, got {self.snr_db}")
+        if not (self.t > 0 and isfinite(self.t)):
+            raise ValidationError(f"pulse width must be positive and finite, got {self.t}")
         if self.workers < 1:
             raise ValidationError(f"workers must be at least 1, got {self.workers}")
         if self.master_seed < 0:
@@ -225,10 +228,7 @@ def _run_block(cfg: SimConfig, point_idx: int, block_idx: int, size: int) -> int
     m = cfg.m
 
     symbols = rng.integers(0, factorial(m), size=size)
-    if m <= 8:  # table lookup; beyond this the m! table outgrows its usefulness
-        perms = permutation_table(m)[symbols]
-    else:
-        perms = np.array([rank_to_permutation(int(s), m) for s in symbols])
+    perms = _ranks_to_permutations(symbols, m)
 
     ch = cfg.channel_params(n0, cfg.snr_db[point_idx])
     h = draw_fading_batch(ch, rng, size)
@@ -238,29 +238,51 @@ def _run_block(cfg: SimConfig, point_idx: int, block_idx: int, size: int) -> int
         r_all = statistic_matrices(perms, gains, cfg.energy, n0, rng)
     else:
         r_all = _sampled_matrices(cfg, perms, h, n0, rng)
-
-    if cfg.receiver == "exhaustive":
-        detected = _exhaustive_ranks(r_all, m)
-        return int(np.count_nonzero(detected != symbols))
-    errors = 0
-    for i in range(size):
-        if hungarian_detect(r_all[i]) != list(perms[i]):
-            errors += 1
-    return errors
+    return int(np.count_nonzero(_block_errors(r_all, perms)))
 
 
-def _exhaustive_ranks(r_all: np.ndarray, m: int) -> np.ndarray:
-    """Vectorized argmax over all permutations; returns Lehmer ranks."""
-    table = permutation_table(m)
-    batch = r_all.shape[0]
-    rows = np.arange(m)[None, :]
-    out = np.empty(batch, dtype=np.int64)
-    # keep the (chunk, m!, m) gather below ~5e7 elements
-    chunk = max(1, int(5e7 / (table.shape[0] * m)))
+def _ranks_to_permutations(symbols: np.ndarray, m: int) -> np.ndarray:
+    """Factoradic decode of a batch of Lehmer ranks; row i equals
+    ``rank_to_permutation(symbols[i], m)``."""
+    rest = np.asarray(symbols, dtype=np.int64)
+    batch = rest.shape[0]
+    rows = np.arange(batch)
+    remaining = np.broadcast_to(np.arange(m), (batch, m))
+    out = np.empty((batch, m), dtype=np.int64)
+    for i in range(m):
+        digit, rest = np.divmod(rest, factorial(m - 1 - i))
+        out[:, i] = remaining[rows, digit]
+        remaining = remaining[np.arange(m - i) != digit[:, None]].reshape(batch, m - 1 - i)
+    return out
+
+
+def _block_errors(r_all: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Per-trial error indicators of the optimal (max-sum assignment) detector.
+
+    Detection fails exactly when the sent permutation p is not an optimal
+    assignment of r, i.e. when the swap graph W[n, n'] = r[n, p(n')] - r[n, p(n)]
+    has a cycle of positive weight (Klein's cycle-cancelling criterion).
+    Max-plus Floyd-Warshall relaxes W through intermediate nodes in turn;
+    afterwards a positive diagonal entry exists iff such a cycle does.  Node
+    m-1 is never needed as an intermediate: every cycle can be closed at its
+    largest node.  A positive cycle needs a positive edge, so trials without
+    one are decided correct before the pass.  Ties have probability zero
+    under continuous noise.
+    """
+    batch, m, _ = r_all.shape
+    out = np.zeros(batch, dtype=bool)
+    chunk = max(1, _DECISION_ELEMS // (m * m))
     for lo in range(0, batch, chunk):
-        part = r_all[lo : lo + chunk]
-        scores = part[:, rows, table].sum(axis=2)
-        out[lo : lo + part.shape[0]] = np.argmax(scores, axis=1)
+        part, p = r_all[lo : lo + chunk], perms[lo : lo + chunk]
+        swapped = np.take_along_axis(part, p[:, None, :], axis=2)  # [n, n'] = r[n, p(n')]
+        w = swapped - np.diagonal(swapped, axis1=1, axis2=2)[:, :, None]  # zero diagonal
+        live = (w > 0).any(axis=(1, 2))
+        w = w[live]
+        step = np.empty_like(w)
+        for k in range(m - 1):
+            np.add(w[:, :, k, None], w[:, None, k, :], out=step)
+            np.maximum(w, step, out=w)
+        out[lo : lo + chunk][live] = (np.diagonal(w, axis1=1, axis2=2) > 0).any(axis=1)
     return out
 
 

@@ -247,6 +247,17 @@ def test_unknown_subcommand_exits_one(capsys):
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--tau-steps", "0"), ("--doppler-steps", "0"), ("--t-sec", "0")],
+)
+def test_af_degenerate_grid_exits_one(capsys, flags):
+    rc, _, err = _run(capsys, ["af", "--m", "4", *flags])
+    assert rc == 1
+    assert err.count("error:") == 1
+    assert "Traceback" not in err
+
+
 def test_headers_echo_configuration(capsys):
     _, out, _ = _run(
         capsys,

@@ -1,13 +1,23 @@
 """Monte Carlo engine tests: determinism, receiver equivalence, exactness."""
 
-from math import erfc, sqrt
+from math import erfc, factorial, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permrad.errors import ValidationError
-from permrad.simkit import BlerPoint, SimConfig, run_bler_sweep, wilson_interval
+from permrad.lehmer import rank_to_permutation
+from permrad.receiver import exhaustive_detect, hungarian_detect, statistic_matrices
+from permrad.simkit import (
+    BlerPoint,
+    SimConfig,
+    _block_errors,
+    _ranks_to_permutations,
+    run_bler_sweep,
+    wilson_interval,
+)
 
 
 def _bler_sigma(p: float, n: int) -> float:
@@ -133,6 +143,67 @@ def test_target_errors_unreachable_warns():
         point = run_bler_sweep(cfg)[0]
     assert point.errors < 10
     assert point.trials == 5_000
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12, 20])
+def test_block_errors_match_per_trial_detectors(m):
+    rng = np.random.default_rng(1000 + m)
+    size = 200
+    flagged = 0
+    for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0):
+        perms = _ranks_to_permutations(rng.integers(0, factorial(m), size=size), m)
+        gains = rng.exponential(size=size)
+        r_all = statistic_matrices(perms, gains, 1.0, 10.0 ** (-snr_db / 10.0), rng)
+        got = _block_errors(r_all, perms)
+        sent = [list(p) for p in perms]
+        assert got.tolist() == [hungarian_detect(r) != p for r, p in zip(r_all, sent)]
+        if m <= 8:
+            assert got.tolist() == [exhaustive_detect(r) != p for r, p in zip(r_all, sent)]
+        flagged += int(got.sum())
+    assert 0 < flagged < 5 * size  # both outcomes occur, so the check is not vacuous
+
+
+def test_block_errors_find_cycle_longer_than_a_swap():
+    # the sent identity scores 0.  Trial 0: the 3-cycle 0->1->2->0 scores 3 and
+    # every swap -4.  Trial 1: swapping tones 0 and 1 scores 4.  Trial 2: no
+    # positive edge at all.
+    cyclic = np.array([[0.0, 1.0, -5.0], [-5.0, 0.0, 1.0], [1.0, -5.0, 0.0]])
+    r_all = np.stack([cyclic, -cyclic.T, np.eye(3)])
+    perms = np.tile(np.arange(3), (3, 1))
+    assert _block_errors(r_all, perms).tolist() == [True, True, False]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=20), st.data())
+def test_batch_decode_matches_rank_to_permutation(m, data):
+    top = factorial(m) - 1
+    ranks = [0, top] + data.draw(st.lists(st.integers(0, top), max_size=16))
+    got = _ranks_to_permutations(np.array(ranks, dtype=np.int64), m)
+    assert got.tolist() == [rank_to_permutation(v, m) for v in ranks]
+
+
+def test_batch_decode_largest_rank_does_not_overflow():
+    got = _ranks_to_permutations(np.array([factorial(20) - 1]), 20)
+    assert got.tolist() == [list(range(19, -1, -1))]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"energy": float("inf")},
+        {"energy": float("nan")},
+        {"snr_db": (0.0, float("inf"))},
+        {"snr_db": (float("nan"),)},
+        {"snr_db": (float("-inf"),)},
+        {"t": float("inf")},
+        {"t": float("nan")},
+        {"t": 0.0},
+    ],
+)
+def test_non_finite_config_values_rejected(bad):
+    base = dict(m=2, n=1, snr_db=(0.0,))
+    with pytest.raises(ValidationError):
+        SimConfig(**{**base, **bad})
 
 
 def test_wilson_interval_contains_estimate():

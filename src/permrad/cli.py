@@ -276,7 +276,10 @@ def _cmd_waveform(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    matrix = np.atleast_2d(np.loadtxt(args.matrix, delimiter=",", comments="#"))
+    try:
+        matrix = np.atleast_2d(np.loadtxt(args.matrix, delimiter=",", comments="#"))
+    except ValueError as exc:
+        raise ValidationError(f"{args.matrix}: not a numeric matrix: {exc}") from exc
     detect = hungarian_detect if args.receiver == "hungarian" else exhaustive_detect
     perm = detect(matrix)
     rank = permutation_to_rank(perm)
@@ -408,12 +411,17 @@ def _cmd_af(args) -> int:
         ("omega_rad_s", "2*pi*doppler_hz"),
         ("workers", args.workers),
     ]
-    lines = ["tau,omega_rad_s,magnitude"]
-    for i, tau in enumerate(grid.tau):
-        for j, om in enumerate(grid.omega):
-            lines.append(f"{_fmt(float(tau))},{_fmt(float(om))},{_fmt(float(grid.values[i, j]))}")
+    omegas = [_fmt(float(om)) for om in grid.omega]
+
+    def lines():
+        # one joined tau-row at a time; each axis value is formatted once
+        yield "tau,omega_rad_s,magnitude"
+        for tau, mags in zip(grid.tau, grid.values.tolist()):
+            tau_s = _fmt(float(tau))
+            yield "\n".join(f"{tau_s},{om},{mag!r}" for om, mag in zip(omegas, mags))
+
     with _open_out(args.out) as fh:
-        _write(fh, header, lines)
+        _write(fh, header, lines())
     return 0
 
 

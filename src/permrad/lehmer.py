@@ -14,7 +14,8 @@ from typing import Sequence
 from .errors import ValidationError
 
 # 20! = 2432902008176640000 still fits a signed 64-bit word; larger blocks
-# would silently promote to big integers downstream, so they are rejected.
+# would silently promote to big integers downstream, so the codec rejects
+# them.  Permutations themselves (radar analysis) have no such limit.
 MAX_M = 20
 
 
@@ -28,9 +29,14 @@ def _check_block_size(m: int) -> None:
 
 
 def validate_permutation(perm: Sequence[int]) -> None:
-    """Raise ValidationError unless perm is a permutation of 0..len(perm)-1."""
+    """Raise ValidationError unless perm is a permutation of 0..len(perm)-1.
+
+    Any length of at least one is accepted; the codec's block-size limit is
+    checked by the functions that rank.
+    """
     m = len(perm)
-    _check_block_size(m)
+    if m < 1:
+        raise ValidationError("a permutation needs at least one entry")
     seen = [False] * m
     for x in perm:
         ix = int(x)
@@ -64,8 +70,9 @@ def rank_to_permutation(symbol: int, m: int) -> list[int]:
 
 def permutation_to_rank(perm: Sequence[int]) -> int:
     """Return the lexicographic index of ``perm``; exact inverse of rank_to_permutation."""
-    validate_permutation(perm)
     m = len(perm)
+    _check_block_size(m)
+    validate_permutation(perm)
     remaining = list(range(m))
     rank = 0
     for i, x in enumerate(perm):

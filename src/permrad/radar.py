@@ -1,9 +1,12 @@
 """Delay-Doppler ambiguity surface, Fisher information, and estimation bounds.
 
-The complex ambiguity surface of the pulse train decomposes into an
-M x M sum of single-pulse terms, each a shifted copy of the rectangular
-pulse's closed-form ambiguity.  A direct quadrature oracle of the
-defining autocorrelation integral is kept alongside for cross-checking.
+The complex ambiguity surface of the pulse train decomposes into a sum
+over pulse pairs of single-pulse terms, each a shifted copy of the
+rectangular pulse's closed-form ambiguity.  A pair's term is nonzero only
+within one pulse width of its lag, so each delay sees at most two lags
+(three on a pulse edge) and O(M) terms.  A direct quadrature oracle of
+the defining autocorrelation integral is kept alongside for
+cross-checking.
 Estimation accuracy is characterized by the 2x2 Fisher information in
 (delay, Doppler) and the bounds from its inverse.
 """
@@ -24,6 +27,11 @@ from .waveform import WaveformParams, tone_frequencies
 # Below this |omega| * T the closed-form branches are 0/0; switch to a
 # 4-term series of (exp(jwx) - exp(jwy)) / (jw).
 _SMALL_PHASE = 1e-6
+
+# elements per (cells, pairs) block of complex_af; pulse_af and the phase
+# factor hold several complex temporaries of that size at once, so this
+# bounds the kernel's peak memory (about 1 MB) whatever the grid and M
+_AF_ELEMS = 1 << 13
 
 
 def pulse_af(tau, omega, t: float):
@@ -50,28 +58,34 @@ def pulse_af(tau, omega, t: float):
 
 def _exp_diff_over_jw(x, y, w, t: float):
     """(exp(jwx) - exp(jwy)) / (jw) with a series fallback near w = 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
+    x, y, w = np.broadcast_arrays(
+        np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(w, dtype=float)
+    )
     small = np.abs(w) * t < _SMALL_PHASE
     safe_w = np.where(small, 1.0, w)
-    direct = (np.exp(1j * safe_w * x) - np.exp(1j * safe_w * y)) / (1j * safe_w)
-    jw = 1j * w
-    series = (
-        (x - y)
-        + jw * (x**2 - y**2) / 2.0
-        + jw**2 * (x**3 - y**3) / 6.0
-        + jw**3 * (x**4 - y**4) / 24.0
-    )
-    return np.where(small, series, direct)
+    out = (np.exp(1j * safe_w * x) - np.exp(1j * safe_w * y)) / (1j * safe_w)
+    if np.any(small):
+        # the series is needed only on the few near-zero-Doppler elements
+        x, y, jw = x[small], y[small], 1j * w[small]
+        out[small] = (
+            (x - y)
+            + jw * (x**2 - y**2) / 2.0
+            + jw**2 * (x**3 - y**3) / 6.0
+            + jw**3 * (x**4 - y**4) / 24.0
+        )
+    return out
 
 
 def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     """Time-frequency autocorrelation of the unit-energy waveform.
 
-    Double sum over pulse pairs of the single-pulse ambiguity with the
-    inter-pulse phase factors; O(M^2) per evaluation point.  The waveform
-    energy is normalized to one regardless of params.energy.
+    Sum over pulse pairs (m, n) of the single-pulse ambiguity with the
+    inter-pulse phase factors.  A pair's term vanishes unless
+    |tau + (n - m) t| <= t, so the pairs are grouped by lag n - m and each
+    lag is evaluated only on the cells inside its support: at most two lags
+    (three on a pulse edge), O(M) pulse terms, per evaluation point.  Each cell's value depends on
+    that cell alone, whatever other cells are evaluated with it.  The
+    waveform energy is normalized to one regardless of params.energy.
     """
     freqs = tone_frequencies(perm, params)
     w = 2.0 * np.pi * freqs
@@ -80,18 +94,28 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     tau_a, omega_a = np.broadcast_arrays(
         np.asarray(tau, dtype=float), np.asarray(omega, dtype=float)
     )
-    acc = np.zeros(tau_a.shape, dtype=complex)
-    for m in range(m_count):
-        for n in range(m_count):
-            shift = (n - m) * t
-            # the pulse term vanishes outside |tau + shift| <= t
-            lo, hi = -t - shift, t - shift
-            if tau_a.ndim and (tau_a.max() < lo or tau_a.min() > hi):
-                continue
-            ap = pulse_af(tau_a + shift, omega_a - w[n] + w[m], t)
-            phase = np.exp(1j * (omega_a * m * t - w[n] * ((m - n) * t - tau_a)))
-            acc = acc + ap * phase
-    acc = acc / (m_count * t)
+    tau_f = tau_a.ravel()
+    omega_f = omega_a.ravel()
+    acc = np.zeros(tau_f.shape, dtype=complex)
+    for lag in range(1 - m_count, m_count):
+        shift = lag * t
+        x = tau_f + shift
+        cells = np.flatnonzero((x >= -t) & (x <= t))
+        if cells.size == 0:
+            continue
+        m_idx = np.arange(max(0, -lag), min(m_count, m_count - lag))
+        n_idx = m_idx + lag
+        # (cells, pairs) blocks: the pair sum runs along the contiguous last
+        # axis, so each cell is summed in the same order in every block
+        step = max(1, _AF_ELEMS // m_idx.size)
+        for start in range(0, cells.size, step):
+            sel = cells[start:start + step]
+            tc = tau_f[sel, None]
+            oc = omega_f[sel, None]
+            ap = pulse_af(x[sel, None], oc - w[n_idx] + w[m_idx], t)
+            phase = np.exp(1j * (oc * m_idx * t - w[n_idx] * (-shift - tc)))
+            acc[sel] += (ap * phase).sum(axis=1)
+    acc = (acc / (m_count * t)).reshape(tau_a.shape)
     if acc.ndim == 0:
         return complex(acc)
     return acc

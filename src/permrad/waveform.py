@@ -9,7 +9,7 @@ are orthogonal over a single pulse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -41,14 +41,16 @@ class WaveformParams:
     def __post_init__(self):
         if self.m < 1:
             raise ValidationError(f"m must be at least 1, got {self.m}")
-        if not self.t > 0:
-            raise ValidationError(f"pulse width must be positive, got {self.t}")
-        if not self.energy > 0:
-            raise ValidationError(f"energy must be positive, got {self.energy}")
-        if self.f0 < 0:
-            raise ValidationError(f"base frequency must be non-negative, got {self.f0}")
+        if not (self.t > 0 and isfinite(self.t)):
+            raise ValidationError(f"pulse width must be positive and finite, got {self.t}")
+        if not (self.energy > 0 and isfinite(self.energy)):
+            raise ValidationError(f"energy must be positive and finite, got {self.energy}")
+        if not (self.f0 >= 0 and isfinite(self.f0)):
+            raise ValidationError(
+                f"base frequency must be non-negative and finite, got {self.f0}"
+            )
         q = self.delta_f * self.t
-        if abs(q - round(q)) > 1e-9 * max(1.0, abs(q)) or round(q) < 1:
+        if not isfinite(q) or abs(q - round(q)) > 1e-9 * max(1.0, abs(q)) or round(q) < 1:
             raise ValidationError(
                 f"delta_f * t must be a positive integer for tone orthogonality, got {q}"
             )

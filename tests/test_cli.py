@@ -1,9 +1,13 @@
 """End-to-end CLI tests: golden outputs, exit codes, reproducibility."""
 
+from math import pi
+
 import numpy as np
 import pytest
 
-from permrad.cli import main
+from permrad.cli import _fmt, main
+from permrad.radar import af_grid
+from permrad.waveform import WaveformParams
 
 
 def _run(capsys, argv):
@@ -177,6 +181,51 @@ def test_af_csv_shape_and_peak(capsys):
     assert values[(0.0, 0.0)] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_af_data_lines_format_grid_values_byte_for_byte(capsys):
+    perm = [2, 0, 4, 1, 3]
+    rc, out, _ = _run(
+        capsys,
+        ["af", "--m", "5", "--perm", "2,0,4,1,3", "--t-sec", "0.5", "--f0-hz", "3",
+         "--tau-steps", "23", "--doppler-steps", "17"],
+    )
+    assert rc == 0
+    params = WaveformParams(m=5, t=0.5, delta_f=2.0, f0=3.0)
+    grid = af_grid(perm, params, np.linspace(-2.5, 2.5, 23),
+                   2.0 * pi * np.linspace(-4.0, 4.0, 17))
+    expected = [
+        f"{_fmt(float(tau))},{_fmt(float(om))},{_fmt(float(grid.values[i, j]))}"
+        for i, tau in enumerate(grid.tau)
+        for j, om in enumerate(grid.omega)
+    ]
+    assert _data_lines(out) == ["tau,omega_rad_s,magnitude", *expected]
+    assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+def test_af_beyond_codec_block_limit(capsys):
+    rc, out, _ = _run(
+        capsys,
+        ["af", "--m", "32", "--order", "ascending", "--tau-steps", "5",
+         "--doppler-steps", "5"],
+    )
+    assert rc == 0
+    values = {}
+    for row in _data_lines(out)[1:]:
+        tau, om, mag = (float(v) for v in row.split(","))
+        values[(tau, om)] = mag
+    assert len(values) == 25
+    assert values[(0.0, 0.0)] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("text", ["1,2\n3\n", "1,x\n3,4\n"])
+def test_detect_malformed_matrix_exits_one(capsys, tmp_path, text):
+    path = tmp_path / "matrix.csv"
+    path.write_text(text)
+    rc, _, err = _run(capsys, ["detect", "--matrix", str(path)])
+    assert rc == 1
+    assert err.count("error:") == 1
+    assert "Traceback" not in err
+
+
 def test_crlb_csv_variants(capsys):
     rc, out, _ = _run(
         capsys,
@@ -249,7 +298,9 @@ def test_unknown_subcommand_exits_one(capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--tau-steps", "0"), ("--doppler-steps", "0"), ("--t-sec", "0")],
+    [("--tau-steps", "0"), ("--doppler-steps", "0"), ("--t-sec", "0"),
+     ("--delta-f-hz", "inf"), ("--delta-f-hz", "nan"), ("--f0-hz", "inf"),
+     ("--f0-hz", "nan"), ("--t-sec", "inf")],
 )
 def test_af_degenerate_grid_exits_one(capsys, flags):
     rc, _, err = _run(capsys, ["af", "--m", "4", *flags])

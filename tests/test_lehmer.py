@@ -79,6 +79,14 @@ def test_block_size_limits():
     assert permutation_to_rank(rank_to_permutation(10**18, 20)) == 10**18
 
 
+def test_codec_limit_does_not_bound_permutations():
+    validate_permutation(list(range(32))[::-1])
+    with pytest.raises(ValidationError, match="exceeds the supported maximum"):
+        permutation_to_rank(list(range(21)))
+    with pytest.raises(ValidationError, match="repeats"):
+        validate_permutation([*range(31), 0])
+
+
 def _floor_log2_oracle(value: int) -> int:
     # largest b with 2**b <= value, by exact integer comparison
     b = 0

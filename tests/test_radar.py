@@ -25,7 +25,7 @@ from permrad.radar import (
     zero_delay_cut,
     zero_doppler_cut,
 )
-from permrad.waveform import WaveformParams
+from permrad.waveform import WaveformParams, tone_frequencies
 
 
 def _params(m=4, t=1.0, f0=0.0, **kw):
@@ -88,6 +88,88 @@ def test_pulse_af_accepts_arrays():
 
 
 # --- waveform ambiguity -------------------------------------------------------
+
+
+def _pair_loop_af(perm, params, tau, omega):
+    """Reference: the plain double sum over all M^2 pulse pairs, on every cell."""
+    w = 2.0 * np.pi * tone_frequencies(perm, params)
+    t = params.t
+    tau_a, omega_a = np.broadcast_arrays(
+        np.asarray(tau, dtype=float), np.asarray(omega, dtype=float)
+    )
+    acc = np.zeros(tau_a.shape, dtype=complex)
+    for m in range(params.m):
+        for n in range(params.m):
+            ap = pulse_af(tau_a + (n - m) * t, omega_a - w[n] + w[m], t)
+            phase = np.exp(1j * (omega_a * m * t - w[n] * ((m - n) * t - tau_a)))
+            acc = acc + ap * phase
+    return acc / (params.m * t)
+
+
+def _tone_order(m, order):
+    if order == "ascending":
+        return list(range(m))
+    if order == "descending":
+        return list(range(m))[::-1]
+    return [int(x) for x in np.random.default_rng(m).permutation(m)]
+
+
+def _default_grid(m, t=1.0, steps=161):
+    # the af command's default axes: delay over +-M t, Doppler over +-2/t Hz
+    taus = np.linspace(-m * t, m * t, steps)
+    omegas = 2.0 * pi * np.linspace(-2.0 / t, 2.0 / t, steps)
+    return np.meshgrid(taus, omegas, indexing="ij")
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "random"])
+@pytest.mark.parametrize("m", [8, 12, 20])
+def test_complex_af_matches_pair_loop_on_default_grid(m, order):
+    params = _params(m=m)
+    perm = _tone_order(m, order)
+    tt, ww = _default_grid(m)
+    got = complex_af(perm, params, tt, ww)
+    assert got.shape == tt.shape
+    assert np.max(np.abs(got - _pair_loop_af(perm, params, tt, ww))) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [8, 20])
+def test_complex_af_matches_pair_loop_at_scalars(m):
+    params = _params(m=m, f0=0.5)
+    perm = _tone_order(m, "random")
+    # delays on pulse edges are where a lag's support opens or closes
+    for tau in (0.0, 1.0, -1.0, 2.5, -3.0, m - 0.5, float(m), m + 0.25, -m - 1.0):
+        for om in (0.0, 1e-9, 3.7, -11.0):
+            got = complex_af(perm, params, tau, om)
+            assert isinstance(got, complex)
+            assert abs(got - _pair_loop_af(perm, params, tau, om)) <= 1e-13
+
+
+def test_complex_af_matches_pair_loop_where_lags_select_no_cells():
+    m = 12
+    params = _params(m=m)
+    perm = _tone_order(m, "random")
+    omegas = 2.0 * pi * np.linspace(-2.0, 2.0, 41)
+    # past +-M t every lag is empty; in a one-pulse window only two lags are not
+    for taus in (np.linspace(-1.5 * m, 1.5 * m, 121), np.linspace(2.5, 3.5, 17),
+                 np.linspace(m + 0.5, 2.0 * m, 9)):
+        tt, ww = np.meshgrid(taus, omegas, indexing="ij")
+        got = complex_af(perm, params, tt, ww)
+        assert np.max(np.abs(got - _pair_loop_af(perm, params, tt, ww))) <= 1e-13
+        assert np.all(got[np.abs(tt) >= m] == 0.0)
+
+
+def test_complex_af_cell_does_not_depend_on_its_neighbours():
+    # bit-identical whether a cell is evaluated alone or inside a grid, which
+    # is what keeps af_grid independent of the worker count
+    m = 20
+    params = _params(m=m)
+    perm = _tone_order(m, "random")
+    tt, ww = _default_grid(m, steps=41)
+    grid = complex_af(perm, params, tt, ww)
+    rows = complex_af(perm, params, tt[::7], ww[::7])
+    assert np.array_equal(rows, grid[::7])
+    for i, j in ((20, 20), (3, 17), (39, 0), (25, 33)):
+        assert complex_af(perm, params, tt[i, j], ww[i, j]) == grid[i, j]
 
 
 def test_af_peak_is_one():
@@ -397,6 +479,28 @@ def test_af_grid_workers_agree_with_serial():
     serial = af_grid([1, 2, 0], params, taus, omegas, workers=1)
     parallel = af_grid([1, 2, 0], params, taus, omegas, workers=3)
     assert np.array_equal(serial.values, parallel.values)
+
+
+def test_af_grid_workers_bit_identical_on_default_grid():
+    m = 12
+    params = _params(m=m)
+    perm = _tone_order(m, "random")
+    taus = np.linspace(-m, m, 161)
+    omegas = 2.0 * pi * np.linspace(-2.0, 2.0, 161)
+    serial = af_grid(perm, params, taus, omegas, workers=1)
+    parallel = af_grid(perm, params, taus, omegas, workers=2)
+    assert np.array_equal(serial.values, parallel.values)
+
+
+def test_radar_accepts_blocks_beyond_the_codec_limit():
+    m = 32
+    params = _params(m=m)
+    perm = _tone_order(m, "random")
+    assert complex_af(perm, params, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+    tt, ww = _default_grid(m, steps=21)
+    got = complex_af(perm, params, tt, ww)
+    assert np.max(np.abs(got - _pair_loop_af(perm, params, tt, ww))) <= 1e-13
+    assert crlb_full(perm, params, n0=0.1, b=1e12)[0] > 0
 
 
 def test_codec_permutations_accepted():

@@ -93,6 +93,19 @@ def test_bad_params_rejected():
         WaveformParams(m=2, t=1.0, delta_f=1.0, energy=0.0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("t", float("inf")), ("t", float("nan")), ("delta_f", float("inf")),
+     ("delta_f", float("nan")), ("f0", float("inf")), ("f0", float("nan")),
+     ("energy", float("inf")), ("delta_f", 1e308)],
+)
+def test_non_finite_params_rejected(field, value):
+    # the last case is finite, but delta_f * t overflows to inf
+    kwargs = {"m": 2, "t": 10.0, "delta_f": 0.1, field: value}
+    with pytest.raises(ValidationError):
+        WaveformParams(**kwargs)
+
+
 def test_sample_grid_and_times():
     params = WaveformParams(m=2, t=0.5, delta_f=2.0)
     sig = synthesize([1, 0], params)

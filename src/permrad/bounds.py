@@ -15,9 +15,10 @@ display.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, erfc, exp, fsum, lgamma, log, log1p, sqrt
+from math import comb, erfc, exp, fsum, isfinite, lgamma, log, log1p, sqrt
 
 from .errors import NumericError, ValidationError
+from .lehmer import MAX_M
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,8 @@ def clamp(p: float) -> float:
 def _check_common(m: int, n: int, snr: float) -> None:
     if m < 2:
         raise ValidationError(f"bounds need m >= 2 (no rival permutations below that), got {m}")
+    if m > MAX_M:
+        raise ValidationError(f"bounds support m up to {MAX_M}, got {m}")
     if n < 1:
         raise ValidationError(f"antenna count must be at least 1, got {n}")
     if not snr > 0:
@@ -133,8 +136,8 @@ def pairwise_rician(
     _check_common(m, n, snr)
     if not 2 <= l <= m:
         raise ValidationError(f"slot mismatch l must lie in [2, {m}], got {l}")
-    if k < 0:
-        raise ValidationError(f"Rician factor must be non-negative, got {k}")
+    if not (k >= 0 and isfinite(k)):
+        raise ValidationError(f"Rician factor must be non-negative and finite, got {k}")
     c = 2.0 * _alpha_sq(l, m, snr) * (k + 1.0)
     nk = n * k
     if nk == 0:

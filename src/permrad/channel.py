@@ -9,7 +9,7 @@ that |h|^2 equals the antenna count exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log10, sqrt
+from math import inf, isfinite, log10, sqrt
 
 import numpy as np
 
@@ -39,8 +39,8 @@ class ChannelParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"antenna count must be at least 1, got {self.n}")
-        if self.k < 0:
-            raise ValidationError(f"Rician factor must be non-negative, got {self.k}")
+        if not (self.k >= 0 and isfinite(self.k)):
+            raise ValidationError(f"Rician factor must be non-negative and finite, got {self.k}")
         if not self.n0 > 0:
             raise ValidationError(f"noise variance must be positive, got {self.n0}")
         if self.kind not in CHANNEL_KINDS:
@@ -63,8 +63,20 @@ class FadingRealization:
 
 
 def n0_from_snr_db(energy: float, snr_db: float) -> float:
-    """Noise variance for a target per-antenna SNR of energy / n0."""
-    return energy / 10.0 ** (snr_db / 10.0)
+    """Noise variance for a target per-antenna SNR of energy / n0.
+
+    An SNR whose linear value or n0 overflows or underflows is rejected.
+    """
+    try:
+        n0 = energy / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        n0 = float("nan")
+    if not 0.0 < n0 < inf:
+        raise ValidationError(
+            f"snr {snr_db} dB at energy {energy} puts the noise variance "
+            "n0 = energy / snr outside (0, inf)"
+        )
+    return n0
 
 
 def snr_db_from_n0(energy: float, n0: float) -> float:

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 validation/usage error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import contextmanager
 from math import isfinite, pi
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import radar, simkit
+from .channel import n0_from_snr_db
 from .errors import CapabilityError, NumericError, PermradError, ValidationError
 from .lehmer import (
     bits_per_block,
@@ -30,9 +32,20 @@ from .waveform import WaveformParams, synthesize
 # key aliases accepted in simulate config files
 _CONFIG_ALIASES = {"n_antennas": "n", "snr_db_list": "snr_db"}
 
+# a token that starts like a negative number or number list ("-2,0,2",
+# "-1e-3", "-inf") is a value, never an option
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser that exits 1 (not 2) on usage errors."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only plain "-2" and "-0.5" as negative numbers, and
+        # any other token that starts with "-" as an option; that would leave
+        # "--snr-db -2,0,2" without its value
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -310,7 +323,10 @@ def _cmd_bounds(args) -> int:
     ]
     lines = ["snr_db,ub,nn,channel,M,N,K"]
     for snr_db in args.snr_db:
-        snr = 10.0 ** (snr_db / 10.0)
+        try:
+            snr = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            raise ValidationError(f"snr {snr_db} dB overflows a double") from None
         if args.channel == "awgn":
             ub = bnd.union_bound_awgn(args.m, args.n, snr)
             nn = bnd.nn_awgn(args.m, args.n, snr)
@@ -444,7 +460,7 @@ def _cmd_crlb(args) -> int:
     lines = ["snr_db,n0,crlb_tau,crlb_omega,variant"]
     indefinite = []
     for snr_db in args.snr_db:
-        n0 = args.energy / 10.0 ** (snr_db / 10.0)
+        n0 = n0_from_snr_db(args.energy, snr_db)
         try:
             full = radar.crlb_full(perm, params, n0, b)
         except NumericError:
@@ -539,7 +555,10 @@ def _config_defaults(path: str) -> dict:
             key = _CONFIG_ALIASES.get(key, key)
             if key not in converters:
                 raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = converters[key](value.strip())
+            try:
+                out[key] = converters[key](value.strip())
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return out
 
 

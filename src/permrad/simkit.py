@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channel import CHANNEL_KINDS, ChannelParams, draw_fading_batch
+from .channel import CHANNEL_KINDS, ChannelParams, draw_fading_batch, n0_from_snr_db
 from .errors import ValidationError
 from .lehmer import MAX_M
 from .receiver import MAX_EXHAUSTIVE_M, statistic_matrices
@@ -91,6 +91,8 @@ class SimConfig:
             raise ValidationError(f"energy must be positive and finite, got {self.energy}")
         if not all(isfinite(x) for x in self.snr_db):
             raise ValidationError(f"snr grid must be finite, got {self.snr_db}")
+        for snr_db in self.snr_db:
+            n0_from_snr_db(self.energy, snr_db)  # raises unless 0 < n0 < inf
         if not (self.t > 0 and isfinite(self.t)):
             raise ValidationError(f"pulse width must be positive and finite, got {self.t}")
         if self.workers < 1:
@@ -223,8 +225,7 @@ def _block_worker(args) -> int:
 def _run_block(cfg: SimConfig, point_idx: int, block_idx: int, size: int) -> int:
     """Simulate one block of trials; returns the error count."""
     rng = np.random.default_rng([cfg.master_seed, point_idx, block_idx])
-    snr = 10.0 ** (cfg.snr_db[point_idx] / 10.0)
-    n0 = cfg.energy / snr
+    n0 = n0_from_snr_db(cfg.energy, cfg.snr_db[point_idx])
     m = cfg.m
 
     symbols = rng.integers(0, factorial(m), size=size)
@@ -289,26 +290,34 @@ def _block_errors(r_all: np.ndarray, perms: np.ndarray) -> np.ndarray:
 def _sampled_matrices(
     cfg: SimConfig, perms: np.ndarray, h: np.ndarray, n0: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Full waveform-level simulation of one block's correlation matrices."""
+    """Waveform-level correlation matrices of one block.
+
+    The receiver (combine the antennas with conj(h), correlate each pulse
+    with the M sampled tones) is linear, so r = |h|^2 * G[perm] plus the
+    receiver applied to the noise alone, where G is the Gram table of the
+    sampled tones.  Every noise sample is drawn, in the order a full
+    synthesis of the received samples would draw them, and projected onto
+    the tones by one real matrix product; the transmitted and received
+    sample arrays are never formed.
+    """
     wf = cfg.waveform_params()
     size, m = perms.shape
     spp = wf.samples_per_pulse
-    total = m * spp
     tt = np.arange(spp) * wf.dt
-
-    freqs = wf.f0 + perms.astype(float) * wf.delta_f            # (size, m)
-    tx = wf.amplitude * np.exp(2j * np.pi * freqs[:, :, None] * tt)  # (size, m, spp)
-    tx = tx.reshape(size, total)
-
-    sigma = sqrt(n0 * wf.sample_rate / 2.0)
-    noise = sigma * (
-        rng.standard_normal((size, cfg.n, total))
-        + 1j * rng.standard_normal((size, cfg.n, total))
-    )
-    rx = h[:, :, None] * tx[:, None, :] + noise                  # (size, n, total)
-    combined = np.einsum("bn,bns->bs", h.conj(), rx)
-
     tone_f = wf.f0 + np.arange(m) * wf.delta_f
-    basis = np.exp(2j * np.pi * np.outer(tone_f, tt)) / sqrt(wf.t)  # (m, spp)
-    pulses = combined.reshape(size, m, spp)
-    return np.einsum("bps,ms->bpm", pulses, basis.conj()).real * wf.dt
+    tones = np.exp(2j * np.pi * np.outer(tone_f, tt))            # (m, spp)
+    proj = tones.conj().T * (wf.dt / sqrt(wf.t))                 # (spp, m) correlator
+    gram = (wf.amplitude * tones @ proj).real                    # (m, m)
+
+    # real and imaginary parts of the noise, sample by sample per pulse
+    draws = rng.standard_normal((2, size, cfg.n, m, spp))
+    y = draws.reshape(-1, spp) @ np.hstack([proj.real, proj.imag])
+    y = y.reshape(2, size, cfg.n, m, 2 * m)
+    # (a + 1j*b) @ proj, split into its real and imaginary parts
+    re = y[0, ..., :m] - y[1, ..., m:]
+    im = y[0, ..., m:] + y[1, ..., :m]
+    # Re(conj(h) * z) = Re(h) Re(z) + Im(h) Im(z), summed over the antennas
+    noise = np.einsum("bn,bnpm->bpm", h.real, re) + np.einsum("bn,bnpm->bpm", h.imag, im)
+    gains = np.sum(np.abs(h) ** 2, axis=1)
+    sigma = sqrt(n0 * wf.sample_rate / 2.0)
+    return gains[:, None, None] * gram[perms] + sigma * noise

@@ -1,9 +1,13 @@
 """End-to-end CLI tests: golden outputs, exit codes, reproducibility."""
 
+import contextlib
+import io
 from math import pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permrad.cli import _fmt, main
 from permrad.radar import af_grid
@@ -161,6 +165,59 @@ def test_simulate_config_unknown_key(capsys, tmp_path):
     rc, _, err = _run(capsys, ["simulate", "--config", str(cfg)])
     assert rc == 1
     assert "unknown config key" in err
+
+
+@pytest.mark.parametrize("line", ["trials=1e5", "m=four", "snr_db=a,b"])
+def test_simulate_config_bad_value_exits_one(capsys, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# sweep\nn=1\n{line}\n")
+    rc, out, err = _run(capsys, ["simulate", "--config", str(cfg)])
+    assert rc == 1
+    assert out == ""
+    assert err.count("error:") == 1
+    assert f"{cfg}:3:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--m", "99999999999999999999", "--n", "1", "--snr-db", "0"],
+        ["bounds", "--m", "4", "--n", "1", "--snr-db=1e308"],
+        ["bounds", "--m", "4", "--n", "1", "--channel", "rician", "--rician-k", "inf",
+         "--snr-db", "0"],
+        ["simulate", "--m", "2", "--trials", "10", "--snr-db=1e308"],
+        ["simulate", "--m", "2", "--trials", "10", "--snr-db=-1e308"],
+        ["simulate", "--m", "2", "--trials", "10", "--channel", "rician", "--rician-k", "nan"],
+        ["crlb", "--m", "2", "--snr-db=-1e308"],
+    ],
+)
+def test_out_of_range_value_exits_one(capsys, argv):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 1
+    assert _data_lines(out) == []
+    assert err.count("error:") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value,rows",
+    [
+        (["bounds", "--m", "2", "--n", "1"], "--snr-db", "-2,0,2", 4),
+        (["simulate", "--m", "2", "--n", "1", "--trials", "100"], "--snr-db", "-2,0,2", 4),
+        (["crlb", "--m", "2"], "--snr-db", "-2,0,2", 7),
+        (["af", "--m", "2", "--tau-steps", "3", "--doppler-steps", "2"],
+         "--tau-min-sec", "-1e-3", 7),
+        (["af", "--m", "2", "--tau-steps", "3", "--doppler-steps", "2"],
+         "--doppler-min-hz", "-1e-1", 7),
+    ],
+)
+def test_negative_value_after_flag(capsys, argv, flag, value, rows):
+    rc, out, err = _run(capsys, [*argv, flag, value])
+    assert rc == 0, err
+    assert len(_data_lines(out)) == rows
+    # the same output as the unambiguous --flag=value form
+    assert _run(capsys, [*argv, f"{flag}={value}"]) == (0, out, "")
 
 
 def test_af_csv_shape_and_peak(capsys):
@@ -327,3 +384,105 @@ def test_output_file_writing(tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert path.read_text().splitlines()[-1] == "2 0 1"
+
+
+# value pools for the CLI fuzz test, (valid, bad) per flag; bad values are
+# negative, non-finite, out of range or garbage.  Valid sizes stay small
+# (m <= 8, n <= 3, trials <= 200, at most 256 samples per pulse) so every
+# run takes milliseconds.  --j-max stays at or below 200: with a huge cap an
+# unconvergeable Rician series (--rician-k 1e308) loops until the cap.
+_M = (["1", "2", "3", "4", "8"], ["0", "-1", "21", "99999999999999999999", "1.5", "x", ""])
+_N = (["1", "2", "3"], ["0", "-2", "1e3", "x"])
+_CHANNEL = (["awgn", "rayleigh", "rician"], ["fso"])
+_K = (["0", "1.5", "1e-3"], ["-2", "-1e-3", "1e308", "inf", "-inf", "nan", "x", ""])
+_SNR = (["0", "-2,0,2", "1,,3", "-1e-3,4", "20"],
+        [",", "inf", "-inf", "nan", "1e308", "-1e308", "a,b", ""])
+_FLAGS = {
+    "encode": {"--m": _M, "--symbol": (["0", "5"], ["23", "-1", "99999999999999999999", "x"]),
+               "--bit-mode": None},
+    "decode": {"--perm": (["0,3,2,1", "2,0,1", "0"], ["-1,0", "0,0", ",", "1", "0,1,x", ""])},
+    "bounds": {
+        "--m": (["2", "3", "4"], _M[1]), "--n": _N, "--channel": _CHANNEL, "--rician-k": _K,
+        "--snr-db": _SNR, "--series-tol": (["1e-12", "1e-6"], ["0", "-1", "nan", "x"]),
+        "--j-max": (["200", "100"], ["0", "-3", "1e3", "x"]),
+    },
+    "detect": {"--matrix": None, "--receiver": (["hungarian", "exhaustive"], ["genie"])},
+    "simulate": {
+        "--m": _M, "--n": _N, "--channel": _CHANNEL, "--rician-k": _K, "--snr-db": _SNR,
+        "--trials": (["1", "57", "200"], ["0", "-5", "1e2", "x"]),
+        "--target-errors": (["1", "50"], ["0", "-1", "x"]),
+        "--seed": (["0", "7", "99999999999999999999"], ["-1", "x"]),
+        "--receiver": (["hungarian", "exhaustive"], ["genie"]),
+        "--mode": (["statistic", "sampled"], ["exact"]),
+        "--energy": (["1", "2.5"], ["0", "-1", "1e308", "1e-308", "inf", "nan", "x"]),
+        "--workers": (["1", "2"], ["0", "-1", "x"]),
+        "--t-sec": (["1", "0.5", "2"], ["0", "-1", "inf", "nan", "x"]),
+        "--delta-f-hz": (["1", "2"], ["0.5", "-1", "nan", "x"]),
+        "--f0-hz": (["0", "1e3"], ["-1", "inf", "nan", "x"]),
+        "--oversampling": (["64", "256"], ["29", "0", "-1", "x"]),
+    },
+}
+_REQUIRED = {"encode": ["--m", "--symbol"], "decode": ["--perm"],
+             "bounds": ["--m", "--n", "--snr-db"], "detect": ["--matrix"], "simulate": []}
+_MATRICES = {
+    "golden.csv": "-4,-3,-2,-6\n-2,1,0,-4\n4,-2,5,-3\n5,4,-4,3\n",
+    "ragged.csv": "1,2\n3\n",
+    "text.csv": "1,x\n3,4\n",
+    "nonfinite.csv": "nan,1\n1,inf\n",
+    "huge.csv": "1e308,-1e308\n-1e308,1e308\n",
+    "wide.csv": "1,2,3\n4,5,6\n",
+    "scalar.csv": "5\n",
+    "empty.csv": "",
+}
+
+
+@pytest.fixture(scope="module")
+def matrix_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("matrices")
+    for name, text in _MATRICES.items():
+        (root / name).write_text(text)
+    return root
+
+
+@st.composite
+def _argv(draw, matrix_dir):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    # a clean draw has valid values only; both kinds have the required flags
+    clean = draw(st.booleans())
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=6, unique=True))
+    chosen += [f for f in _REQUIRED[command] if f not in chosen]
+    argv = [command]
+    for flag in chosen:
+        if flag == "--matrix":
+            names = ["golden.csv", "scalar.csv"] if clean else [*_MATRICES, "missing.csv"]
+            argv += [flag, str(matrix_dir / draw(st.sampled_from(names)))]
+        elif flags[flag] is None:
+            argv.append(flag)
+        else:
+            valid, bad = flags[flag]
+            argv += [flag, draw(st.sampled_from(valid if clean else valid + bad))]
+    if command == "simulate" and "--trials" not in argv:
+        argv += ["--trials", "100"]  # the default would run 100000 trials
+    if not clean and draw(st.booleans()):
+        # a stray token: unknown flag, lone dash, negative number or junk;
+        # in front of a required flag's value it also leaves that flag empty
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(["--frobnicate", "-", "--", "-3", "-x", "junk"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(matrix_dir, data):
+    argv = data.draw(_argv(matrix_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if rc == 1:
+        assert "error:" in err.getvalue()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permrad.channel import draw_fading_batch
 from permrad.errors import ValidationError
 from permrad.lehmer import rank_to_permutation
 from permrad.receiver import exhaustive_detect, hungarian_detect, statistic_matrices
@@ -15,6 +16,7 @@ from permrad.simkit import (
     SimConfig,
     _block_errors,
     _ranks_to_permutations,
+    _sampled_matrices,
     run_bler_sweep,
     wilson_interval,
 )
@@ -32,6 +34,12 @@ def test_deterministic_across_worker_counts():
     serial = run_bler_sweep(SimConfig(workers=1, **base))
     parallel = run_bler_sweep(SimConfig(workers=4, **base))
     assert serial == parallel  # bit-identical, not merely close
+    # sampled mode over three blocks, the last one partial
+    base.update(n=3, snr_db=(4.0,), channel="rayleigh", k=0.0, trials=2_500, mode="sampled")
+    serial = run_bler_sweep(SimConfig(workers=1, **base))
+    parallel = run_bler_sweep(SimConfig(workers=2, **base))
+    assert serial == parallel
+    assert 0 < serial[0].errors < serial[0].trials
 
 
 def test_deterministic_repeat_runs():
@@ -161,6 +169,66 @@ def test_block_errors_match_per_trial_detectors(m):
             assert got.tolist() == [exhaustive_detect(r) != p for r, p in zip(r_all, sent)]
         flagged += int(got.sum())
     assert 0 < flagged < 5 * size  # both outcomes occur, so the check is not vacuous
+
+
+def _sampled_reference(cfg, perms, h, n0, rng):
+    """Reference: synthesise tx, noise and rx sample by sample, then combine
+    the antennas and correlate each pulse with the sampled tones."""
+    wf = cfg.waveform_params()
+    size, m = perms.shape
+    spp = wf.samples_per_pulse
+    total = m * spp
+    tt = np.arange(spp) * wf.dt
+
+    freqs = wf.f0 + perms.astype(float) * wf.delta_f
+    tx = wf.amplitude * np.exp(2j * np.pi * freqs[:, :, None] * tt)
+    tx = tx.reshape(size, total)
+
+    sigma = sqrt(n0 * wf.sample_rate / 2.0)
+    noise = sigma * (
+        rng.standard_normal((size, cfg.n, total))
+        + 1j * rng.standard_normal((size, cfg.n, total))
+    )
+    rx = h[:, :, None] * tx[:, None, :] + noise
+    combined = np.einsum("bn,bns->bs", h.conj(), rx)
+
+    tone_f = wf.f0 + np.arange(m) * wf.delta_f
+    basis = np.exp(2j * np.pi * np.outer(tone_f, tt)) / sqrt(wf.t)
+    pulses = combined.reshape(size, m, spp)
+    return np.einsum("bps,ms->bpm", pulses, basis.conj()).real * wf.dt
+
+
+# default geometry; a tone offset; delta_f * t = 2 with t != 1; an explicit
+# oversampling above the Nyquist floor that is not a multiple of it
+_SAMPLED_GEOMETRIES = (
+    {},
+    {"f0": 1e3},
+    {"t": 0.5, "delta_f": 4.0},
+    {"oversampling": 29},
+)
+
+
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh", "rician"])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
+def test_sampled_matrices_match_full_synthesis(m, n, channel):
+    size = 256
+    snr_db = m + 2.0  # keeps the error rate away from 0 and 1
+    for g_idx, geometry in enumerate(_SAMPLED_GEOMETRIES):
+        cfg = SimConfig(m=m, n=n, snr_db=(snr_db,), channel=channel, k=1.5,
+                        mode="sampled", energy=2.0, **geometry)
+        n0 = cfg.energy / 10.0 ** (snr_db / 10.0)
+        rng = np.random.default_rng([m, n, g_idx])
+        perms = _ranks_to_permutations(rng.integers(0, factorial(m), size=size), m)
+        h = draw_fading_batch(cfg.channel_params(n0, snr_db), rng, size)
+        got = _sampled_matrices(cfg, perms, h, n0, np.random.default_rng(g_idx))
+        want = _sampled_reference(cfg, perms, h, n0, np.random.default_rng(g_idx))
+        assert got.shape == want.shape == (size, m, m)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        errors = _block_errors(got, perms)
+        assert errors.tolist() == _block_errors(want, perms).tolist()
+        if m >= 4:
+            assert 0 < np.count_nonzero(errors) < size  # the comparison is not vacuous
 
 
 def test_block_errors_find_cycle_longer_than_a_swap():

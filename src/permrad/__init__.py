@@ -25,7 +25,6 @@ from .radar import (
     AFGrid,
     FisherMatrix,
     af_grid,
-    af_numeric_oracle,
     complex_af,
     crlb_full,
     crlb_simplified,
@@ -61,7 +60,6 @@ __all__ = [
     "ValidationError",
     "WaveformParams",
     "af_grid",
-    "af_numeric_oracle",
     "apply_channel",
     "bits_per_block",
     "complex_af",

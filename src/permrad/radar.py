@@ -2,11 +2,11 @@
 
 The complex ambiguity surface of the pulse train decomposes into a sum
 over pulse pairs of single-pulse terms, each a shifted copy of the
-rectangular pulse's closed-form ambiguity.  A pair's term is nonzero only
-within one pulse width of its lag, so each delay sees at most two lags
-(three on a pulse edge) and O(M) terms.  A direct quadrature oracle of
-the defining autocorrelation integral is kept alongside for
-cross-checking.
+rectangular pulse's closed-form ambiguity (t - |tau|) sinc(omega (t -
+|tau|) / 2) times one complex exponential that also carries the pair's
+inter-pulse phase.  A pair's term is nonzero only within one pulse width
+of its lag, so each delay sees at most two lags (three on a pulse edge)
+and O(M) terms.
 Estimation accuracy is characterized by the 2x2 Fisher information in
 (delay, Doppler) and the bounds from its inverse.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import ceil, cos, floor
+from math import cos
 from typing import Sequence
 
 import numpy as np
@@ -24,68 +24,46 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .waveform import WaveformParams, tone_frequencies
 
-# Below this |omega| * T the closed-form branches are 0/0; switch to a
-# 4-term series of (exp(jwx) - exp(jwy)) / (jw).
-_SMALL_PHASE = 1e-6
-
-# elements per (cells, pairs) block of complex_af; pulse_af and the phase
-# factor hold several complex temporaries of that size at once, so this
-# bounds the kernel's peak memory (about 1 MB) whatever the grid and M
+# elements per (cells, pairs) block of complex_af; pulse_af holds a few
+# real and complex temporaries of that size at once, so this bounds the
+# kernel's peak memory (about 1 MB) whatever the grid and M
 _AF_ELEMS = 1 << 13
 
 
-def pulse_af(tau, omega, t: float):
-    """Complex ambiguity of one rectangular pulse of width t.
+def pulse_af(tau, omega, t: float, phase=0.0):
+    """Complex ambiguity of one rectangular pulse of width t, times exp(j phase).
 
-    Piecewise in delay: zero outside |tau| <= t, one exponential-difference
-    branch on each side.  Accepts scalars or broadcastable arrays.
+    The integral of exp(j omega u) over the overlap of the pulse and its
+    copy delayed by tau: an interval of length u = t - |tau| centred on
+    (t + tau) / 2, hence u sinc(omega u / 2) exp(j omega (t + tau) / 2),
+    with sinc(h) = sin(h) / h.  One expression covers both signs of tau and
+    omega = 0; it is zero outside |tau| <= t.  Accepts scalars or
+    broadcastable arrays.
     """
-    tau_a, omega_a = np.broadcast_arrays(
-        np.asarray(tau, dtype=float), np.asarray(omega, dtype=float)
-    )
-    out = np.zeros(tau_a.shape, dtype=complex)
-    pos = (tau_a >= 0.0) & (tau_a <= t)
-    neg = (tau_a >= -t) & (tau_a < 0.0)
-    if np.any(pos):
-        out[pos] = _exp_diff_over_jw(t, tau_a[pos], omega_a[pos], t)
-    if np.any(neg):
-        tn, wn = tau_a[neg], omega_a[neg]
-        out[neg] = np.exp(1j * wn * tn) * _exp_diff_over_jw(t, -tn, wn, t)
+    tau = np.asarray(tau, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    u = np.maximum(t - np.abs(tau), 0.0)
+    h = 0.5 * omega * u
+    sinc = np.divide(np.sin(h), h, out=np.ones(h.shape), where=h != 0.0)
+    out = u * sinc * np.exp(1j * (0.5 * omega * (t + tau) + phase))
     if out.ndim == 0:
         return complex(out)
-    return out
-
-
-def _exp_diff_over_jw(x, y, w, t: float):
-    """(exp(jwx) - exp(jwy)) / (jw) with a series fallback near w = 0."""
-    x, y, w = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(w, dtype=float)
-    )
-    small = np.abs(w) * t < _SMALL_PHASE
-    safe_w = np.where(small, 1.0, w)
-    out = (np.exp(1j * safe_w * x) - np.exp(1j * safe_w * y)) / (1j * safe_w)
-    if np.any(small):
-        # the series is needed only on the few near-zero-Doppler elements
-        x, y, jw = x[small], y[small], 1j * w[small]
-        out[small] = (
-            (x - y)
-            + jw * (x**2 - y**2) / 2.0
-            + jw**2 * (x**3 - y**3) / 6.0
-            + jw**3 * (x**4 - y**4) / 24.0
-        )
     return out
 
 
 def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     """Time-frequency autocorrelation of the unit-energy waveform.
 
-    Sum over pulse pairs (m, n) of the single-pulse ambiguity with the
-    inter-pulse phase factors.  A pair's term vanishes unless
+    Sum over pulse pairs (m, n) of the single-pulse ambiguity at delay
+    tau + (n - m) t and Doppler omega - w_n + w_m, with the inter-pulse
+    phase omega m t + w_n (tau + (n - m) t), so each pair term costs one
+    complex exponential and one sine.  A pair's term vanishes unless
     |tau + (n - m) t| <= t, so the pairs are grouped by lag n - m and each
     lag is evaluated only on the cells inside its support: at most two lags
-    (three on a pulse edge), O(M) pulse terms, per evaluation point.  Each cell's value depends on
-    that cell alone, whatever other cells are evaluated with it.  The
-    waveform energy is normalized to one regardless of params.energy.
+    (three on a pulse edge), O(M) pulse terms, per evaluation point.  Each
+    cell's value depends on that cell alone, whatever other cells are
+    evaluated with it.  The waveform energy is normalized to one regardless
+    of params.energy.
     """
     freqs = tone_frequencies(perm, params)
     w = 2.0 * np.pi * freqs
@@ -98,72 +76,26 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     omega_f = omega_a.ravel()
     acc = np.zeros(tau_f.shape, dtype=complex)
     for lag in range(1 - m_count, m_count):
-        shift = lag * t
-        x = tau_f + shift
+        x = tau_f + lag * t
         cells = np.flatnonzero((x >= -t) & (x <= t))
         if cells.size == 0:
             continue
         m_idx = np.arange(max(0, -lag), min(m_count, m_count - lag))
-        n_idx = m_idx + lag
+        w_m = w[m_idx]
+        w_n = w[m_idx + lag]
         # (cells, pairs) blocks: the pair sum runs along the contiguous last
         # axis, so each cell is summed in the same order in every block
         step = max(1, _AF_ELEMS // m_idx.size)
         for start in range(0, cells.size, step):
             sel = cells[start:start + step]
-            tc = tau_f[sel, None]
+            xc = x[sel, None]
             oc = omega_f[sel, None]
-            ap = pulse_af(x[sel, None], oc - w[n_idx] + w[m_idx], t)
-            phase = np.exp(1j * (oc * m_idx * t - w[n_idx] * (-shift - tc)))
-            acc[sel] += (ap * phase).sum(axis=1)
+            terms = pulse_af(xc, oc - w_n + w_m, t, oc * (m_idx * t) + w_n * xc)
+            acc[sel] += terms.sum(axis=1)
     acc = (acc / (m_count * t)).reshape(tau_a.shape)
     if acc.ndim == 0:
         return complex(acc)
     return acc
-
-
-def af_numeric_oracle(
-    perm: Sequence[int],
-    params: WaveformParams,
-    tau: float,
-    omega: float,
-    samples_per_pulse: int = 20_000,
-) -> complex:
-    """Trapezoidal quadrature of the defining autocorrelation integral.
-
-    The integrand s(u) s*(u - tau) exp(j omega u) is integrated piecewise
-    between the pulse boundaries of both factors, where it is a single
-    complex exponential evaluated analytically.  Cross-validation oracle
-    for complex_af on desk-scale grids.
-    """
-    freqs = tone_frequencies(perm, params)
-    w = 2.0 * np.pi * freqs
-    t = params.t
-    total_t = params.duration
-    amp2 = 1.0 / (params.m * t)  # unit-energy squared amplitude
-    lo = max(0.0, tau)
-    hi = min(total_t, total_t + tau)
-    if lo >= hi:
-        return 0.0 + 0.0j
-    cuts = {lo, hi}
-    for m in range(1, params.m):
-        for edge in (m * t, m * t + tau):
-            if lo < edge < hi:
-                cuts.add(edge)
-    edges = sorted(cuts)
-    step = t / samples_per_pulse
-    total = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a < 1e-15 * t:
-            continue
-        mid = 0.5 * (a + b)
-        ma = min(params.m - 1, max(0, int(floor(mid / t))))
-        mb = min(params.m - 1, max(0, int(floor((mid - tau) / t))))
-        u = np.linspace(a, b, max(2, int(ceil((b - a) / step)) + 1))
-        f = amp2 * np.exp(
-            1j * (w[ma] * (u - ma * t) - w[mb] * (u - tau - mb * t) + omega * u)
-        )
-        total += complex(np.trapezoid(f, u))
-    return total
 
 
 @dataclass(frozen=True)

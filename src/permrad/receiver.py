@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import FadingRealization
-from .errors import CapabilityError, ValidationError
+from .errors import CapabilityError, NumericError, ValidationError
 from .waveform import ComplexSignal, WaveformParams
 
 MAX_EXHAUSTIVE_M = 10
@@ -78,6 +78,12 @@ def statistic_matrices(
     batch, m = perms.shape
     mu = (energy / m) * gains
     sigma = np.sqrt(energy * n0 / (2.0 * m) * gains)
+    # an overflowed scale leaves inf/nan matrices, which the block decision
+    # would count as decoded
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+        raise NumericError(
+            "statistic scales overflow", energy=energy, n0=n0, max_gain=float(gains.max())
+        )
     r = rng.standard_normal((batch, m, m)) * sigma[:, None, None]
     r[np.arange(batch)[:, None], np.arange(m)[None, :], perms] += mu[:, None]
     return r

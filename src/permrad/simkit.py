@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .channel import CHANNEL_KINDS, ChannelParams, draw_fading_batch, n0_from_snr_db
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .lehmer import MAX_M
 from .receiver import MAX_EXHAUSTIVE_M, statistic_matrices
 from .waveform import WaveformParams
@@ -30,6 +30,10 @@ MODES = ("statistic", "sampled")
 # hence the smaller block.
 _STATISTIC_BLOCK = 8192
 _SAMPLED_BLOCK = 1024
+
+# float64 noise draws a sampled block may hold (512 MiB); the draw order
+# fixes the random stream, so a larger block is refused rather than split
+_SAMPLED_DRAW_BUDGET = 1 << 26
 
 # float64 elements per (slice, m, m) array of the block error test; its few
 # such temporaries stay near 2 MB, since peak memory is part of its cost
@@ -92,9 +96,25 @@ class SimConfig:
         if not all(isfinite(x) for x in self.snr_db):
             raise ValidationError(f"snr grid must be finite, got {self.snr_db}")
         for snr_db in self.snr_db:
-            n0_from_snr_db(self.energy, snr_db)  # raises unless 0 < n0 < inf
+            n0 = n0_from_snr_db(self.energy, snr_db)  # raises unless 0 < n0 < inf
+            if not isfinite(self.energy * n0):
+                raise ValidationError(
+                    f"energy {self.energy} at snr {snr_db} dB: the noise scale "
+                    f"energy * n0 = energy**2 / snr overflows"
+                )
         if not (self.t > 0 and isfinite(self.t)):
             raise ValidationError(f"pulse width must be positive and finite, got {self.t}")
+        if self.mode == "sampled":
+            q = (self.delta_f if self.delta_f is not None else 1.0 / self.t) * self.t
+            spp = self.oversampling if self.oversampling is not None else 8 * self.m * q
+            draws = 2 * _SAMPLED_BLOCK * self.n * self.m * spp
+            if draws > _SAMPLED_DRAW_BUDGET:  # a nan geometry is left to WaveformParams
+                raise ValidationError(
+                    f"a sampled block of {_SAMPLED_BLOCK} trials would draw "
+                    f"2 * {_SAMPLED_BLOCK} * n * m * samples_per_pulse = {draws:.4g} float64 "
+                    f"noise samples, over the budget of {_SAMPLED_DRAW_BUDGET} (512 MiB); "
+                    "lower the oversampling, delta_f * t, m or n"
+                )
         if self.workers < 1:
             raise ValidationError(f"workers must be at least 1, got {self.workers}")
         if self.master_seed < 0:
@@ -301,6 +321,12 @@ def _sampled_matrices(
     sample arrays are never formed.
     """
     wf = cfg.waveform_params()
+    sigma = sqrt(n0 * wf.sample_rate / 2.0)
+    if not isfinite(sigma):
+        raise NumericError(
+            "sampled noise scale sqrt(n0 * sample_rate / 2) overflows",
+            n0=n0, sample_rate=wf.sample_rate,
+        )
     size, m = perms.shape
     spp = wf.samples_per_pulse
     tt = np.arange(spp) * wf.dt
@@ -319,5 +345,4 @@ def _sampled_matrices(
     # Re(conj(h) * z) = Re(h) Re(z) + Im(h) Im(z), summed over the antennas
     noise = np.einsum("bn,bnpm->bpm", h.real, re) + np.einsum("bn,bnpm->bpm", h.imag, im)
     gains = np.sum(np.abs(h) ** 2, axis=1)
-    sigma = sqrt(n0 * wf.sample_rate / 2.0)
     return gains[:, None, None] * gram[perms] + sigma * noise

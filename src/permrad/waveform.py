@@ -9,13 +9,17 @@ are orthogonal over a single pulse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import isfinite, pi, sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .lehmer import validate_permutation
+
+# pulses per waveform; far above any pulse train the radar commands are used
+# on, and small enough that their per-pulse arrays and lag loop stay cheap
+MAX_PULSES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,8 +43,8 @@ class WaveformParams:
     oversampling: int | None = None
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValidationError(f"m must be at least 1, got {self.m}")
+        if not 1 <= self.m <= MAX_PULSES:
+            raise ValidationError(f"m must be in [1, {MAX_PULSES}], got {self.m}")
         if not (self.t > 0 and isfinite(self.t)):
             raise ValidationError(f"pulse width must be positive and finite, got {self.t}")
         if not (self.energy > 0 and isfinite(self.energy)):
@@ -53,6 +57,12 @@ class WaveformParams:
         if not isfinite(q) or abs(q - round(q)) > 1e-9 * max(1.0, abs(q)) or round(q) < 1:
             raise ValidationError(
                 f"delta_f * t must be a positive integer for tone orthogonality, got {q}"
+            )
+        top = 2.0 * pi * (self.f0 + (self.m - 1) * self.delta_f)
+        if not isfinite(top * self.duration):
+            raise ValidationError(
+                f"the phase of the top tone over the waveform, 2 pi (f0 + (m - 1) delta_f) m t, "
+                f"overflows for f0={self.f0}, delta_f={self.delta_f}, m={self.m}, t={self.t}"
             )
         if self.samples_per_pulse < 2 * self.m * self.spacing_periods:
             raise ValidationError(

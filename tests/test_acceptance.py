@@ -23,7 +23,6 @@ from permrad.bounds import (
 from permrad.channel import ChannelParams, fading_gains
 from permrad.lehmer import permutation_to_rank, rank_to_permutation
 from permrad.radar import (
-    af_numeric_oracle,
     complex_af,
     crlb_from_fisher,
     crlb_simplified,
@@ -36,6 +35,7 @@ from permrad.radar import (
 from permrad.receiver import assignment_score, exhaustive_detect, hungarian_detect
 from permrad.simkit import SimConfig, run_bler_sweep
 from permrad.waveform import WaveformParams
+from test_radar import af_numeric_oracle
 
 GOLDEN = np.array(
     [

@@ -190,6 +190,12 @@ def test_simulate_config_bad_value_exits_one(capsys, tmp_path, line):
         ["simulate", "--m", "2", "--trials", "10", "--snr-db=-1e308"],
         ["simulate", "--m", "2", "--trials", "10", "--channel", "rician", "--rician-k", "nan"],
         ["crlb", "--m", "2", "--snr-db=-1e308"],
+        ["simulate", "--m", "4", "--n", "2", "--trials", "1000", "--snr-db", "0",
+         "--energy", "1e308"],
+        ["simulate", "--mode", "sampled", "--m", "2", "--n", "1", "--trials", "10",
+         "--snr-db", "0", "--oversampling", "1000000000000"],
+        ["af", "--m", "2", "--f0-hz", "1e308", "--tau-steps", "3", "--doppler-steps", "3"],
+        ["crlb", "--m", "2", "--f0-hz", "1e308", "--snr-db", "0"],
     ],
 )
 def test_out_of_range_value_exits_one(capsys, argv):
@@ -388,9 +394,11 @@ def test_output_file_writing(tmp_path, capsys):
 
 # value pools for the CLI fuzz test, (valid, bad) per flag; bad values are
 # negative, non-finite, out of range or garbage.  Valid sizes stay small
-# (m <= 8, n <= 3, trials <= 200, at most 256 samples per pulse) so every
-# run takes milliseconds.  --j-max stays at or below 200: with a huge cap an
-# unconvergeable Rician series (--rician-k 1e308) loops until the cap.
+# (m <= 8, n <= 3, trials <= 200, at most 256 samples per pulse, af grids of
+# at most 3 x 3) so every run takes milliseconds; a bad --oversampling may be
+# huge, since a sampled block over its draw budget is refused before any
+# draw.  --j-max stays at or below 200: with a huge cap an unconvergeable
+# Rician series (--rician-k 1e308) loops until the cap.
 _M = (["1", "2", "3", "4", "8"], ["0", "-1", "21", "99999999999999999999", "1.5", "x", ""])
 _N = (["1", "2", "3"], ["0", "-2", "1e3", "x"])
 _CHANNEL = (["awgn", "rayleigh", "rician"], ["fso"])
@@ -419,11 +427,26 @@ _FLAGS = {
         "--t-sec": (["1", "0.5", "2"], ["0", "-1", "inf", "nan", "x"]),
         "--delta-f-hz": (["1", "2"], ["0.5", "-1", "nan", "x"]),
         "--f0-hz": (["0", "1e3"], ["-1", "inf", "nan", "x"]),
-        "--oversampling": (["64", "256"], ["29", "0", "-1", "x"]),
+        "--oversampling": (["64", "256"], ["29", "0", "-1", "1000000000000", "x"]),
+    },
+    "af": {
+        "--m": _M, "--order": (["ascending", "descending"], ["sideways"]),
+        "--perm": (["0,1", "2,0,1"], ["0,0", "-1", "x"]),
+        "--t-sec": (["1", "1e-3"], ["0", "-1", "inf", "nan", "x"]),
+        "--delta-f-hz": (["1", "2e3"], ["0.5", "-1", "nan", "x"]),
+        "--f0-hz": (["0", "1e3", "5e9"], ["-1", "1e308", "inf", "nan", "x"]),
+        "--tau-min-sec": (["-2", "0.5"], ["-1e308", "inf", "nan", "x"]),
+        "--tau-max-sec": (["2", "-0.5"], ["1e308", "-inf", "nan", "x"]),
+        "--tau-steps": (["1", "3"], ["0", "-1", "x"]),
+        "--doppler-min-hz": (["-2", "0"], ["-1e308", "-inf", "nan", "x"]),
+        "--doppler-max-hz": (["2", "1e3"], ["1e308", "inf", "nan", "x"]),
+        "--doppler-steps": (["1", "3"], ["0", "-1", "x"]),
+        "--workers": (["1", "2"], ["0", "-1", "x"]),
     },
 }
 _REQUIRED = {"encode": ["--m", "--symbol"], "decode": ["--perm"],
-             "bounds": ["--m", "--n", "--snr-db"], "detect": ["--matrix"], "simulate": []}
+             "bounds": ["--m", "--n", "--snr-db"], "detect": ["--matrix"], "simulate": [],
+             "af": ["--m"]}
 _MATRICES = {
     "golden.csv": "-4,-3,-2,-6\n-2,1,0,-4\n4,-2,5,-3\n5,4,-4,3\n",
     "ragged.csv": "1,2\n3\n",
@@ -464,6 +487,9 @@ def _argv(draw, matrix_dir):
             argv += [flag, draw(st.sampled_from(valid if clean else valid + bad))]
     if command == "simulate" and "--trials" not in argv:
         argv += ["--trials", "100"]  # the default would run 100000 trials
+    for flag in ("--tau-steps", "--doppler-steps"):
+        if command == "af" and flag not in argv:
+            argv += [flag, "3"]  # the default grid is 81 x 81
     if not clean and draw(st.booleans()):
         # a stray token: unknown flag, lone dash, negative number or junk;
         # in front of a required flag's value it also leaves that flag empty

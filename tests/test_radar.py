@@ -1,17 +1,16 @@
 """Ambiguity surface, Fisher information, and CRLB tests."""
 
 from itertools import permutations
-from math import pi
+from math import ceil, floor, pi
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from permrad.errors import NumericError, ValidationError
 from permrad.lehmer import rank_to_permutation
 from permrad.radar import (
     af_grid,
-    af_numeric_oracle,
     complex_af,
     crlb_from_fisher,
     crlb_full,
@@ -70,14 +69,40 @@ def test_pulse_af_overlap_quadrature_oracle():
         assert pulse_af(tau, om, t) == pytest.approx(oracle, abs=1e-8)
 
 
-def test_pulse_af_series_is_continuous_at_switch():
-    # straddle the small-phase threshold by one part in 1e9: the two branch
-    # evaluations must agree far more closely than the branch error budget
+def test_pulse_af_is_continuous_through_zero_doppler():
+    # omega = 0 is where sin(h) / h is 0/0; the values on either side of it
+    # must join the triangle value far more closely than the tolerance
     t = 1.0
-    tau = 0.3
-    below = pulse_af(tau, (1.0 - 1e-9) * 1e-6 / t, t)
-    above = pulse_af(tau, (1.0 + 1e-9) * 1e-6 / t, t)
-    assert abs(below - above) < 1e-9
+    for tau in (-0.7, 0.0, 0.3):
+        at_zero = pulse_af(tau, 0.0, t)
+        for om in (1e-15, -1e-15, 1e-300):
+            assert abs(pulse_af(tau, om, t) - at_zero) < 1e-9
+
+
+def _quad_pulse_af(tau, omega, t):
+    """The defining integral of exp(j omega u) over the overlap of the pulse
+    and its copy delayed by tau, by QUADPACK's cosine- and sine-weighted
+    rules (QAWO)."""
+    lo, hi = max(0.0, tau), min(t, t + tau)
+    if lo >= hi:
+        return 0.0j
+    opts = dict(wvar=omega, epsabs=0.0, epsrel=2e-14, limit=200)
+    re = quad(lambda u: 1.0, lo, hi, weight="cos", **opts)[0]
+    im = quad(lambda u: 1.0, lo, hi, weight="sin", **opts)[0]
+    return complex(re, im)
+
+
+@pytest.mark.parametrize("omega_t", [0.0, 1e-9, 1.0000001e-6, 1e-4, 1.0, 40.0])
+@pytest.mark.parametrize("tau_t", [-0.7, 0.0, 0.3, 1.0, -1.0])
+def test_pulse_af_matches_quadrature_to_working_precision(tau_t, omega_t):
+    # includes |omega| t just above 1e-6, where a difference of exponentials
+    # over omega loses about ten digits to cancellation
+    t = 2.0
+    for sign in (1.0, -1.0):
+        tau, omega = tau_t * t, sign * omega_t / t
+        assert pulse_af(tau, omega, t) == pytest.approx(
+            _quad_pulse_af(tau, omega, t), rel=1e-13, abs=0.0
+        )
 
 
 def test_pulse_af_accepts_arrays():
@@ -90,6 +115,39 @@ def test_pulse_af_accepts_arrays():
 # --- waveform ambiguity -------------------------------------------------------
 
 
+def _difference_pulse_af(tau, omega, t):
+    """Single-pulse ambiguity as a difference of exponentials over j omega,
+    one branch per sign of tau, with a series below |omega| t = 1e-6: an
+    evaluation independent of the sinc form under test."""
+    tau, omega = np.broadcast_arrays(
+        np.asarray(tau, dtype=float), np.asarray(omega, dtype=float)
+    )
+    out = np.zeros(tau.shape, dtype=complex)
+    pos = (tau >= 0.0) & (tau <= t)
+    neg = (tau >= -t) & (tau < 0.0)
+    out[pos] = _exp_diff_over_jw(t, tau[pos], omega[pos], t)
+    out[neg] = np.exp(1j * omega[neg] * tau[neg]) * _exp_diff_over_jw(
+        t, -tau[neg], omega[neg], t
+    )
+    return out
+
+
+def _exp_diff_over_jw(x, y, w, t):
+    """(exp(jwx) - exp(jwy)) / (jw), by a 4-term series where |w| t < 1e-6."""
+    x, y, w = np.broadcast_arrays(x, y, w)
+    small = np.abs(w) * t < 1e-6
+    safe_w = np.where(small, 1.0, w)
+    out = (np.exp(1j * safe_w * x) - np.exp(1j * safe_w * y)) / (1j * safe_w)
+    x, y, jw = x[small], y[small], 1j * w[small]
+    out[small] = (
+        (x - y)
+        + jw * (x**2 - y**2) / 2.0
+        + jw**2 * (x**3 - y**3) / 6.0
+        + jw**3 * (x**4 - y**4) / 24.0
+    )
+    return out
+
+
 def _pair_loop_af(perm, params, tau, omega):
     """Reference: the plain double sum over all M^2 pulse pairs, on every cell."""
     w = 2.0 * np.pi * tone_frequencies(perm, params)
@@ -100,10 +158,47 @@ def _pair_loop_af(perm, params, tau, omega):
     acc = np.zeros(tau_a.shape, dtype=complex)
     for m in range(params.m):
         for n in range(params.m):
-            ap = pulse_af(tau_a + (n - m) * t, omega_a - w[n] + w[m], t)
+            ap = _difference_pulse_af(tau_a + (n - m) * t, omega_a - w[n] + w[m], t)
             phase = np.exp(1j * (omega_a * m * t - w[n] * ((m - n) * t - tau_a)))
             acc = acc + ap * phase
     return acc / (params.m * t)
+
+
+def af_numeric_oracle(perm, params, tau, omega, samples_per_pulse=20_000):
+    """Trapezoidal quadrature of the defining autocorrelation integral.
+
+    The integrand s(u) s*(u - tau) exp(j omega u) of the unit-energy
+    waveform is sampled piecewise between the pulse boundaries of both
+    factors, so every piece is one smooth complex exponential.
+    """
+    w = 2.0 * np.pi * tone_frequencies(perm, params)
+    t = params.t
+    total_t = params.duration
+    amp2 = 1.0 / (params.m * t)
+    lo = max(0.0, tau)
+    hi = min(total_t, total_t + tau)
+    if lo >= hi:
+        return 0.0j
+    cuts = {lo, hi}
+    for m in range(1, params.m):
+        for edge in (m * t, m * t + tau):
+            if lo < edge < hi:
+                cuts.add(edge)
+    edges = sorted(cuts)
+    step = t / samples_per_pulse
+    total = 0.0j
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b - a < 1e-15 * t:
+            continue
+        mid = 0.5 * (a + b)
+        ma = min(params.m - 1, max(0, int(floor(mid / t))))
+        mb = min(params.m - 1, max(0, int(floor((mid - tau) / t))))
+        u = np.linspace(a, b, max(2, int(ceil((b - a) / step)) + 1))
+        f = amp2 * np.exp(
+            1j * (w[ma] * (u - ma * t) - w[mb] * (u - tau - mb * t) + omega * u)
+        )
+        total += complex(np.trapezoid(f, u))
+    return total
 
 
 def _tone_order(m, order):

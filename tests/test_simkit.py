@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permrad.channel import draw_fading_batch
-from permrad.errors import ValidationError
+from permrad.errors import NumericError, ValidationError
 from permrad.lehmer import rank_to_permutation
 from permrad.receiver import exhaustive_detect, hungarian_detect, statistic_matrices
 from permrad.simkit import (
+    _SAMPLED_DRAW_BUDGET,
     BlerPoint,
     SimConfig,
     _block_errors,
@@ -266,6 +267,7 @@ def test_batch_decode_largest_rank_does_not_overflow():
         {"t": float("inf")},
         {"t": float("nan")},
         {"t": 0.0},
+        {"energy": 1e308},  # finite, but the noise scale energy * n0 overflows
     ],
 )
 def test_non_finite_config_values_rejected(bad):
@@ -315,6 +317,34 @@ def test_validation_errors():
         SimConfig(m=2, n=1, snr_db=(0.0,), channel="fso")
     with pytest.raises(ValidationError):
         SimConfig(m=2, n=1, snr_db=(0.0,), master_seed=-1)
+
+
+def test_overflowed_scales_raise_rather_than_count_as_correct():
+    # the config admits these, but one trial's statistic scale, or the
+    # sampled noise scale at a 1e-300 s pulse width, overflows; the
+    # nan matrices it would leave read as "no positive cycle", i.e. correct
+    perms = np.array([[0, 1], [1, 0]])
+    with pytest.raises(NumericError):
+        statistic_matrices(perms, np.array([1.0, 1e10]), 1e154, 1e154,
+                           np.random.default_rng(0))
+    cfg = SimConfig(m=2, n=1, snr_db=(0.0,), trials=10, mode="sampled",
+                    energy=1e10, t=1e-300)
+    with pytest.raises(NumericError):
+        run_bler_sweep(cfg)
+
+
+def test_sampled_block_draw_budget():
+    # every point of the sampled-mode benchmark (m <= 6, n <= 4, default
+    # 8 m samples per pulse) fits; a block that could never be held does not
+    for m in range(1, 7):
+        for n in range(1, 5):
+            SimConfig(m=m, n=n, snr_db=(0.0,), mode="sampled")
+    assert 2 * 1024 * 4 * 6 * 48 <= _SAMPLED_DRAW_BUDGET
+    for geometry in ({"oversampling": 10**12}, {"delta_f": 1e6}, {"delta_f": float("inf")}):
+        with pytest.raises(ValidationError, match="budget"):
+            SimConfig(m=2, n=1, snr_db=(0.0,), mode="sampled", **geometry)
+    # statistic mode draws no samples
+    SimConfig(m=2, n=1, snr_db=(0.0,), oversampling=10**12)
 
 
 def test_sampled_mode_bad_geometry_rejected():

@@ -97,10 +97,11 @@ def test_bad_params_rejected():
     "field,value",
     [("t", float("inf")), ("t", float("nan")), ("delta_f", float("inf")),
      ("delta_f", float("nan")), ("f0", float("inf")), ("f0", float("nan")),
-     ("energy", float("inf")), ("delta_f", 1e308)],
+     ("energy", float("inf")), ("delta_f", 1e308), ("f0", 1e307)],
 )
 def test_non_finite_params_rejected(field, value):
-    # the last case is finite, but delta_f * t overflows to inf
+    # the last two cases are finite, but delta_f * t overflows to inf, and
+    # so does the top tone's phase over the waveform, 2 pi f0 m t
     kwargs = {"m": 2, "t": 10.0, "delta_f": 0.1, field: value}
     with pytest.raises(ValidationError):
         WaveformParams(**kwargs)

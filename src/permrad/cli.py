@@ -89,12 +89,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    parser = _Parser(prog="permrad", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    subs: dict[str, _Parser] = {}
-
-    p = subs["encode"] = sub.add_parser("encode", help="map a data symbol to a tone permutation")
+def _encode_arguments(p: _Parser) -> None:
     p.add_argument("--m", type=int, required=True, help="tones per block")
     p.add_argument("--symbol", type=int, required=True, help="symbol rank (0-based)")
     p.add_argument("--bit-mode", action="store_true",
@@ -102,13 +97,15 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(handler=_cmd_encode)
 
-    p = subs["decode"] = sub.add_parser("decode", help="map a tone permutation back to its symbol")
+
+def _decode_arguments(p: _Parser) -> None:
     p.add_argument("--perm", type=_int_list, required=True,
                    help="comma-separated tone indices, e.g. 0,3,2,1")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_decode)
 
-    p = subs["waveform"] = sub.add_parser("waveform", help="emit waveform samples as CSV t,re,im")
+
+def _waveform_arguments(p: _Parser) -> None:
     p.add_argument("--m", type=int, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--symbol", type=int, default=0, help="symbol to encode (default 0)")
@@ -122,13 +119,15 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_waveform)
 
-    p = subs["detect"] = sub.add_parser("detect", help="detect the permutation in a correlation matrix")
+
+def _detect_arguments(p: _Parser) -> None:
     p.add_argument("--matrix", required=True, help="CSV file with the square matrix ('#' comments ok)")
     p.add_argument("--receiver", choices=simkit.RECEIVERS, default="hungarian")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_detect)
 
-    p = subs["bounds"] = sub.add_parser("bounds", help="closed-form error bounds as CSV")
+
+def _bounds_arguments(p: _Parser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", "--n-antennas", dest="n", type=int, required=True,
                    help="receive antennas")
@@ -141,7 +140,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_bounds)
 
-    p = subs["simulate"] = sub.add_parser("simulate", help="Monte Carlo BLER sweep as CSV")
+
+def _simulate_arguments(p: _Parser) -> None:
     p.add_argument("--config", default=None,
                    help="flat key=value file; command-line flags win over it")
     p.add_argument("--m", type=int, default=4)
@@ -165,7 +165,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_simulate)
 
-    p = subs["af"] = sub.add_parser("af", help="ambiguity magnitude grid as CSV tau,omega_rad_s,magnitude")
+
+def _af_arguments(p: _Parser) -> None:
     p.add_argument("--m", type=int, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--perm", type=_int_list, default=None)
@@ -185,7 +186,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_af)
 
-    p = subs["crlb"] = sub.add_parser("crlb", help="delay/Doppler estimation bounds as CSV")
+
+def _crlb_arguments(p: _Parser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--perm", type=_int_list, default=None, help="default ascending order")
     p.add_argument("--t-sec", type=float, default=1.0)
@@ -199,10 +201,41 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_crlb)
 
-    p = subs["selftest"] = sub.add_parser("selftest", help="run built-in golden and identity checks")
+
+def _selftest_arguments(p: _Parser) -> None:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_selftest)
 
+
+# subcommand -> (help line, function that adds its arguments)
+_COMMANDS = {
+    "encode": ("map a data symbol to a tone permutation", _encode_arguments),
+    "decode": ("map a tone permutation back to its symbol", _decode_arguments),
+    "waveform": ("emit waveform samples as CSV t,re,im", _waveform_arguments),
+    "detect": ("detect the permutation in a correlation matrix", _detect_arguments),
+    "bounds": ("closed-form error bounds as CSV", _bounds_arguments),
+    "simulate": ("Monte Carlo BLER sweep as CSV", _simulate_arguments),
+    "af": ("ambiguity magnitude grid as CSV tau,omega_rad_s,magnitude", _af_arguments),
+    "crlb": ("delay/Doppler estimation bounds as CSV", _crlb_arguments),
+    "selftest": ("run built-in golden and identity checks", _selftest_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> tuple[_Parser, dict[str, _Parser]]:
+    """The permrad parser and its subparsers by name.
+
+    Every subcommand is listed, so help and invalid-command errors are the
+    same either way, but only ``command``'s arguments are added when it is
+    given (every subcommand's otherwise): adding arguments is most of the
+    cost of building the parser.
+    """
+    parser = _Parser(prog="permrad", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    subs: dict[str, _Parser] = {}
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        subs[name] = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(subs[name])
     return parser, subs
 
 
@@ -564,12 +597,13 @@ def _config_defaults(path: str) -> dict:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subs = build_parser()
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser, subs = build_parser(command)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             defaults = _config_defaults(args.config)
-            parser, subs = build_parser()
+            parser, subs = build_parser(command)
             subs["simulate"].set_defaults(**defaults)
             args = parser.parse_args(argv)
         return args.handler(args)

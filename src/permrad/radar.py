@@ -55,7 +55,7 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     """Time-frequency autocorrelation of the unit-energy waveform.
 
     Sum over pulse pairs (m, n) of the single-pulse ambiguity at delay
-    tau + (n - m) t and Doppler omega - w_n + w_m, with the inter-pulse
+    tau + (n - m) t and Doppler omega + w_m - w_n, with the inter-pulse
     phase omega m t + w_n (tau + (n - m) t), so each pair term costs one
     complex exponential and one sine.  A pair's term vanishes unless
     |tau + (n - m) t| <= t, so the pairs are grouped by lag n - m and each
@@ -65,8 +65,8 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     evaluated with it.  The waveform energy is normalized to one regardless
     of params.energy.
     """
-    freqs = tone_frequencies(perm, params)
-    w = 2.0 * np.pi * freqs
+    w = 2.0 * np.pi * tone_frequencies(perm, params)
+    tones = np.asarray(perm, dtype=float)
     t = params.t
     m_count = params.m
     tau_a, omega_a = np.broadcast_arrays(
@@ -81,8 +81,9 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
         if cells.size == 0:
             continue
         m_idx = np.arange(max(0, -lag), min(m_count, m_count - lag))
-        w_m = w[m_idx]
         w_n = w[m_idx + lag]
+        # w_m - w_n from the tone indices, so a large f0 does not absorb it
+        dw = 2.0 * np.pi * params.delta_f * (tones[m_idx] - tones[m_idx + lag])
         # (cells, pairs) blocks: the pair sum runs along the contiguous last
         # axis, so each cell is summed in the same order in every block
         step = max(1, _AF_ELEMS // m_idx.size)
@@ -90,7 +91,7 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
             sel = cells[start:start + step]
             xc = x[sel, None]
             oc = omega_f[sel, None]
-            terms = pulse_af(xc, oc - w_n + w_m, t, oc * (m_idx * t) + w_n * xc)
+            terms = pulse_af(xc, oc + dw, t, oc * (m_idx * t) + w_n * xc)
             acc[sel] += terms.sum(axis=1)
     acc = (acc / (m_count * t)).reshape(tau_a.shape)
     if acc.ndim == 0:

@@ -84,8 +84,11 @@ def statistic_matrices(
         raise NumericError(
             "statistic scales overflow", energy=energy, n0=n0, max_gain=float(gains.max())
         )
-    r = rng.standard_normal((batch, m, m)) * sigma[:, None, None]
-    r[np.arange(batch)[:, None], np.arange(m)[None, :], perms] += mu[:, None]
+    r = rng.standard_normal((batch, m, m))
+    r *= sigma[:, None, None]
+    # flat index of entry [b, n, perms[b, n]]
+    support = np.arange(0, batch * m * m, m).reshape(batch, m) + perms
+    r.reshape(-1)[support] += mu[:, None]
     return r
 
 

@@ -26,8 +26,8 @@ RECEIVERS = ("hungarian", "exhaustive")
 MODES = ("statistic", "sampled")
 
 # Fixed block sizes keep the RNG block structure independent of trial count
-# and worker count.  Sampled mode materializes per-antenna sample arrays,
-# hence the smaller block.
+# and worker count.  Sampled mode holds every per-antenna noise sample of
+# its block, hence the smaller block.
 _STATISTIC_BLOCK = 8192
 _SAMPLED_BLOCK = 1024
 
@@ -264,16 +264,21 @@ def _run_block(cfg: SimConfig, point_idx: int, block_idx: int, size: int) -> int
 
 def _ranks_to_permutations(symbols: np.ndarray, m: int) -> np.ndarray:
     """Factoradic decode of a batch of Lehmer ranks; row i equals
-    ``rank_to_permutation(symbols[i], m)``."""
+    ``rank_to_permutation(symbols[i], m)``.
+
+    Column i first holds the rank's factoradic digit i: where pulse i's
+    tone ranks among the tones that columns 0..i-1 leave unused.  Walking
+    the columns right to left, every later entry at or above column i's
+    value moves up by one, which turns those ranks into tone indices.
+    Exact in int64 for every rank below 20!.
+    """
     rest = np.asarray(symbols, dtype=np.int64)
-    batch = rest.shape[0]
-    rows = np.arange(batch)
-    remaining = np.broadcast_to(np.arange(m), (batch, m))
-    out = np.empty((batch, m), dtype=np.int64)
+    out = np.empty((rest.shape[0], m), dtype=np.int64)
     for i in range(m):
-        digit, rest = np.divmod(rest, factorial(m - 1 - i))
-        out[:, i] = remaining[rows, digit]
-        remaining = remaining[np.arange(m - i) != digit[:, None]].reshape(batch, m - 1 - i)
+        out[:, i], rest = np.divmod(rest, factorial(m - 1 - i))
+    for i in range(m - 2, -1, -1):
+        tail = out[:, i + 1 :]
+        tail += tail >= out[:, i, None]
     return out
 
 
@@ -283,27 +288,44 @@ def _block_errors(r_all: np.ndarray, perms: np.ndarray) -> np.ndarray:
     Detection fails exactly when the sent permutation p is not an optimal
     assignment of r, i.e. when the swap graph W[n, n'] = r[n, p(n')] - r[n, p(n)]
     has a cycle of positive weight (Klein's cycle-cancelling criterion).
-    Max-plus Floyd-Warshall relaxes W through intermediate nodes in turn;
-    afterwards a positive diagonal entry exists iff such a cycle does.  Node
-    m-1 is never needed as an intermediate: every cycle can be closed at its
-    largest node.  A positive cycle needs a positive edge, so trials without
-    one are decided correct before the pass.  Ties have probability zero
-    under continuous noise.
+    Each chunk of trials is settled in this order:
+
+    * no positive edge: no positive cycle, the trial is correct;
+    * a positive 2-cycle, W + W^T > 0 somewhere: the trial is an error;
+    * one Bellman-Ford round from a virtual source that changes nothing,
+      max_n (d[n] + W[n, .]) == d for d the column maxima of W: d is a
+      potential that bounds every cycle's weight by 0, the trial is correct;
+    * the rest go through max-plus Floyd-Warshall, which relaxes W through
+      intermediate nodes in turn; afterwards a positive diagonal entry
+      exists iff a positive cycle does.  Node m-1 is never needed as an
+      intermediate: every cycle can be closed at its largest node.
+
+    Ties have probability zero under continuous noise.
     """
     batch, m, _ = r_all.shape
     out = np.zeros(batch, dtype=bool)
+    flat = r_all.reshape(-1)
     chunk = max(1, _DECISION_ELEMS // (m * m))
+    row_start = np.arange(0, m * m, m)[:, None]
     for lo in range(0, batch, chunk):
-        part, p = r_all[lo : lo + chunk], perms[lo : lo + chunk]
-        swapped = np.take_along_axis(part, p[:, None, :], axis=2)  # [n, n'] = r[n, p(n')]
-        w = swapped - np.diagonal(swapped, axis1=1, axis2=2)[:, :, None]  # zero diagonal
-        live = (w > 0).any(axis=(1, 2))
+        p = perms[lo : lo + chunk]
+        trial_start = np.arange(lo * m * m, (lo + p.shape[0]) * m * m, m * m)
+        w = flat.take((trial_start[:, None] + p)[:, None, :] + row_start)  # r[n, p(n')]
+        w -= np.diagonal(w, axis1=1, axis2=2).copy()[:, :, None]  # zero diagonal
+        live = np.flatnonzero((w > 0).any(axis=(1, 2)))
         w = w[live]
+        err = (w + w.transpose(0, 2, 1) > 0).any(axis=(1, 2))
+        d = w[:, 0, :].copy()  # column maxima; a middle-axis max() is slower
+        for n in range(1, m):
+            np.maximum(d, w[:, n, :], out=d)
+        unsettled = np.flatnonzero(~err & (d[:, :, None] + w > d[:, None, :]).any(axis=(1, 2)))
+        w = w[unsettled]
         step = np.empty_like(w)
         for k in range(m - 1):
             np.add(w[:, :, k, None], w[:, None, k, :], out=step)
             np.maximum(w, step, out=w)
-        out[lo : lo + chunk][live] = (np.diagonal(w, axis1=1, axis2=2) > 0).any(axis=1)
+        err[unsettled] = (np.diagonal(w, axis1=1, axis2=2) > 0).any(axis=1)
+        out[lo + live] = err
     return out
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permrad.cli import _fmt, main
+from permrad.cli import _COMMANDS, _fmt, build_parser, main
 from permrad.radar import af_grid
 from permrad.waveform import WaveformParams
 
@@ -344,6 +344,27 @@ def test_help_lists_flags(capsys, sub, flags):
     out = capsys.readouterr().out
     for flag in flags:
         assert flag in out
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in _COMMANDS])
+def test_help_equals_that_of_the_parser_with_every_argument(capsys, argv):
+    parser, _ = build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    full = capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out == full
+
+
+def test_parser_adds_only_the_invoked_subcommands_arguments():
+    _, subs = build_parser("encode")
+    assert len(subs) == len(_COMMANDS)
+    for name, sub in subs.items():
+        flags = {flag for action in sub._actions for flag in action.option_strings}
+        assert ("--symbol" in flags) == (name == "encode")
+        assert "--help" in flags
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -323,6 +323,19 @@ def test_zero_delay_cut_is_sinc_for_any_permutation():
         assert np.max(np.abs(cut - expected)) <= 1e-6
 
 
+@pytest.mark.parametrize("f0", [0.0, 1e3, 1e300])
+def test_zero_delay_cut_is_sinc_at_any_base_frequency(f0):
+    # a pair's Doppler offset comes from its tone indices, so an f0 far above
+    # the grid's Doppler values does not absorb them
+    for m in (2, 5, 8):
+        params = _params(m=m, f0=f0)
+        omega = np.linspace(-4.0 * pi, 4.0 * pi, 81)
+        expected = np.abs(np.sinc(omega * m * params.t / 2.0 / pi))
+        for perm in (list(range(m)), [int(x) for x in np.random.default_rng(m).permutation(m)]):
+            cut = zero_delay_cut(perm, params, omega)
+            assert np.max(np.abs(cut - expected)) <= 1e-12
+
+
 def test_zero_delay_mainlobe_sharpens_with_m():
     h = 0.01
     curvatures = []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permrad.channel import draw_fading_batch
+from permrad.channel import draw_fading_batch, n0_from_snr_db
 from permrad.errors import NumericError, ValidationError
 from permrad.lehmer import rank_to_permutation
 from permrad.receiver import exhaustive_detect, hungarian_detect, statistic_matrices
@@ -16,6 +16,7 @@ from permrad.simkit import (
     BlerPoint,
     SimConfig,
     _block_errors,
+    _blocks,
     _ranks_to_permutations,
     _sampled_matrices,
     run_bler_sweep,
@@ -240,6 +241,142 @@ def test_block_errors_find_cycle_longer_than_a_swap():
     r_all = np.stack([cyclic, -cyclic.T, np.eye(3)])
     perms = np.tile(np.arange(3), (3, 1))
     assert _block_errors(r_all, perms).tolist() == [True, True, False]
+
+
+def _fw_block_errors(r_all, perms):
+    """Reference decision: every trial with a positive edge goes through
+    max-plus Floyd-Warshall on the swap graph gathered by take_along_axis."""
+    batch, m, _ = r_all.shape
+    out = np.zeros(batch, dtype=bool)
+    chunk = max(1, (1 << 16) // (m * m))
+    for lo in range(0, batch, chunk):
+        part, p = r_all[lo : lo + chunk], perms[lo : lo + chunk]
+        swapped = np.take_along_axis(part, p[:, None, :], axis=2)
+        w = swapped - np.diagonal(swapped, axis1=1, axis2=2)[:, :, None]
+        live = (w > 0).any(axis=(1, 2))
+        w = w[live]
+        step = np.empty_like(w)
+        for k in range(m - 1):
+            np.add(w[:, :, k, None], w[:, None, k, :], out=step)
+            np.maximum(w, step, out=w)
+        out[lo : lo + chunk][live] = (np.diagonal(w, axis1=1, axis2=2) > 0).any(axis=1)
+    return out
+
+
+def _mask_ranks_to_permutations(symbols, m):
+    """Reference decode: pick each digit's tone out of a boolean-masked
+    array of the tones still unused."""
+    rest = np.asarray(symbols, dtype=np.int64)
+    batch = rest.shape[0]
+    rows = np.arange(batch)
+    remaining = np.broadcast_to(np.arange(m), (batch, m))
+    out = np.empty((batch, m), dtype=np.int64)
+    for i in range(m):
+        digit, rest = np.divmod(rest, factorial(m - 1 - i))
+        out[:, i] = remaining[rows, digit]
+        remaining = remaining[np.arange(m - i) != digit[:, None]].reshape(batch, m - 1 - i)
+    return out
+
+
+def _statistic_reference(perms, gains, energy, n0, rng):
+    """Reference draw: scale a fresh array and add the mean by a 3-array scatter."""
+    batch, m = perms.shape
+    mu = (energy / m) * gains
+    sigma = np.sqrt(energy * n0 / (2.0 * m) * gains)
+    r = rng.standard_normal((batch, m, m)) * sigma[:, None, None]
+    r[np.arange(batch)[:, None], np.arange(m)[None, :], perms] += mu[:, None]
+    return r
+
+
+def _reference_run_block(cfg, point_idx, block_idx, size):
+    """Reference block: the same stream through the reference draw, decision
+    and decode (sampled mode shares _sampled_matrices)."""
+    rng = np.random.default_rng([cfg.master_seed, point_idx, block_idx])
+    snr_db = cfg.snr_db[point_idx]
+    n0 = n0_from_snr_db(cfg.energy, snr_db)
+    perms = _mask_ranks_to_permutations(rng.integers(0, factorial(cfg.m), size=size), cfg.m)
+    h = draw_fading_batch(cfg.channel_params(n0, snr_db), rng, size)
+    gains = np.sum(np.abs(h) ** 2, axis=1)
+    if cfg.mode == "statistic":
+        r_all = _statistic_reference(perms, gains, cfg.energy, n0, rng)
+    else:
+        r_all = _sampled_matrices(cfg, perms, h, n0, rng)
+    return int(np.count_nonzero(_fw_block_errors(r_all, perms)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12, 20])
+def test_block_errors_match_floyd_warshall_trial_by_trial(m):
+    size = 3000
+    flagged = 0
+    for snr_db in range(0, 31, 3):
+        rng = np.random.default_rng([m, snr_db])
+        perms = _ranks_to_permutations(rng.integers(0, factorial(m), size=size), m)
+        gains = rng.exponential(size=size)
+        n0 = 10.0 ** (-snr_db / 10.0)
+        r_all = statistic_matrices(perms, gains, 1.0, n0, np.random.default_rng(snr_db))
+        want_r = _statistic_reference(perms, gains, 1.0, n0, np.random.default_rng(snr_db))
+        assert np.array_equal(r_all, want_r)
+        got = _block_errors(r_all, perms)
+        assert got.tolist() == _fw_block_errors(r_all, perms).tolist()
+        flagged += int(got.sum())
+    assert 0 < flagged < 11 * size
+
+
+def _settling_exit(w):
+    """Which of _block_errors' tests first decides the swap graph w."""
+    if not (w > 0).any():
+        return "no positive edge"
+    if (w + w.T > 0).any():
+        return "positive 2-cycle"
+    d = w.max(axis=0)
+    if not (d[:, None] + w > d[None, :]).any():
+        return "potential"
+    return "floyd-warshall"
+
+
+# swap graphs W (zero diagonal), the test that settles each, and whether the
+# sent permutation is in error
+_EXIT_CASES = [
+    ([[0, -1, -1], [-1, 0, -1], [-1, -1, 0]], "no positive edge", False),
+    ([[0, 1, -5], [1, 0, -5], [-5, -5, 0]], "positive 2-cycle", True),
+    ([[0, 1, -5], [-5, 0, -5], [-5, -5, 0]], "potential", False),
+    ([[0, 1, -5], [-5, 0, 1], [-5, -5, 0]], "floyd-warshall", False),
+    ([[0, 1, -5], [-5, 0, 1], [1, -5, 0]], "floyd-warshall", True),
+]
+
+
+@pytest.mark.parametrize("sent", [[0, 1, 2], [2, 0, 1]])
+@pytest.mark.parametrize("w, settled_by, error", _EXIT_CASES)
+def test_block_errors_each_settling_exit(w, settled_by, error, sent):
+    w = np.array(w, dtype=float)
+    assert _settling_exit(w) == settled_by
+    r = np.empty_like(w)
+    r[:, sent] = w + 3.0  # r[n, p(n')] - r[n, p(n)] = W[n, n']
+    got = _block_errors(r[None], np.array([sent]))
+    assert got.tolist() == [error] == _fw_block_errors(r[None], np.array([sent])).tolist()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh", "rician"])
+@pytest.mark.parametrize("mode, trials", [("statistic", 9_000), ("sampled", 1_500)])
+def test_sweep_matches_reference_blocks(mode, trials, channel, workers):
+    # two blocks per point, the second partial
+    for m, snr_db in ((1, (0.0,)), (4, (4.0, 10.0)), (12, (12.0, 18.0)), (20, (20.0, 28.0))):
+        cfg = SimConfig(m=m, n=2, snr_db=snr_db, channel=channel, k=2.0, trials=trials,
+                        master_seed=m, mode=mode, workers=workers)
+        got = run_bler_sweep(cfg)
+        for point_idx, point in enumerate(got):
+            want = sum(_reference_run_block(cfg, point_idx, b, s) for b, s in _blocks(cfg))
+            assert (point.trials, point.errors) == (trials, want)
+        if m > 1:
+            assert 0 < sum(p.errors for p in got) < trials * len(got)
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_batch_decode_matches_mask_decode(m):
+    ranks = np.random.default_rng(m).integers(0, factorial(m), size=5000)
+    ranks[:2] = (0, factorial(m) - 1)
+    assert np.array_equal(_ranks_to_permutations(ranks, m), _mask_ranks_to_permutations(ranks, m))
 
 
 @settings(max_examples=200, deadline=None)

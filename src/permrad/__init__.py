@@ -34,12 +34,7 @@ from .radar import (
     zero_delay_cut,
     zero_doppler_cut,
 )
-from .receiver import (
-    correlation_matrix,
-    exhaustive_detect,
-    hungarian_detect,
-    statistic_matrix,
-)
+from .receiver import exhaustive_detect, hungarian_detect
 from .simkit import BlerPoint, SimConfig, run_bler_sweep, wilson_interval
 from .waveform import ComplexSignal, WaveformParams, synthesize, tone_frequencies
 
@@ -63,7 +58,6 @@ __all__ = [
     "apply_channel",
     "bits_per_block",
     "complex_af",
-    "correlation_matrix",
     "crlb_full",
     "crlb_simplified",
     "draw_fading",
@@ -81,7 +75,6 @@ __all__ = [
     "rank_to_permutation",
     "ridge_covariance",
     "run_bler_sweep",
-    "statistic_matrix",
     "subfactorial",
     "synthesize",
     "tone_frequencies",

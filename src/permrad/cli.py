@@ -224,17 +224,19 @@ _COMMANDS = {
 def build_parser(command: str | None = None) -> tuple[_Parser, dict[str, _Parser]]:
     """The permrad parser and its subparsers by name.
 
-    Every subcommand is listed, so help and invalid-command errors are the
-    same either way, but only ``command``'s arguments are added when it is
-    given (every subcommand's otherwise): adding arguments is most of the
-    cost of building the parser.
+    Given ``command``, only that subcommand's parser is built (every
+    subcommand's otherwise): building subparsers is most of the cost of a
+    CLI call.  The usage line then spells out the full command list, as
+    argparse would, so usage and the one top-level error left to a valid
+    command (unrecognized arguments) read the same either way.
     """
     parser = _Parser(prog="permrad", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     subs: dict[str, _Parser] = {}
     for name, (help_line, add_arguments) in _COMMANDS.items():
-        subs[name] = sub.add_parser(name, help=help_line)
         if command in (None, name):
+            subs[name] = sub.add_parser(name, help=help_line)
             add_arguments(subs[name])
     return parser, subs
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import cos
 from typing import Sequence
 
@@ -57,7 +57,10 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     Sum over pulse pairs (m, n) of the single-pulse ambiguity at delay
     tau + (n - m) t and Doppler omega + w_m - w_n, with the inter-pulse
     phase omega m t + w_n (tau + (n - m) t), so each pair term costs one
-    complex exponential and one sine.  A pair's term vanishes unless
+    complex exponential and one sine.  With w_n = 2 pi (f0 + perm[n] df),
+    that phase holds 2 pi f0 tau, common to all of a cell's terms, which is
+    applied once to the sum, and 2 pi f0 (n - m) t, taken with f0 t reduced
+    modulo 1; so |A| loses no precision to a large f0.  A pair's term vanishes unless
     |tau + (n - m) t| <= t, so the pairs are grouped by lag n - m and each
     lag is evaluated only on the cells inside its support: at most two lags
     (three on a pulse edge), O(M) pulse terms, per evaluation point.  Each
@@ -65,8 +68,10 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     evaluated with it.  The waveform energy is normalized to one regardless
     of params.energy.
     """
-    w = 2.0 * np.pi * tone_frequencies(perm, params)
+    # the tones' offsets from f0 (tone_frequencies also checks perm)
+    w = 2.0 * np.pi * tone_frequencies(perm, replace(params, f0=0.0))
     tones = np.asarray(perm, dtype=float)
+    carrier_turns = (params.f0 * params.t) % 1.0
     t = params.t
     m_count = params.m
     tau_a, omega_a = np.broadcast_arrays(
@@ -82,6 +87,7 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
             continue
         m_idx = np.arange(max(0, -lag), min(m_count, m_count - lag))
         w_n = w[m_idx + lag]
+        lag_phase = 2.0 * np.pi * lag * carrier_turns
         # w_m - w_n from the tone indices, so a large f0 does not absorb it
         dw = 2.0 * np.pi * params.delta_f * (tones[m_idx] - tones[m_idx + lag])
         # (cells, pairs) blocks: the pair sum runs along the contiguous last
@@ -91,8 +97,10 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
             sel = cells[start:start + step]
             xc = x[sel, None]
             oc = omega_f[sel, None]
-            terms = pulse_af(xc, oc + dw, t, oc * (m_idx * t) + w_n * xc)
+            terms = pulse_af(xc, oc + dw, t, oc * (m_idx * t) + w_n * xc + lag_phase)
             acc[sel] += terms.sum(axis=1)
+    if params.f0:
+        acc *= np.exp(2j * np.pi * params.f0 * tau_f)
     acc = (acc / (m_count * t)).reshape(tau_a.shape)
     if acc.ndim == 0:
         return complex(acc)

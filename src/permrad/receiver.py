@@ -12,50 +12,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from math import sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .channel import FadingRealization
 from .errors import CapabilityError, NumericError, ValidationError
-from .waveform import ComplexSignal, WaveformParams
 
 MAX_EXHAUSTIVE_M = 10
-
-
-def correlation_matrix(
-    received: Sequence[ComplexSignal],
-    h: FadingRealization,
-    params: WaveformParams,
-) -> np.ndarray:
-    """Per-pulse, per-tone correlations of the channel-combined signal.
-
-    Entry [n, m] is Re( integral over pulse slot n of h^H r(t) times the
-    conjugate unit-energy tone m ), evaluated by left-rule quadrature on
-    the shared sampling grid.  On this grid the integer-cycle tones are
-    orthogonal to rounding error.
-    """
-    if len(received) != h.h.size:
-        raise ValidationError(
-            f"got {len(received)} antenna signals for {h.h.size} channel entries"
-        )
-    spp = params.samples_per_pulse
-    total = params.m * spp
-    for sig in received:
-        if sig.samples.size != total or sig.sample_rate != params.sample_rate:
-            raise ValidationError("received signals do not share the waveform sampling grid")
-
-    combined = np.zeros(total, dtype=complex)
-    for hk, sig in zip(h.h, received):
-        combined += np.conj(hk) * sig.samples
-
-    tt = np.arange(spp) * params.dt
-    tone_f = params.f0 + np.arange(params.m) * params.delta_f
-    # unit-energy complex tones on one pulse: energy sums to 1 under the left rule
-    basis = np.exp(2j * np.pi * np.outer(tone_f, tt)) / sqrt(params.t)
-    pulses = combined.reshape(params.m, spp)
-    return (pulses @ basis.conj().T).real * params.dt
 
 
 def statistic_matrices(
@@ -90,19 +53,6 @@ def statistic_matrices(
     support = np.arange(0, batch * m * m, m).reshape(batch, m) + perms
     r.reshape(-1)[support] += mu[:, None]
     return r
-
-
-def statistic_matrix(
-    perm: Sequence[int],
-    h: FadingRealization,
-    energy: float,
-    n0: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Single-draw convenience wrapper around statistic_matrices."""
-    return statistic_matrices(
-        np.asarray([perm]), np.asarray([h.gain]), energy, n0, rng
-    )[0]
 
 
 def assignment_score(r: np.ndarray, perm: Sequence[int]) -> float:

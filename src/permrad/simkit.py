@@ -4,6 +4,13 @@ Trials are processed in fixed-size blocks; every block draws from its own
 generator seeded by (master_seed, point_index, block_index), so results
 are bit-identical for any worker count and blocks can run in parallel
 with plain integer-sum reduction.
+
+Both modes draw each trial's M x M correlator outputs from their exact
+law and share the block size: statistic mode from the continuous
+receiver's statistics, sampled mode from those set by the sampled tones
+(their Gram table and the covariance of their projection of white
+noise).  Sampled mode holds no noise samples; its only array that grows
+with the oversampling is the tone table, which SimConfig bounds.
 """
 
 from __future__ import annotations
@@ -25,15 +32,13 @@ from .waveform import WaveformParams
 RECEIVERS = ("hungarian", "exhaustive")
 MODES = ("statistic", "sampled")
 
-# Fixed block sizes keep the RNG block structure independent of trial count
-# and worker count.  Sampled mode holds every per-antenna noise sample of
-# its block, hence the smaller block.
-_STATISTIC_BLOCK = 8192
-_SAMPLED_BLOCK = 1024
+# A fixed block size keeps the RNG block structure independent of trial
+# count and worker count.  Both modes hold (block, m, m) statistics only.
+_BLOCK = 8192
 
-# float64 noise draws a sampled block may hold (512 MiB); the draw order
-# fixes the random stream, so a larger block is refused rather than split
-_SAMPLED_DRAW_BUDGET = 1 << 26
+# float64 values the sampled tone table may hold: real and imaginary parts
+# of its (m, samples_per_pulse) entries, 8 MiB
+_TONE_TABLE_BUDGET = 1 << 20
 
 # float64 elements per (slice, m, m) array of the block error test; its few
 # such temporaries stay near 2 MB, since peak memory is part of its cost
@@ -107,13 +112,12 @@ class SimConfig:
         if self.mode == "sampled":
             q = (self.delta_f if self.delta_f is not None else 1.0 / self.t) * self.t
             spp = self.oversampling if self.oversampling is not None else 8 * self.m * q
-            draws = 2 * _SAMPLED_BLOCK * self.n * self.m * spp
-            if draws > _SAMPLED_DRAW_BUDGET:  # a nan geometry is left to WaveformParams
+            table = 2 * self.m * spp
+            if table > _TONE_TABLE_BUDGET:  # a nan geometry is left to WaveformParams
                 raise ValidationError(
-                    f"a sampled block of {_SAMPLED_BLOCK} trials would draw "
-                    f"2 * {_SAMPLED_BLOCK} * n * m * samples_per_pulse = {draws:.4g} float64 "
-                    f"noise samples, over the budget of {_SAMPLED_DRAW_BUDGET} (512 MiB); "
-                    "lower the oversampling, delta_f * t, m or n"
+                    f"the sampled tone table would hold 2 * m * samples_per_pulse = "
+                    f"{table:.4g} float64 values, over the budget of {_TONE_TABLE_BUDGET} "
+                    "(8 MiB); lower the oversampling, delta_f * t or m"
                 )
         if self.workers < 1:
             raise ValidationError(f"workers must be at least 1, got {self.workers}")
@@ -137,7 +141,7 @@ class SimConfig:
 
     @property
     def block_size(self) -> int:
-        return _STATISTIC_BLOCK if self.mode == "statistic" else _SAMPLED_BLOCK
+        return _BLOCK
 
 
 @dataclass(frozen=True)
@@ -332,39 +336,36 @@ def _block_errors(r_all: np.ndarray, perms: np.ndarray) -> np.ndarray:
 def _sampled_matrices(
     cfg: SimConfig, perms: np.ndarray, h: np.ndarray, n0: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Waveform-level correlation matrices of one block.
+    """Waveform-level correlation matrices of one block, drawn from their exact law.
 
     The receiver (combine the antennas with conj(h), correlate each pulse
-    with the M sampled tones) is linear, so r = |h|^2 * G[perm] plus the
+    with the M sampled tones P) is linear, so r = |h|^2 * G[perm] plus the
     receiver applied to the noise alone, where G is the Gram table of the
-    sampled tones.  Every noise sample is drawn, in the order a full
-    synthesis of the received samples would draw them, and projected onto
-    the tones by one real matrix product; the transmitted and received
-    sample arrays are never formed.
+    sampled tones.  White circular noise of variance sigma^2 per real part
+    and sample, combined with conj(h), is again white circular noise, of
+    variance g * sigma^2 (g = |h|^2) whatever the phase of h; its
+    projection onto the tones is one real Gaussian row per pulse,
+    independent across pulses, with covariance g * sigma^2 * Re(P^H P).
+    So each row is drawn as M standard normals times the Cholesky factor of
+    Re(P^H P): M^2 normals per trial, with no noise sample formed.
     """
     wf = cfg.waveform_params()
-    sigma = sqrt(n0 * wf.sample_rate / 2.0)
-    if not isfinite(sigma):
-        raise NumericError(
-            "sampled noise scale sqrt(n0 * sample_rate / 2) overflows",
-            n0=n0, sample_rate=wf.sample_rate,
-        )
     size, m = perms.shape
-    spp = wf.samples_per_pulse
-    tt = np.arange(spp) * wf.dt
+    tt = np.arange(wf.samples_per_pulse) * wf.dt
     tone_f = wf.f0 + np.arange(m) * wf.delta_f
     tones = np.exp(2j * np.pi * np.outer(tone_f, tt))            # (m, spp)
     proj = tones.conj().T * (wf.dt / sqrt(wf.t))                 # (spp, m) correlator
     gram = (wf.amplitude * tones @ proj).real                    # (m, m)
-
-    # real and imaginary parts of the noise, sample by sample per pulse
-    draws = rng.standard_normal((2, size, cfg.n, m, spp))
-    y = draws.reshape(-1, spp) @ np.hstack([proj.real, proj.imag])
-    y = y.reshape(2, size, cfg.n, m, 2 * m)
-    # (a + 1j*b) @ proj, split into its real and imaginary parts
-    re = y[0, ..., :m] - y[1, ..., m:]
-    im = y[0, ..., m:] + y[1, ..., :m]
-    # Re(conj(h) * z) = Re(h) Re(z) + Im(h) Im(z), summed over the antennas
-    noise = np.einsum("bn,bnpm->bpm", h.real, re) + np.einsum("bn,bnpm->bpm", h.imag, im)
     gains = np.sum(np.abs(h) ** 2, axis=1)
-    return gains[:, None, None] * gram[perms] + sigma * noise
+    scale = sqrt(n0 * wf.sample_rate / 2.0) * np.sqrt(gains)
+    # an overflowed scale or mean leaves inf/nan matrices, which the block
+    # decision would count as decoded
+    if not (np.isfinite(scale).all() and np.isfinite(gains * np.abs(gram).max()).all()):
+        raise NumericError(
+            "sampled statistic scales overflow",
+            n0=n0, sample_rate=wf.sample_rate, max_gain=float(gains.max()),
+        )
+    factor = np.linalg.cholesky((proj.conj().T @ proj).real)     # noise covariance per unit gain
+    noise = (rng.standard_normal((size, m, m)).reshape(-1, m) @ factor.T).reshape(size, m, m)
+    noise *= scale[:, None, None]
+    return gains[:, None, None] * gram[perms] + noise

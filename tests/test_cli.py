@@ -358,13 +358,30 @@ def test_help_equals_that_of_the_parser_with_every_argument(capsys, argv):
     assert capsys.readouterr().out == full
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["transmogrify"], ["encode", "--m", "4", "--symbol", "1", "--frobnicate"],
+     ["simulate", "--trials", "10", "stray"]],
+)
+def test_usage_errors_equal_those_of_the_parser_with_every_argument(capsys, argv):
+    parser, _ = build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    full = capsys.readouterr().err
+    assert "{encode,decode,waveform,detect,bounds,simulate,af,crlb,selftest}" in full
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert capsys.readouterr().err == full
+
+
 def test_parser_adds_only_the_invoked_subcommands_arguments():
     _, subs = build_parser("encode")
-    assert len(subs) == len(_COMMANDS)
-    for name, sub in subs.items():
-        flags = {flag for action in sub._actions for flag in action.option_strings}
-        assert ("--symbol" in flags) == (name == "encode")
-        assert "--help" in flags
+    assert list(subs) == ["encode"]
+    flags = {flag for action in subs["encode"]._actions for flag in action.option_strings}
+    assert {"--symbol", "--help"} <= flags
+    _, subs = build_parser()
+    assert list(subs) == list(_COMMANDS)
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -415,11 +432,12 @@ def test_output_file_writing(tmp_path, capsys):
 
 # value pools for the CLI fuzz test, (valid, bad) per flag; bad values are
 # negative, non-finite, out of range or garbage.  Valid sizes stay small
-# (m <= 8, n <= 3, trials <= 200, at most 256 samples per pulse, af grids of
-# at most 3 x 3) so every run takes milliseconds; a bad --oversampling may be
-# huge, since a sampled block over its draw budget is refused before any
-# draw.  --j-max stays at or below 200: with a huge cap an unconvergeable
-# Rician series (--rician-k 1e308) loops until the cap.
+# (m <= 8, n <= 3, trials <= 200, af grids of at most 3 x 3) so every run
+# takes milliseconds.  A sampled trial costs the same at any oversampling,
+# so a valid --oversampling goes up to 4096 samples per pulse; a bad one may
+# be huge, since a tone table over its budget is refused before it is built.
+# --j-max stays at or below 200: with a huge cap an unconvergeable Rician
+# series (--rician-k 1e308) loops until the cap.
 _M = (["1", "2", "3", "4", "8"], ["0", "-1", "21", "99999999999999999999", "1.5", "x", ""])
 _N = (["1", "2", "3"], ["0", "-2", "1e3", "x"])
 _CHANNEL = (["awgn", "rayleigh", "rician"], ["fso"])
@@ -448,7 +466,7 @@ _FLAGS = {
         "--t-sec": (["1", "0.5", "2"], ["0", "-1", "inf", "nan", "x"]),
         "--delta-f-hz": (["1", "2"], ["0.5", "-1", "nan", "x"]),
         "--f0-hz": (["0", "1e3"], ["-1", "inf", "nan", "x"]),
-        "--oversampling": (["64", "256"], ["29", "0", "-1", "1000000000000", "x"]),
+        "--oversampling": (["64", "256", "4096"], ["29", "0", "-1", "1000000000000", "x"]),
     },
     "af": {
         "--m": _M, "--order": (["ascending", "descending"], ["sideways"]),

@@ -336,6 +336,18 @@ def test_zero_delay_cut_is_sinc_at_any_base_frequency(f0):
             assert np.max(np.abs(cut - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("f0", [1e6, 1e12, 1e300])
+def test_magnitude_off_zero_delay_keeps_its_precision_at_a_large_base_frequency(f0):
+    # with f0 t an integer, every pulse starts the carrier in phase, so |A|
+    # equals its f0 = 0 value on the whole grid
+    perm = [2, 0, 3, 1]
+    tt, ww = np.meshgrid(np.linspace(-3.7, 3.7, 37), 2.0 * pi * np.linspace(-2.0, 2.0, 13),
+                         indexing="ij")
+    want = np.abs(complex_af(perm, _params(), tt, ww))
+    got = np.abs(complex_af(perm, _params(f0=f0), tt, ww))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_zero_delay_mainlobe_sharpens_with_m():
     h = 0.01
     curvatures = []

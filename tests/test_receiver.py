@@ -13,12 +13,10 @@ from permrad.errors import CapabilityError, ValidationError
 from permrad.lehmer import permutation_to_rank, rank_to_permutation
 from permrad.receiver import (
     assignment_score,
-    correlation_matrix,
     exhaustive_detect,
     hungarian_detect,
     permutation_table,
     statistic_matrices,
-    statistic_matrix,
 )
 from permrad.waveform import ComplexSignal, WaveformParams, synthesize
 
@@ -32,6 +30,42 @@ GOLDEN = np.array(
 )
 
 
+def _correlation_matrix(received, h, params):
+    """Single-trial receiver: per-pulse, per-tone correlations of the
+    channel-combined signal.
+
+    Entry [n, m] is Re( integral over pulse slot n of h^H r(t) times the
+    conjugate unit-energy tone m ), evaluated by left-rule quadrature on
+    the shared sampling grid.  On this grid the integer-cycle tones are
+    orthogonal to rounding error.
+    """
+    if len(received) != h.h.size:
+        raise ValidationError(
+            f"got {len(received)} antenna signals for {h.h.size} channel entries"
+        )
+    spp = params.samples_per_pulse
+    total = params.m * spp
+    for sig in received:
+        if sig.samples.size != total or sig.sample_rate != params.sample_rate:
+            raise ValidationError("received signals do not share the waveform sampling grid")
+
+    combined = np.zeros(total, dtype=complex)
+    for hk, sig in zip(h.h, received):
+        combined += np.conj(hk) * sig.samples
+
+    tt = np.arange(spp) * params.dt
+    tone_f = params.f0 + np.arange(params.m) * params.delta_f
+    # unit-energy complex tones on one pulse: energy sums to 1 under the left rule
+    basis = np.exp(2j * np.pi * np.outer(tone_f, tt)) / sqrt(params.t)
+    pulses = combined.reshape(params.m, spp)
+    return (pulses @ basis.conj().T).real * params.dt
+
+
+def _statistic_matrix(perm, h, energy, n0, rng):
+    """Single-draw wrapper around statistic_matrices."""
+    return statistic_matrices(np.asarray([perm]), np.asarray([h.gain]), energy, n0, rng)[0]
+
+
 # --- correlation matrix -----------------------------------------------------
 
 
@@ -42,7 +76,7 @@ def test_noiseless_correlation_peaks_on_transmitted_tone():
     h = FadingRealization.from_vector(np.ones(1))
     rng = np.random.default_rng(0)
     received = apply_channel(sig, h, 1e-30, rng)
-    r = correlation_matrix(received, h, params)
+    r = _correlation_matrix(received, h, params)
     assert list(np.argmax(r, axis=1)) == perm
     for n in range(4):
         peak = r[n, perm[n]]
@@ -58,7 +92,7 @@ def test_zero_input_gives_zero_matrix():
         sample_rate=params.sample_rate,
     )
     h = FadingRealization.from_vector(np.ones(2))
-    r = correlation_matrix([zeros, zeros], h, params)
+    r = _correlation_matrix([zeros, zeros], h, params)
     assert np.all(r == 0.0)
 
 
@@ -67,7 +101,7 @@ def test_correlation_grid_mismatch_rejected():
     h = FadingRealization.from_vector(np.ones(1))
     short = ComplexSignal(samples=np.zeros(5, dtype=complex), sample_rate=params.sample_rate)
     with pytest.raises(ValidationError, match="grid"):
-        correlation_matrix([short], h, params)
+        _correlation_matrix([short], h, params)
 
 
 def test_correlation_scaling_matches_continuous_model():
@@ -78,7 +112,7 @@ def test_correlation_scaling_matches_continuous_model():
     sig = synthesize(perm, params)
     h = FadingRealization.from_vector(np.array([1.0 + 1.0j, 0.5]))
     received = apply_channel(sig, h, 1e-30, np.random.default_rng(1))
-    r = correlation_matrix(received, h, params)
+    r = _correlation_matrix(received, h, params)
     expected = h.gain * sqrt(params.energy / params.m)
     for n, p in enumerate(perm):
         assert r[n, p] == pytest.approx(expected, rel=1e-9)
@@ -90,7 +124,7 @@ def test_correlation_scaling_matches_continuous_model():
 def test_statistic_matrix_noise_free_support():
     h = FadingRealization.from_vector(np.ones(2))
     rng = np.random.default_rng(2)
-    r = statistic_matrix([2, 0, 1], h, energy=1.0, n0=1e-300, rng=rng)
+    r = _statistic_matrix([2, 0, 1], h, energy=1.0, n0=1e-300, rng=rng)
     expected = np.zeros((3, 3))
     for n, p in enumerate([2, 0, 1]):
         expected[n, p] = (1.0 / 3.0) * h.gain
@@ -244,5 +278,5 @@ def test_end_to_end_low_noise_recovers_symbol():
     for symbol in (0, 31, 119):
         perm = rank_to_permutation(symbol, m)
         h = draw_fading(params, rng)
-        r = statistic_matrix(perm, h, energy=1.0, n0=params.n0, rng=rng)
+        r = _statistic_matrix(perm, h, energy=1.0, n0=params.n0, rng=rng)
         assert permutation_to_rank(hungarian_detect(r)) == symbol

@@ -12,7 +12,7 @@ from permrad.errors import NumericError, ValidationError
 from permrad.lehmer import rank_to_permutation
 from permrad.receiver import exhaustive_detect, hungarian_detect, statistic_matrices
 from permrad.simkit import (
-    _SAMPLED_DRAW_BUDGET,
+    _TONE_TABLE_BUDGET,
     BlerPoint,
     SimConfig,
     _block_errors,
@@ -37,7 +37,7 @@ def test_deterministic_across_worker_counts():
     parallel = run_bler_sweep(SimConfig(workers=4, **base))
     assert serial == parallel  # bit-identical, not merely close
     # sampled mode over three blocks, the last one partial
-    base.update(n=3, snr_db=(4.0,), channel="rayleigh", k=0.0, trials=2_500, mode="sampled")
+    base.update(n=3, snr_db=(4.0,), channel="rayleigh", k=0.0, trials=20_000, mode="sampled")
     serial = run_bler_sweep(SimConfig(workers=1, **base))
     parallel = run_bler_sweep(SimConfig(workers=2, **base))
     assert serial == parallel
@@ -173,6 +173,13 @@ def test_block_errors_match_per_trial_detectors(m):
     assert 0 < flagged < 5 * size  # both outcomes occur, so the check is not vacuous
 
 
+def _reference_basis(wf, m):
+    """Sample times of one pulse and the unit-energy tones B, shape (m, spp)."""
+    tt = np.arange(wf.samples_per_pulse) * wf.dt
+    tone_f = wf.f0 + np.arange(m) * wf.delta_f
+    return tt, np.exp(2j * np.pi * np.outer(tone_f, tt)) / sqrt(wf.t)
+
+
 def _sampled_reference(cfg, perms, h, n0, rng):
     """Reference: synthesise tx, noise and rx sample by sample, then combine
     the antennas and correlate each pulse with the sampled tones."""
@@ -180,7 +187,7 @@ def _sampled_reference(cfg, perms, h, n0, rng):
     size, m = perms.shape
     spp = wf.samples_per_pulse
     total = m * spp
-    tt = np.arange(spp) * wf.dt
+    tt, basis = _reference_basis(wf, m)
 
     freqs = wf.f0 + perms.astype(float) * wf.delta_f
     tx = wf.amplitude * np.exp(2j * np.pi * freqs[:, :, None] * tt)
@@ -194,10 +201,21 @@ def _sampled_reference(cfg, perms, h, n0, rng):
     rx = h[:, :, None] * tx[:, None, :] + noise
     combined = np.einsum("bn,bns->bs", h.conj(), rx)
 
-    tone_f = wf.f0 + np.arange(m) * wf.delta_f
-    basis = np.exp(2j * np.pi * np.outer(tone_f, tt)) / sqrt(wf.t)
     pulses = combined.reshape(size, m, spp)
     return np.einsum("bps,ms->bpm", pulses, basis.conj()).real * wf.dt
+
+
+class _StubRng:
+    """Draws a fixed value in place of standard normals: zeros, or identity
+    matrices along the last two axes."""
+
+    def __init__(self, identity):
+        self.identity = identity
+
+    def standard_normal(self, shape):
+        if self.identity:
+            return np.broadcast_to(np.eye(shape[-1]), shape).copy()
+        return np.zeros(shape)
 
 
 # default geometry; a tone offset; delta_f * t = 2 with t != 1; an explicit
@@ -210,27 +228,61 @@ _SAMPLED_GEOMETRIES = (
 )
 
 
+def _sampled_case(m, n, channel, geometry, seed, size):
+    snr_db = m + 2.0  # keeps the error rate away from 0 and 1
+    cfg = SimConfig(m=m, n=n, snr_db=(snr_db,), channel=channel, k=1.5,
+                    mode="sampled", energy=2.0, **geometry)
+    n0 = cfg.energy / 10.0 ** (snr_db / 10.0)
+    rng = np.random.default_rng(seed)
+    perms = _ranks_to_permutations(rng.integers(0, factorial(m), size=size), m)
+    h = draw_fading_batch(cfg.channel_params(n0, snr_db), rng, size)
+    return cfg, perms, h, n0
+
+
 @pytest.mark.parametrize("channel", ["awgn", "rayleigh", "rician"])
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
 def test_sampled_matrices_match_full_synthesis(m, n, channel):
     size = 256
-    snr_db = m + 2.0  # keeps the error rate away from 0 and 1
     for g_idx, geometry in enumerate(_SAMPLED_GEOMETRIES):
-        cfg = SimConfig(m=m, n=n, snr_db=(snr_db,), channel=channel, k=1.5,
-                        mode="sampled", energy=2.0, **geometry)
-        n0 = cfg.energy / 10.0 ** (snr_db / 10.0)
-        rng = np.random.default_rng([m, n, g_idx])
-        perms = _ranks_to_permutations(rng.integers(0, factorial(m), size=size), m)
-        h = draw_fading_batch(cfg.channel_params(n0, snr_db), rng, size)
-        got = _sampled_matrices(cfg, perms, h, n0, np.random.default_rng(g_idx))
-        want = _sampled_reference(cfg, perms, h, n0, np.random.default_rng(g_idx))
-        assert got.shape == want.shape == (size, m, m)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        errors = _block_errors(got, perms)
-        assert errors.tolist() == _block_errors(want, perms).tolist()
-        if m >= 4:
-            assert 0 < np.count_nonzero(errors) < size  # the comparison is not vacuous
+        cfg, perms, h, n0 = _sampled_case(m, n, channel, geometry, [m, n, g_idx], size)
+        wf = cfg.waveform_params()
+        gains = np.sum(np.abs(h) ** 2, axis=1)
+
+        # noise-free mean: |h|^2 times the sampled tones' Gram rows of the sent tones
+        mean = _sampled_matrices(cfg, perms, h, n0, _StubRng(identity=False))
+        want = _sampled_reference(cfg, perms, h, n0, _StubRng(identity=False))
+        assert mean.shape == want.shape == (size, m, m)
+        assert np.max(np.abs(mean - want)) <= 1e-12 * np.max(np.abs(want))
+
+        # with identity draws, a trial's noise N has N^T N = |h|^2 times the
+        # covariance of one pulse's noise row; the reference correlator of white
+        # noise of variance sigma^2 = n0 * sample_rate / 2 per real part gives
+        # sigma^2 dt^2 Re(B B^H)
+        root = _sampled_matrices(cfg, perms, h, n0, _StubRng(identity=True)) - mean
+        got = np.einsum("bpm,bpk->bmk", root, root) / gains[:, None, None]
+        _, basis = _reference_basis(wf, m)
+        cov = n0 * wf.sample_rate / 2.0 * wf.dt ** 2 * (basis @ basis.conj().T).real
+        assert np.max(np.abs(got - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+
+@pytest.mark.parametrize("geometry", [{}, {"t": 0.5, "delta_f": 4.0}])
+def test_sampled_matrices_bler_matches_full_synthesis(geometry):
+    size = 20_000
+    cfg, perms, h, n0 = _sampled_case(4, 2, "rician", geometry, 17, size)
+    got = np.count_nonzero(
+        _block_errors(_sampled_matrices(cfg, perms, h, n0, np.random.default_rng(1)), perms)
+    )
+    rng = np.random.default_rng(2)
+    want = 0
+    for lo in range(0, size, 2000):  # the reference holds every sample of its trials
+        part = slice(lo, lo + 2000)
+        r = _sampled_reference(cfg, perms[part], h[part], n0, rng)
+        want += np.count_nonzero(_block_errors(r, perms[part]))
+    p_got, p_want = got / size, want / size
+    assert 0.05 < p_want < 0.5  # the comparison is not vacuous
+    pooled = (got + want) / (2 * size)
+    assert abs(p_got - p_want) <= 4.0 * sqrt(2.0 * pooled * (1.0 - pooled) / size)
 
 
 def test_block_errors_find_cycle_longer_than_a_swap():
@@ -358,9 +410,11 @@ def test_block_errors_each_settling_exit(w, settled_by, error, sent):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("channel", ["awgn", "rayleigh", "rician"])
-@pytest.mark.parametrize("mode, trials", [("statistic", 9_000), ("sampled", 1_500)])
+@pytest.mark.parametrize(
+    "mode, trials", [("statistic", 9_000), ("sampled", 1_500), ("sampled", 9_000)]
+)
 def test_sweep_matches_reference_blocks(mode, trials, channel, workers):
-    # two blocks per point, the second partial
+    # one partial block per point, or two with the second partial
     for m, snr_db in ((1, (0.0,)), (4, (4.0, 10.0)), (12, (12.0, 18.0)), (20, (20.0, 28.0))):
         cfg = SimConfig(m=m, n=2, snr_db=snr_db, channel=channel, k=2.0, trials=trials,
                         master_seed=m, mode=mode, workers=workers)
@@ -472,11 +526,11 @@ def test_overflowed_scales_raise_rather_than_count_as_correct():
 
 def test_sampled_block_draw_budget():
     # every point of the sampled-mode benchmark (m <= 6, n <= 4, default
-    # 8 m samples per pulse) fits; a block that could never be held does not
+    # 8 m samples per pulse) fits; a tone table that could never be held does not
     for m in range(1, 7):
         for n in range(1, 5):
             SimConfig(m=m, n=n, snr_db=(0.0,), mode="sampled")
-    assert 2 * 1024 * 4 * 6 * 48 <= _SAMPLED_DRAW_BUDGET
+    assert 2 * 6 * 48 <= _TONE_TABLE_BUDGET
     for geometry in ({"oversampling": 10**12}, {"delta_f": 1e6}, {"delta_f": float("inf")}):
         with pytest.raises(ValidationError, match="budget"):
             SimConfig(m=2, n=1, snr_db=(0.0,), mode="sampled", **geometry)

@@ -100,7 +100,10 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
             terms = pulse_af(xc, oc + dw, t, oc * (m_idx * t) + w_n * xc + lag_phase)
             acc[sel] += terms.sum(axis=1)
     if params.f0:
-        acc *= np.exp(2j * np.pi * params.f0 * tau_f)
+        # only cells within the waveform's duration can be nonzero, and
+        # WaveformParams keeps the carrier phase over that span finite
+        support = np.flatnonzero(np.abs(tau_f) <= m_count * t)
+        acc[support] *= np.exp(2j * np.pi * params.f0 * tau_f[support])
     acc = (acc / (m_count * t)).reshape(tau_a.shape)
     if acc.ndim == 0:
         return complex(acc)

@@ -7,10 +7,11 @@ with plain integer-sum reduction.
 
 Both modes draw each trial's M x M correlator outputs from their exact
 law and share the block size: statistic mode from the continuous
-receiver's statistics, sampled mode from those set by the sampled tones
-(their Gram table and the covariance of their projection of white
-noise).  Sampled mode holds no noise samples; its only array that grows
-with the oversampling is the tone table, which SimConfig bounds.
+receiver's statistics, sampled mode from those of a receiver that
+correlates with the sampled tones.  On every accepted geometry the
+sampled tones are orthogonal, so the two laws differ by one positive
+scale.  Sampled mode holds no samples; SimConfig still bounds the
+(m, samples_per_pulse) tone table its receiver is defined by.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ MODES = ("statistic", "sampled")
 # count and worker count.  Both modes hold (block, m, m) statistics only.
 _BLOCK = 8192
 
-# float64 values the sampled tone table may hold: real and imaginary parts
-# of its (m, samples_per_pulse) entries, 8 MiB
+# float64 values of the sampled receiver's tone table, the real and
+# imaginary parts of its (m, samples_per_pulse) entries: 8 MiB
 _TONE_TABLE_BUDGET = 1 << 20
 
 # float64 elements per (slice, m, m) array of the block error test; its few
@@ -115,7 +116,7 @@ class SimConfig:
             table = 2 * self.m * spp
             if table > _TONE_TABLE_BUDGET:  # a nan geometry is left to WaveformParams
                 raise ValidationError(
-                    f"the sampled tone table would hold 2 * m * samples_per_pulse = "
+                    f"the sampled receiver's tone table would hold 2 * m * samples_per_pulse = "
                     f"{table:.4g} float64 values, over the budget of {_TONE_TABLE_BUDGET} "
                     "(8 MiB); lower the oversampling, delta_f * t or m"
                 )
@@ -138,10 +139,6 @@ class SimConfig:
     def channel_params(self, n0: float, snr_db: float) -> ChannelParams:
         k = 0.0 if self.channel == "rayleigh" else self.k
         return ChannelParams(n=self.n, k=k, n0=n0, kind=self.channel, snr_db=snr_db)
-
-    @property
-    def block_size(self) -> int:
-        return _BLOCK
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ def run_bler_sweep(cfg: SimConfig) -> list[BlerPoint]:
 
 
 def _blocks(cfg: SimConfig) -> list[tuple[int, int]]:
-    size = cfg.block_size
+    size = _BLOCK
     full, rest = divmod(cfg.trials, size)
     out = [(i, size) for i in range(full)]
     if rest:
@@ -338,34 +335,27 @@ def _sampled_matrices(
 ) -> np.ndarray:
     """Waveform-level correlation matrices of one block, drawn from their exact law.
 
-    The receiver (combine the antennas with conj(h), correlate each pulse
-    with the M sampled tones P) is linear, so r = |h|^2 * G[perm] plus the
-    receiver applied to the noise alone, where G is the Gram table of the
-    sampled tones.  White circular noise of variance sigma^2 per real part
-    and sample, combined with conj(h), is again white circular noise, of
-    variance g * sigma^2 (g = |h|^2) whatever the phase of h; its
-    projection onto the tones is one real Gaussian row per pulse,
-    independent across pulses, with covariance g * sigma^2 * Re(P^H P).
-    So each row is drawn as M standard normals times the Cholesky factor of
-    Re(P^H P): M^2 normals per trial, with no noise sample formed.
+    The sampled receiver (combine the antennas with conj(h), correlate each
+    pulse with the M sampled unit-energy tones) is linear: r = g * G[perm]
+    plus the receiver applied to the noise alone, with g = |h|^2 and G the
+    Gram table of the sent tones against the receiver's.  White circular
+    noise combined with conj(h) is white circular noise of g times its
+    variance, whatever the phase of h, so its projections are Gaussian,
+    independent across pulses, with covariance g * n0 / 2 times the Gram
+    matrix of the unit-energy tones.  Every accepted geometry has
+    delta_f * t an integer and at least the Nyquist floor of samples per
+    pulse, so the sampled tones are exactly orthogonal: G = sqrt(E / M) * I
+    and the noise entries are iid of variance g * n0 / 2.  That is the
+    statistic law at energy sqrt(E M) and noise density n0 sqrt(M / E).
     """
     wf = cfg.waveform_params()
-    size, m = perms.shape
-    tt = np.arange(wf.samples_per_pulse) * wf.dt
-    tone_f = wf.f0 + np.arange(m) * wf.delta_f
-    tones = np.exp(2j * np.pi * np.outer(tone_f, tt))            # (m, spp)
-    proj = tones.conj().T * (wf.dt / sqrt(wf.t))                 # (spp, m) correlator
-    gram = (wf.amplitude * tones @ proj).real                    # (m, m)
-    gains = np.sum(np.abs(h) ** 2, axis=1)
-    scale = sqrt(n0 * wf.sample_rate / 2.0) * np.sqrt(gains)
-    # an overflowed scale or mean leaves inf/nan matrices, which the block
-    # decision would count as decoded
-    if not (np.isfinite(scale).all() and np.isfinite(gains * np.abs(gram).max()).all()):
+    m = perms.shape[1]
+    # the sampled receiver sees noise samples of this scale; an overflowed
+    # one has no float64 waveform, so it is refused as at full synthesis
+    if not isfinite(n0 * wf.sample_rate / 2.0):
         raise NumericError(
-            "sampled statistic scales overflow",
-            n0=n0, sample_rate=wf.sample_rate, max_gain=float(gains.max()),
+            "sampled noise scale overflows", n0=n0, sample_rate=wf.sample_rate
         )
-    factor = np.linalg.cholesky((proj.conj().T @ proj).real)     # noise covariance per unit gain
-    noise = (rng.standard_normal((size, m, m)).reshape(-1, m) @ factor.T).reshape(size, m, m)
-    noise *= scale[:, None, None]
-    return gains[:, None, None] * gram[perms] + noise
+    gains = np.sum(np.abs(h) ** 2, axis=1)
+    root_e = sqrt(wf.energy)
+    return statistic_matrices(perms, gains, root_e * sqrt(m), n0 / root_e * sqrt(m), rng)

@@ -206,6 +206,17 @@ def test_out_of_range_value_exits_one(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_sampled_simulation_does_not_depend_on_the_base_frequency(capsys):
+    # tone products carry no f0 term, so even an f0 at which f0 + delta_f
+    # rounds to f0 in float64 gives the f0 = 0 counts
+    argv = ["simulate", "--mode", "sampled", "--m", "3", "--trials", "2000", "--snr-db", "0,6"]
+    rc, base, err = _run(capsys, argv)
+    assert rc == 0, err
+    rc, far, err = _run(capsys, argv + ["--f0-hz", "1e17"])
+    assert rc == 0, err
+    assert _data_lines(far) == _data_lines(base)
+
+
 @pytest.mark.parametrize(
     "argv,flag,value,rows",
     [

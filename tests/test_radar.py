@@ -348,6 +348,15 @@ def test_magnitude_off_zero_delay_keeps_its_precision_at_a_large_base_frequency(
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_cells_beyond_the_waveform_stay_zero_at_a_large_base_frequency():
+    # the carrier phase 2 pi f0 tau overflows at these delays; no pulse pair
+    # reaches them, so |A| is exactly 0 there, not nan
+    tau = np.array([-1e308, -5e307, -2.01, 2.01, 5e307, 1e308])
+    with np.errstate(all="raise"):
+        got = complex_af([1, 0], _params(m=2, f0=5e9), tau, np.zeros_like(tau))
+    assert np.array_equal(got, np.zeros_like(tau, dtype=complex))
+
+
 def test_zero_delay_mainlobe_sharpens_with_m():
     h = 0.01
     curvatures = []

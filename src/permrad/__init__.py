@@ -12,13 +12,7 @@ from .bounds import (
     union_bound_rayleigh,
     union_bound_rician,
 )
-from .channel import (
-    ChannelParams,
-    FadingRealization,
-    apply_channel,
-    draw_fading,
-    n0_from_snr_db,
-)
+from .channel import ChannelParams, n0_from_snr_db
 from .errors import CapabilityError, NumericError, PermradError, ValidationError
 from .lehmer import bits_per_block, permutation_to_rank, rank_to_permutation
 from .radar import (
@@ -29,7 +23,6 @@ from .radar import (
     crlb_full,
     crlb_simplified,
     fisher_matrix,
-    pulse_af,
     ridge_covariance,
     zero_delay_cut,
     zero_doppler_cut,
@@ -46,7 +39,6 @@ __all__ = [
     "CapabilityError",
     "ChannelParams",
     "ComplexSignal",
-    "FadingRealization",
     "FisherMatrix",
     "NumericError",
     "PermradError",
@@ -55,12 +47,10 @@ __all__ = [
     "ValidationError",
     "WaveformParams",
     "af_grid",
-    "apply_channel",
     "bits_per_block",
     "complex_af",
     "crlb_full",
     "crlb_simplified",
-    "draw_fading",
     "exhaustive_detect",
     "fisher_matrix",
     "hungarian_detect",
@@ -70,7 +60,6 @@ __all__ = [
     "nn_rician",
     "pairwise_rician",
     "permutation_to_rank",
-    "pulse_af",
     "qfunc",
     "rank_to_permutation",
     "ridge_covariance",

@@ -8,8 +8,7 @@ nearest-neighbour approximation.  Under fading the pairwise term is the
 chi-vs-normal probability Pr[chi(2L) < sqrt(c) Z], computed from its
 positive-term closed form in doubles at every order; Rayleigh uses it
 directly and Rician mixes it over a Poisson series of orders.  Values are
-returned unclamped (a bound may exceed 1 at low SNR); use ``clamp`` for
-display.
+returned unclamped: a bound may exceed 1 at low SNR.
 """
 
 from __future__ import annotations
@@ -55,11 +54,6 @@ def qfunc(x: float) -> float:
     relative error here stays below 1e-12 over the whole useful range.
     """
     return 0.5 * erfc(x / sqrt(2.0))
-
-
-def clamp(p: float) -> float:
-    """Display helper: probabilities bounded above by 1."""
-    return min(p, 1.0)
 
 
 def _check_common(m: int, n: int, snr: float) -> None:
@@ -190,8 +184,3 @@ def nn_rayleigh(m: int, n: int, snr: float) -> float:
     """Nearest-neighbour approximation over Rayleigh fading."""
     _check_common(m, n, snr)
     return (m * (m - 1) / 2.0) * _normal_exceeds_chi(n, 2.0 * _alpha_sq(2, m, snr))
-
-
-def rival_count(m: int) -> int:
-    """Total rivals counted by the union bound; equals m! - 1."""
-    return sum(subfactorial(l) * comb(m, l) for l in range(2, m + 1))

@@ -1,4 +1,4 @@
-"""Multi-antenna fading draws and additive-noise corruption of sampled signals.
+"""Receive-side channel parameters and multi-antenna fading draws.
 
 The fading vector h has independent Rician entries built from a
 unit-modulus line-of-sight term and a circular complex Gaussian scatter
@@ -9,12 +9,11 @@ that |h|^2 equals the antenna count exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, log10, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
 from .errors import ValidationError
-from .waveform import ComplexSignal
 
 CHANNEL_KINDS = ("awgn", "rician", "rayleigh")
 
@@ -49,19 +48,6 @@ class ChannelParams:
             raise ValidationError("rayleigh channel requires k=0")
 
 
-@dataclass(frozen=True)
-class FadingRealization:
-    """One channel draw with its squared norm cached."""
-
-    h: np.ndarray
-    gain: float
-
-    @classmethod
-    def from_vector(cls, h: np.ndarray) -> "FadingRealization":
-        h = np.asarray(h, dtype=complex)
-        return cls(h=h, gain=float(np.vdot(h, h).real))
-
-
 def n0_from_snr_db(energy: float, snr_db: float) -> float:
     """Noise variance for a target per-antenna SNR of energy / n0.
 
@@ -79,10 +65,6 @@ def n0_from_snr_db(energy: float, snr_db: float) -> float:
     return n0
 
 
-def snr_db_from_n0(energy: float, n0: float) -> float:
-    return 10.0 * log10(energy / n0)
-
-
 def draw_fading_batch(params: ChannelParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` independent fading vectors, shape (size, n) complex.
 
@@ -95,45 +77,3 @@ def draw_fading_batch(params: ChannelParams, rng: np.random.Generator, size: int
     g = rng.standard_normal((size, params.n, 2))
     u = (g[..., 0] + 1j * g[..., 1]) / sqrt(2.0)
     return sqrt(k / (k + 1.0)) + sqrt(1.0 / (k + 1.0)) * u
-
-
-def draw_fading(params: ChannelParams, rng: np.random.Generator) -> FadingRealization:
-    """Draw one fading realization."""
-    return FadingRealization.from_vector(draw_fading_batch(params, rng, 1)[0])
-
-
-def fading_gains(params: ChannelParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Squared norms |h|^2 of ``size`` independent draws."""
-    h = draw_fading_batch(params, rng, size)
-    return np.sum(np.abs(h) ** 2, axis=1)
-
-
-def apply_channel(
-    signal: ComplexSignal,
-    h: FadingRealization,
-    n0: float,
-    rng: np.random.Generator,
-) -> list[ComplexSignal]:
-    """Return the per-antenna received signals h_k * s(t) + n_k(t).
-
-    Discrete noise is drawn with variance n0 * sample_rate per complex
-    sample, which makes every correlation statistic formed by quadrature
-    against a unit-energy basis function match the continuous model: the
-    real part of the matched-filter noise has variance energy * n0 / 2.
-    """
-    if not n0 > 0:
-        raise ValidationError(f"noise variance must be positive, got {n0}")
-    n_ant = h.h.size
-    size = signal.samples.size
-    sigma = sqrt(n0 * signal.sample_rate / 2.0)
-    out = []
-    for ant in range(n_ant):
-        noise = sigma * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-        out.append(
-            ComplexSignal(
-                samples=h.h[ant] * signal.samples + noise,
-                sample_rate=signal.sample_rate,
-                t0=signal.t0,
-            )
-        )
-    return out

@@ -3,10 +3,12 @@
 The complex ambiguity surface of the pulse train decomposes into a sum
 over pulse pairs of single-pulse terms, each a shifted copy of the
 rectangular pulse's closed-form ambiguity (t - |tau|) sinc(omega (t -
-|tau|) / 2) times one complex exponential that also carries the pair's
-inter-pulse phase.  A pair's term is nonzero only within one pulse width
-of its lag, so each delay sees at most two lags (three on a pulse edge)
-and O(M) terms.
+|tau|) / 2) times a phase factor that also carries the pair's inter-pulse
+phase.  A pair's term is nonzero only within one pulse width of its lag,
+so each delay sees at most two lags and O(M) terms.  Over a delay axis
+times a Doppler axis the phase factor splits, per lag, into a delay
+table, a Doppler table and one factor per cell, so the sinc's sine is the
+only transcendental evaluated per (cell, pair).
 Estimation accuracy is characterized by the 2x2 Fisher information in
 (delay, Doppler) and the bounds from its inverse.
 """
@@ -24,87 +26,122 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .waveform import WaveformParams, tone_frequencies
 
-# elements per (cells, pairs) block of complex_af; pulse_af holds a few
-# real and complex temporaries of that size at once, so this bounds the
-# kernel's peak memory (about 1 MB) whatever the grid and M
+# elements per (delays, Doppler, pairs) block and per phase table of
+# complex_af; it holds a few real temporaries of that size at once, so this
+# bounds the kernel's working memory (about 1 MB) beyond its output,
+# whatever the axis lengths
 _AF_ELEMS = 1 << 13
 
 
-def pulse_af(tau, omega, t: float, phase=0.0):
-    """Complex ambiguity of one rectangular pulse of width t, times exp(j phase).
-
-    The integral of exp(j omega u) over the overlap of the pulse and its
-    copy delayed by tau: an interval of length u = t - |tau| centred on
-    (t + tau) / 2, hence u sinc(omega u / 2) exp(j omega (t + tau) / 2),
-    with sinc(h) = sin(h) / h.  One expression covers both signs of tau and
-    omega = 0; it is zero outside |tau| <= t.  Accepts scalars or
-    broadcastable arrays.
-    """
-    tau = np.asarray(tau, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    u = np.maximum(t - np.abs(tau), 0.0)
-    h = 0.5 * omega * u
-    sinc = np.divide(np.sin(h), h, out=np.ones(h.shape), where=h != 0.0)
-    out = u * sinc * np.exp(1j * (0.5 * omega * (t + tau) + phase))
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
 def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
-    """Time-frequency autocorrelation of the unit-energy waveform.
+    """Time-frequency autocorrelation of the unit-energy waveform over a grid.
 
-    Sum over pulse pairs (m, n) of the single-pulse ambiguity at delay
-    tau + (n - m) t and Doppler omega + w_m - w_n, with the inter-pulse
-    phase omega m t + w_n (tau + (n - m) t), so each pair term costs one
-    complex exponential and one sine.  With w_n = 2 pi (f0 + perm[n] df),
-    that phase holds 2 pi f0 tau, common to all of a cell's terms, which is
-    applied once to the sum, and 2 pi f0 (n - m) t, taken with f0 t reduced
-    modulo 1; so |A| loses no precision to a large f0.  A pair's term vanishes unless
-    |tau + (n - m) t| <= t, so the pairs are grouped by lag n - m and each
-    lag is evaluated only on the cells inside its support: at most two lags
-    (three on a pulse edge), O(M) pulse terms, per evaluation point.  Each
-    cell's value depends on that cell alone, whatever other cells are
-    evaluated with it.  The waveform energy is normalized to one regardless
-    of params.energy.
+    Evaluates the outer product of a delay axis tau (seconds) and a Doppler
+    axis omega (rad/s): the result has shape tau.shape + omega.shape, and
+    is a complex for two scalars.  The waveform energy is normalized to one
+    regardless of params.energy.
+
+    The surface is a sum over pulse pairs (m, n) of the single-pulse
+    ambiguity at delay x = tau + d t, with lag d = n - m, and Doppler
+    omega + w_m - w_n: (t - |x|) sinc((omega + w_m - w_n) (t - |x|) / 2)
+    times exp(j phase), phase = (omega + w_m - w_n) (t + x) / 2 + omega m t
+    + w_n x.  A pair's term vanishes unless |x| < t, so each lag is
+    evaluated only on the delays inside its support: at most two lags,
+    O(M) pulse terms, per cell.  For each lag the phase splits into
+      - a delay table over (delay, pair): (w_m - w_n) (t + x) / 2 + w_n x;
+      - a Doppler table over (Doppler, pair): omega (m + (d + 1) / 2) t,
+        built from one table of omega m t per Doppler block;
+      - the cell's own omega tau / 2, applied once after all lags,
+    so the only transcendental per (cell, pair) is the sine of the sinc.
+    With w_n = 2 pi (f0 + perm[n] df), 2 pi f0 tau is common to a cell and
+    joins its factor, and 2 pi f0 d t enters the Doppler table with f0 t
+    reduced modulo 1; so |A| loses no precision to a large f0.
+
+    The Doppler axis and each lag's delays are taken in blocks of at most
+    _AF_ELEMS (delay, Doppler, pair) terms, and a cell's value depends on
+    that cell alone, however the grid is blocked: each cell's pair sum runs
+    along the contiguous last axis, and complex products are formed from
+    real ones (numpy's complex multiply rounds a lone element differently
+    from an array of them).
     """
     # the tones' offsets from f0 (tone_frequencies also checks perm)
     w = 2.0 * np.pi * tone_frequencies(perm, replace(params, f0=0.0))
     tones = np.asarray(perm, dtype=float)
-    carrier_turns = (params.f0 * params.t) % 1.0
     t = params.t
     m_count = params.m
-    tau_a, omega_a = np.broadcast_arrays(
-        np.asarray(tau, dtype=float), np.asarray(omega, dtype=float)
-    )
+    scale = 1.0 / (m_count * t)  # the unit-energy amplitude squared
+    carrier_turns = (params.f0 * t) % 1.0
+    tau_a = np.asarray(tau, dtype=float)
+    omega_a = np.asarray(omega, dtype=float)
     tau_f = tau_a.ravel()
     omega_f = omega_a.ravel()
-    acc = np.zeros(tau_f.shape, dtype=complex)
+    acc = np.zeros((tau_f.size, omega_f.size), dtype=complex)
+    acc_re, acc_im = acc.real, acc.imag
+    lags = []
     for lag in range(1 - m_count, m_count):
         x = tau_f + lag * t
-        cells = np.flatnonzero((x >= -t) & (x <= t))
-        if cells.size == 0:
-            continue
-        m_idx = np.arange(max(0, -lag), min(m_count, m_count - lag))
-        w_n = w[m_idx + lag]
-        lag_phase = 2.0 * np.pi * lag * carrier_turns
-        # w_m - w_n from the tone indices, so a large f0 does not absorb it
-        dw = 2.0 * np.pi * params.delta_f * (tones[m_idx] - tones[m_idx + lag])
-        # (cells, pairs) blocks: the pair sum runs along the contiguous last
-        # axis, so each cell is summed in the same order in every block
-        step = max(1, _AF_ELEMS // m_idx.size)
-        for start in range(0, cells.size, step):
-            sel = cells[start:start + step]
-            xc = x[sel, None]
-            oc = omega_f[sel, None]
-            terms = pulse_af(xc, oc + dw, t, oc * (m_idx * t) + w_n * xc + lag_phase)
-            acc[sel] += terms.sum(axis=1)
-    if params.f0:
-        # only cells within the waveform's duration can be nonzero, and
-        # WaveformParams keeps the carrier phase over that span finite
-        support = np.flatnonzero(np.abs(tau_f) <= m_count * t)
-        acc[support] *= np.exp(2j * np.pi * params.f0 * tau_f[support])
-    acc = (acc / (m_count * t)).reshape(tau_a.shape)
+        rows = np.flatnonzero((x > -t) & (x < t))
+        if rows.size:
+            lags.append((lag, rows, max(0, -lag), min(m_count, m_count - lag)))
+    # only cells within the waveform's duration can be nonzero, and
+    # WaveformParams keeps the carrier phase over that span finite
+    support = np.flatnonzero(np.abs(tau_f) < m_count * t)
+    o_step = max(1, _AF_ELEMS // m_count)
+    for o_start in range(0, omega_f.size, o_step):
+        cols = slice(o_start, o_start + o_step)
+        om = omega_f[cols, None]
+        pulse_angle = om * (np.arange(m_count) * t)
+        pulse_cos, pulse_sin = np.cos(pulse_angle), np.sin(pulse_angle)
+        for lag, rows, lo, hi in lags:
+            # the pairs (m, m + lag) for lo <= m < hi; w_m - w_n from the
+            # tone indices, so a large f0 does not absorb it
+            dw = 2.0 * np.pi * params.delta_f * (tones[lo:hi] - tones[lo + lag:hi + lag])
+            half = 0.5 * (om + dw)
+            # below this |half| t the sinc is 1 to double precision, and
+            # the amplitude is t - |x| itself
+            steep = np.abs(half) * t >= 2.0**-30
+            flat = np.nonzero(~steep)
+            # the Doppler table over (Doppler, pair), divided by half for
+            # the sine and scaled to unit energy
+            gain = np.divide(scale, half, out=np.full(half.shape, scale), where=steep)
+            lag_angle = om * (0.5 * (lag + 1) * t) + 2.0 * np.pi * lag * carrier_turns
+            lag_cos, lag_sin = np.cos(lag_angle), np.sin(lag_angle)
+            p_cos, p_sin = pulse_cos[:, lo:hi], pulse_sin[:, lo:hi]
+            dop_re = (p_cos * lag_cos - p_sin * lag_sin) * gain
+            dop_im = (p_cos * lag_sin + p_sin * lag_cos) * gain
+            r_step = max(1, _AF_ELEMS // half.size)
+            for r_start in range(0, rows.size, r_step):
+                sel = rows[r_start:r_start + r_step]
+                x = tau_f[sel, None] + lag * t
+                u = t - np.abs(x)
+                # the delay table over (delay, pair)
+                angle = (0.5 * dw) * (t + x) + w[lo + lag:hi + lag] * x
+                del_re = np.cos(angle)[:, None, :]
+                del_im = np.sin(angle)[:, None, :]
+                amp = np.sin(u[:, :, None] * half)
+                if flat[0].size:
+                    amp[:, flat[0], flat[1]] = u
+                # amp (del_re + j del_im) (dop_re + j dop_im), summed over pairs
+                a = amp * dop_re
+                amp *= dop_im
+                re = a * del_re
+                re -= amp * del_im
+                a *= del_im
+                amp *= del_re
+                a += amp
+                acc_re[sel, cols] += re.sum(axis=2)
+                acc_im[sel, cols] += a.sum(axis=2)
+        # the cell factor exp(j tau (omega / 2 + 2 pi f0))
+        rate = 0.5 * om[:, 0] + 2.0 * np.pi * params.f0
+        c_step = max(1, _AF_ELEMS // rate.size)
+        for r_start in range(0, support.size, c_step):
+            sel = support[r_start:r_start + c_step]
+            angle = tau_f[sel, None] * rate
+            c, s = np.cos(angle), np.sin(angle)
+            re, im = acc_re[sel, cols], acc_im[sel, cols]
+            acc_re[sel, cols] = re * c - im * s
+            acc_im[sel, cols] = re * s + im * c
+    acc = acc.reshape(tau_a.shape + omega_a.shape)
     if acc.ndim == 0:
         return complex(acc)
     return acc
@@ -142,14 +179,12 @@ def af_grid(
 
 def _af_grid_chunk(args) -> np.ndarray:
     perm, params, tau_axis, omega_axis = args
-    tt, ww = np.meshgrid(tau_axis, omega_axis, indexing="ij")
-    return np.abs(complex_af(perm, params, tt, ww))
+    return np.abs(complex_af(perm, params, tau_axis, omega_axis))
 
 
 def zero_doppler_cut(perm: Sequence[int], params: WaveformParams, tau_axis) -> np.ndarray:
     """|A(tau, 0)|: the autocorrelation magnitude along the delay axis."""
-    tau_axis = np.asarray(tau_axis, dtype=float)
-    return np.abs(complex_af(perm, params, tau_axis, np.zeros_like(tau_axis)))
+    return np.abs(complex_af(perm, params, tau_axis, 0.0))
 
 
 def zero_delay_cut(perm: Sequence[int], params: WaveformParams, omega_axis) -> np.ndarray:
@@ -157,8 +192,7 @@ def zero_delay_cut(perm: Sequence[int], params: WaveformParams, omega_axis) -> n
 
     The constant-modulus envelope makes this cut permutation independent.
     """
-    omega_axis = np.asarray(omega_axis, dtype=float)
-    return np.abs(complex_af(perm, params, np.zeros_like(omega_axis), omega_axis))
+    return np.abs(complex_af(perm, params, 0.0, omega_axis))
 
 
 def ridge_covariance(
@@ -178,8 +212,7 @@ def ridge_covariance(
     """
     tau_axis = np.asarray(tau_axis, dtype=float)
     omega_axis = np.asarray(omega_axis, dtype=float)
-    tt, ww = np.meshgrid(tau_axis, omega_axis, indexing="ij")
-    response = np.abs(complex_af(perm, params, tt, -ww))
+    response = np.abs(complex_af(perm, params, tau_axis, -omega_axis))
     mask = response > threshold
     if not np.any(mask):
         raise NumericError(
@@ -187,8 +220,9 @@ def ridge_covariance(
             threshold=threshold,
             grid_max=float(response.max()),
         )
-    tc = tt[mask]
-    wc = ww[mask]
+    rows, cols = np.nonzero(mask)
+    tc = tau_axis[rows]
+    wc = omega_axis[cols]
     return float(np.mean((tc - tc.mean()) * (wc - wc.mean())))
 
 
@@ -251,8 +285,7 @@ def crlb_full(
 ) -> tuple[float, float]:
     """(delay, Doppler) estimation-variance bounds from the inverted matrix.
 
-    Computed by exact 2x2 inversion of the assembled Fisher matrix rather
-    than the expanded ratios; see crlb_full_expanded for those.
+    Computed by exact 2x2 inversion of the assembled Fisher matrix.
     """
     return crlb_from_fisher(fisher_matrix(perm, params, n0, b))
 
@@ -268,23 +301,6 @@ def crlb_from_fisher(fim: FisherMatrix) -> tuple[float, float]:
             det=det,
         )
     return fim.j22 / det, fim.j11 / det
-
-
-def crlb_full_expanded(
-    perm: Sequence[int], params: WaveformParams, n0: float, b: float
-) -> tuple[float, float]:
-    """Expanded algebraic form of the full bounds, kept as a regression check."""
-    c = snr_constant(n0)
-    m = params.m
-    t = params.t
-    cosw = cos(2.0 * np.pi * params.f0 * t)
-    s = weighted_tone_sum(perm, params)
-    taper = 1.0 - ((m - 1) / m) * cosw
-    crlb_tau = (m * m * t) / (2.0 * m * m * b * taper - 3.0 * t**3 * s * s) / c
-    crlb_omega = (
-        (2.0 * b / t) * taper / ((m * m * b * t / 6.0) * taper - (t**4 / 4.0) * s * s)
-    ) / c
-    return crlb_tau, crlb_omega
 
 
 def crlb_simplified(params: WaveformParams, n0: float, b: float) -> tuple[float, float]:

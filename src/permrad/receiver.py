@@ -30,17 +30,21 @@ def statistic_matrices(
 ) -> np.ndarray:
     """Batch of correlation matrices drawn directly from their exact statistics.
 
-    For gain g = |h|^2, entry [n, m] is (energy/M) * g on the transmitted
-    support plus iid real Gaussian noise of variance energy * n0 * g / (2M).
-    Decision-variable differences over l mismatched slots then have mean
-    (energy*l/M) * g and variance (energy*l*n0/M) * g, exactly the
-    continuous-receiver statistics, with no sampling involved.
+    The continuous receiver's matrix for gain g = |h|^2 has (energy/M) * g
+    on the transmitted support plus iid real Gaussian noise of variance
+    energy * n0 * g / (2M).  The decision is blind to a positive scale, so
+    the matrices are drawn divided by energy: g / M on the support and
+    noise of variance g / (2M snr), with snr = energy / n0.  That keeps
+    both scales away from underflow at a tiny energy.  Decision-variable
+    differences over l mismatched slots then have mean (l/M) * g and
+    variance (l/(M snr)) * g, the continuous-receiver statistics over
+    energy, with no sampling involved.
     """
     perms = np.asarray(perms)
     gains = np.asarray(gains, dtype=float)
     batch, m = perms.shape
-    mu = (energy / m) * gains
-    sigma = np.sqrt(energy * n0 / (2.0 * m) * gains)
+    mu = (1.0 / m) * gains
+    sigma = np.sqrt(n0 / energy / (2.0 * m) * gains)
     # an overflowed scale leaves inf/nan matrices, which the block decision
     # would count as decoded
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):

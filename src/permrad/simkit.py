@@ -346,7 +346,7 @@ def _sampled_matrices(
     delta_f * t an integer and at least the Nyquist floor of samples per
     pulse, so the sampled tones are exactly orthogonal: G = sqrt(E / M) * I
     and the noise entries are iid of variance g * n0 / 2.  That is the
-    statistic law at energy sqrt(E M) and noise density n0 sqrt(M / E).
+    statistic law times sqrt(E M).
     """
     wf = cfg.waveform_params()
     m = perms.shape[1]
@@ -357,5 +357,6 @@ def _sampled_matrices(
             "sampled noise scale overflows", n0=n0, sample_rate=wf.sample_rate
         )
     gains = np.sum(np.abs(h) ** 2, axis=1)
-    root_e = sqrt(wf.energy)
-    return statistic_matrices(perms, gains, root_e * sqrt(m), n0 / root_e * sqrt(m), rng)
+    r = statistic_matrices(perms, gains, wf.energy, n0, rng)
+    r *= sqrt(wf.energy) * sqrt(m)
+    return r

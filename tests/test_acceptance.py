@@ -20,7 +20,7 @@ from permrad.bounds import (
     union_bound_rayleigh,
     union_bound_rician,
 )
-from permrad.channel import ChannelParams, fading_gains
+from permrad.channel import ChannelParams
 from permrad.lehmer import permutation_to_rank, rank_to_permutation
 from permrad.radar import (
     complex_af,
@@ -35,6 +35,7 @@ from permrad.radar import (
 from permrad.receiver import assignment_score, exhaustive_detect, hungarian_detect
 from permrad.simkit import SimConfig, run_bler_sweep
 from permrad.waveform import WaveformParams
+from test_channel import fading_gains
 from test_radar import af_numeric_oracle
 
 GOLDEN = np.array(

@@ -10,13 +10,11 @@ from scipy import integrate, stats
 from permrad.bounds import (
     DEFAULT_SERIES,
     SeriesConfig,
-    clamp,
     nn_awgn,
     nn_rayleigh,
     nn_rician,
     pairwise_rician,
     qfunc,
-    rival_count,
     subfactorial,
     union_bound_awgn,
     union_bound_rayleigh,
@@ -46,6 +44,16 @@ def test_subfactorial_range():
         subfactorial(-1)
     with pytest.raises(ValidationError):
         subfactorial(21)
+
+
+def rival_count(m: int) -> int:
+    """Total rivals counted by the union bound; equals m! - 1."""
+    return sum(subfactorial(l) * comb(m, l) for l in range(2, m + 1))
+
+
+def clamp(p: float) -> float:
+    """Display helper: probabilities bounded above by 1."""
+    return min(p, 1.0)
 
 
 @pytest.mark.parametrize("m", range(2, 9))

@@ -217,6 +217,19 @@ def test_sampled_simulation_does_not_depend_on_the_base_frequency(capsys):
     assert _data_lines(far) == _data_lines(base)
 
 
+@pytest.mark.parametrize("mode", ["statistic", "sampled"])
+def test_simulation_at_a_tiny_energy_prints_the_unit_energy_rows(capsys, mode):
+    # the decision is blind to a positive scale; at energy 1e-308 the noise
+    # scale energy * n0 underflows to 0, which must not read as error-free
+    argv = ["simulate", "--m", "4", "--snr-db", "0", "--trials", "2000", "--mode", mode]
+    rc, unit, err = _run(capsys, argv + ["--energy", "1"])
+    assert rc == 0, err
+    rc, tiny, err = _run(capsys, argv + ["--energy", "1e-308"])
+    assert rc == 0, err
+    assert _data_lines(tiny) == _data_lines(unit)
+    assert int(_data_lines(unit)[1].split(",")[5]) > 0  # errors at 0 dB
+
+
 @pytest.mark.parametrize(
     "argv,flag,value,rows",
     [

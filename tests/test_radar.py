@@ -1,12 +1,14 @@
 """Ambiguity surface, Fisher information, and CRLB tests."""
 
+import tracemalloc
 from itertools import permutations
-from math import ceil, floor, pi
+from math import ceil, cos, floor, pi
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
+from permrad import radar
 from permrad.errors import NumericError, ValidationError
 from permrad.lehmer import rank_to_permutation
 from permrad.radar import (
@@ -14,10 +16,8 @@ from permrad.radar import (
     complex_af,
     crlb_from_fisher,
     crlb_full,
-    crlb_full_expanded,
     crlb_simplified,
     fisher_matrix,
-    pulse_af,
     ridge_covariance,
     snr_constant,
     weighted_tone_sum,
@@ -115,6 +115,27 @@ def test_pulse_af_accepts_arrays():
 # --- waveform ambiguity -------------------------------------------------------
 
 
+def pulse_af(tau, omega, t: float, phase=0.0):
+    """Complex ambiguity of one rectangular pulse of width t, times exp(j phase).
+
+    The integral of exp(j omega u) over the overlap of the pulse and its
+    copy delayed by tau: an interval of length u = t - |tau| centred on
+    (t + tau) / 2, hence u sinc(omega u / 2) exp(j omega (t + tau) / 2),
+    with sinc(h) = sin(h) / h.  One expression covers both signs of tau and
+    omega = 0; it is zero outside |tau| <= t.  Accepts scalars or
+    broadcastable arrays.
+    """
+    tau = np.asarray(tau, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    u = np.maximum(t - np.abs(tau), 0.0)
+    h = 0.5 * omega * u
+    sinc = np.divide(np.sin(h), h, out=np.ones(h.shape), where=h != 0.0)
+    out = u * sinc * np.exp(1j * (0.5 * omega * (t + tau) + phase))
+    if out.ndim == 0:
+        return complex(out)
+    return out
+
+
 def _difference_pulse_af(tau, omega, t):
     """Single-pulse ambiguity as a difference of exponentials over j omega,
     one branch per sign of tau, with a series below |omega| t = 1e-6: an
@@ -209,10 +230,15 @@ def _tone_order(m, order):
     return [int(x) for x in np.random.default_rng(m).permutation(m)]
 
 
-def _default_grid(m, t=1.0, steps=161):
+def _default_axes(m, t=1.0, steps=161):
     # the af command's default axes: delay over +-M t, Doppler over +-2/t Hz
     taus = np.linspace(-m * t, m * t, steps)
     omegas = 2.0 * pi * np.linspace(-2.0 / t, 2.0 / t, steps)
+    return taus, omegas
+
+
+def _cells(taus, omegas):
+    """Every (delay, Doppler) cell of the two axes, as the reference takes them."""
     return np.meshgrid(taus, omegas, indexing="ij")
 
 
@@ -221,10 +247,10 @@ def _default_grid(m, t=1.0, steps=161):
 def test_complex_af_matches_pair_loop_on_default_grid(m, order):
     params = _params(m=m)
     perm = _tone_order(m, order)
-    tt, ww = _default_grid(m)
-    got = complex_af(perm, params, tt, ww)
-    assert got.shape == tt.shape
-    assert np.max(np.abs(got - _pair_loop_af(perm, params, tt, ww))) <= 1e-13
+    taus, omegas = _default_axes(m)
+    got = complex_af(perm, params, taus, omegas)
+    assert got.shape == (taus.size, omegas.size)
+    assert np.max(np.abs(got - _pair_loop_af(perm, params, *_cells(taus, omegas)))) <= 1e-13
 
 
 @pytest.mark.parametrize("m", [8, 20])
@@ -247,24 +273,46 @@ def test_complex_af_matches_pair_loop_where_lags_select_no_cells():
     # past +-M t every lag is empty; in a one-pulse window only two lags are not
     for taus in (np.linspace(-1.5 * m, 1.5 * m, 121), np.linspace(2.5, 3.5, 17),
                  np.linspace(m + 0.5, 2.0 * m, 9)):
-        tt, ww = np.meshgrid(taus, omegas, indexing="ij")
-        got = complex_af(perm, params, tt, ww)
-        assert np.max(np.abs(got - _pair_loop_af(perm, params, tt, ww))) <= 1e-13
-        assert np.all(got[np.abs(tt) >= m] == 0.0)
+        got = complex_af(perm, params, taus, omegas)
+        assert np.max(np.abs(got - _pair_loop_af(perm, params, *_cells(taus, omegas)))) <= 1e-13
+        assert np.all(got[np.abs(taus) >= m] == 0.0)
 
 
-def test_complex_af_cell_does_not_depend_on_its_neighbours():
-    # bit-identical whether a cell is evaluated alone or inside a grid, which
-    # is what keeps af_grid independent of the worker count
+def test_complex_af_cell_does_not_depend_on_its_neighbours(monkeypatch):
+    # bit-identical whether a cell is evaluated alone, in a sub-grid or inside
+    # the full grid, or with other block sizes, which is what keeps af_grid
+    # independent of the worker count
     m = 20
     params = _params(m=m)
     perm = _tone_order(m, "random")
-    tt, ww = _default_grid(m, steps=41)
-    grid = complex_af(perm, params, tt, ww)
-    rows = complex_af(perm, params, tt[::7], ww[::7])
-    assert np.array_equal(rows, grid[::7])
+    taus, omegas = _default_axes(m, steps=41)
+    grid = complex_af(perm, params, taus, omegas)
+    assert np.array_equal(complex_af(perm, params, taus[::7], omegas), grid[::7])
+    assert np.array_equal(complex_af(perm, params, taus, omegas[3::5]), grid[:, 3::5])
+    assert np.array_equal(complex_af(perm, params, taus[5:9], omegas[::-3]), grid[5:9, ::-3])
     for i, j in ((20, 20), (3, 17), (39, 0), (25, 33)):
-        assert complex_af(perm, params, tt[i, j], ww[i, j]) == grid[i, j]
+        assert complex_af(perm, params, taus[i], omegas[j]) == grid[i, j]
+    split = af_grid(perm, params, taus, omegas, workers=2).values
+    assert np.array_equal(split, np.abs(grid))
+    for elems in (1, 45, 333):
+        monkeypatch.setattr(radar, "_AF_ELEMS", elems)
+        assert np.array_equal(complex_af(perm, params, taus, omegas), grid)
+
+
+def test_complex_af_memory_stays_within_its_blocks():
+    # the Doppler axis is split into blocks too, so beyond its output the
+    # kernel holds only block-sized temporaries, however long an axis is
+    m = 20
+    taus = np.linspace(-m, m, 3)
+    omegas = 2.0 * pi * np.linspace(-2.0, 2.0, 200_000)
+    tracemalloc.start()
+    try:
+        got = complex_af(_tone_order(m, "random"), _params(m=m), taus, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (taus.size, omegas.size)
+    assert peak <= 2 * got.nbytes + 4 * 2**20
 
 
 def test_af_peak_is_one():
@@ -341,10 +389,9 @@ def test_magnitude_off_zero_delay_keeps_its_precision_at_a_large_base_frequency(
     # with f0 t an integer, every pulse starts the carrier in phase, so |A|
     # equals its f0 = 0 value on the whole grid
     perm = [2, 0, 3, 1]
-    tt, ww = np.meshgrid(np.linspace(-3.7, 3.7, 37), 2.0 * pi * np.linspace(-2.0, 2.0, 13),
-                         indexing="ij")
-    want = np.abs(complex_af(perm, _params(), tt, ww))
-    got = np.abs(complex_af(perm, _params(f0=f0), tt, ww))
+    taus, omegas = np.linspace(-3.7, 3.7, 37), 2.0 * pi * np.linspace(-2.0, 2.0, 13)
+    want = np.abs(complex_af(perm, _params(), taus, omegas))
+    got = np.abs(complex_af(perm, _params(f0=f0), taus, omegas))
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -352,9 +399,10 @@ def test_cells_beyond_the_waveform_stay_zero_at_a_large_base_frequency():
     # the carrier phase 2 pi f0 tau overflows at these delays; no pulse pair
     # reaches them, so |A| is exactly 0 there, not nan
     tau = np.array([-1e308, -5e307, -2.01, 2.01, 5e307, 1e308])
+    omega = np.array([-3.0, 0.0, 2.0 * pi])
     with np.errstate(all="raise"):
-        got = complex_af([1, 0], _params(m=2, f0=5e9), tau, np.zeros_like(tau))
-    assert np.array_equal(got, np.zeros_like(tau, dtype=complex))
+        got = complex_af([1, 0], _params(m=2, f0=5e9), tau, omega)
+    assert np.array_equal(got, np.zeros((tau.size, omega.size), dtype=complex))
 
 
 def test_zero_delay_mainlobe_sharpens_with_m():
@@ -405,6 +453,26 @@ def test_ridge_covariance_needs_cells():
     params = _params()
     with pytest.raises(NumericError):
         ridge_covariance([0, 1, 2, 3], params, np.array([3.9]), np.array([50.0]), 0.99)
+
+
+def test_cuts_and_ridge_response_are_the_grid_bit_for_bit():
+    # one code path: each cut is a column or row of af_grid, and the ridge
+    # covariance is taken over af_grid's response at the negated Doppler
+    m = 6
+    params = _params(m=m, f0=0.5)
+    perm = _tone_order(m, "random")
+    taus = np.linspace(-m, m, 49)
+    omegas = 2.0 * pi * np.linspace(-2.0, 2.0, 33)
+    (i0,), (j0,) = np.flatnonzero(taus == 0.0), np.flatnonzero(omegas == 0.0)
+    grid = af_grid(perm, params, taus, omegas).values
+    assert np.array_equal(zero_doppler_cut(perm, params, taus), grid[:, j0])
+    assert np.array_equal(zero_delay_cut(perm, params, omegas), grid[i0, :])
+    threshold = 0.5
+    response = af_grid(perm, params, taus, -omegas).values
+    rows, cols = np.nonzero(response > threshold)
+    tc, wc = taus[rows], omegas[cols]
+    want = float(np.mean((tc - tc.mean()) * (wc - wc.mean())))
+    assert ridge_covariance(perm, params, taus, omegas, threshold) == want
 
 
 # --- Fisher information and bounds ---------------------------------------------
@@ -458,6 +526,21 @@ def test_crlb_full_matches_numpy_inverse():
         inv = np.linalg.inv(fim.matrix())
         assert got[0] == pytest.approx(inv[0, 0], rel=1e-10)
         assert got[1] == pytest.approx(inv[1, 1], rel=1e-10)
+
+
+def crlb_full_expanded(perm, params, n0, b):
+    """Expanded algebraic form of the full bounds, kept as a regression check."""
+    c = snr_constant(n0)
+    m = params.m
+    t = params.t
+    cosw = cos(2.0 * np.pi * params.f0 * t)
+    s = weighted_tone_sum(perm, params)
+    taper = 1.0 - ((m - 1) / m) * cosw
+    crlb_tau = (m * m * t) / (2.0 * m * m * b * taper - 3.0 * t**3 * s * s) / c
+    crlb_omega = (
+        (2.0 * b / t) * taper / ((m * m * b * t / 6.0) * taper - (t**4 / 4.0) * s * s)
+    ) / c
+    return crlb_tau, crlb_omega
 
 
 def test_crlb_full_equals_expanded_ratios():
@@ -626,9 +709,9 @@ def test_radar_accepts_blocks_beyond_the_codec_limit():
     params = _params(m=m)
     perm = _tone_order(m, "random")
     assert complex_af(perm, params, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
-    tt, ww = _default_grid(m, steps=21)
-    got = complex_af(perm, params, tt, ww)
-    assert np.max(np.abs(got - _pair_loop_af(perm, params, tt, ww))) <= 1e-13
+    taus, omegas = _default_axes(m, steps=21)
+    got = complex_af(perm, params, taus, omegas)
+    assert np.max(np.abs(got - _pair_loop_af(perm, params, *_cells(taus, omegas)))) <= 1e-13
     assert crlb_full(perm, params, n0=0.1, b=1e12)[0] > 0
 
 

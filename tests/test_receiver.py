@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permrad.channel import ChannelParams, FadingRealization, apply_channel, draw_fading
+from permrad.channel import ChannelParams
 from permrad.errors import CapabilityError, ValidationError
 from permrad.lehmer import permutation_to_rank, rank_to_permutation
 from permrad.receiver import (
@@ -19,6 +19,7 @@ from permrad.receiver import (
     statistic_matrices,
 )
 from permrad.waveform import ComplexSignal, WaveformParams, synthesize
+from test_channel import FadingRealization, apply_channel, draw_fading
 
 GOLDEN = np.array(
     [
@@ -132,8 +133,8 @@ def test_statistic_matrix_noise_free_support():
 
 
 def test_statistic_matrix_decision_gap_variance():
-    # permutations differing in all 3 slots: the score gap has variance
-    # 3 * energy * n0 / m * gain
+    # permutations differing in all 3 slots: drawn at unit energy, the score
+    # gap has mean 3 / m * gain and variance 3 * n0 / (energy * m) * gain
     m, energy, n0, gain = 3, 2.0, 0.7, 1.5
     rng = np.random.default_rng(3)
     size = 1_000_000
@@ -142,8 +143,8 @@ def test_statistic_matrix_decision_gap_variance():
     r = statistic_matrices(perm_tx, np.full(size, gain), energy, n0, rng)
     rows = np.arange(m)
     gaps = r[:, rows, perm_tx[0]].sum(axis=1) - r[:, rows, rival].sum(axis=1)
-    expected_var = 3.0 * energy * n0 / m * gain
-    expected_mean = 3.0 * energy / m * gain
+    expected_var = 3.0 * n0 / (energy * m) * gain
+    expected_mean = 3.0 / m * gain
     assert gaps.var() == pytest.approx(expected_var, rel=0.02)
     assert gaps.mean() == pytest.approx(expected_mean, rel=0.02)
 

@@ -516,7 +516,7 @@ def test_overflowed_scales_raise_rather_than_count_as_correct():
     # nan matrices it would leave read as "no positive cycle", i.e. correct
     perms = np.array([[0, 1], [1, 0]])
     with pytest.raises(NumericError):
-        statistic_matrices(perms, np.array([1.0, 1e10]), 1e154, 1e154,
+        statistic_matrices(perms, np.array([1.0, 1e300]), 1.0, 1e10,
                            np.random.default_rng(0))
     cfg = SimConfig(m=2, n=1, snr_db=(0.0,), trials=10, mode="sampled",
                     energy=1e10, t=1e-300)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from math import isfinite, pi
 
@@ -325,8 +326,10 @@ def _cmd_waveform(args) -> int:
 
 def _cmd_detect(args) -> int:
     try:
-        matrix = np.atleast_2d(np.loadtxt(args.matrix, delimiter=",", comments="#"))
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy warns on a file with no data
+            matrix = np.atleast_2d(np.loadtxt(args.matrix, delimiter=",", comments="#"))
+    except (ValueError, UserWarning) as exc:
         raise ValidationError(f"{args.matrix}: not a numeric matrix: {exc}") from exc
     detect = hungarian_detect if args.receiver == "hungarian" else exhaustive_detect
     perm = detect(matrix)

@@ -22,27 +22,27 @@ MAX_EXHAUSTIVE_M = 10
 
 
 def statistic_matrices(
-    perms: np.ndarray,
+    m: int,
     gains: np.ndarray,
     energy: float,
     n0: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Batch of correlation matrices drawn directly from their exact statistics.
+    """Batch of correlation matrices of the identity tone order, drawn
+    directly from their exact statistics.
 
     The continuous receiver's matrix for gain g = |h|^2 has (energy/M) * g
-    on the transmitted support plus iid real Gaussian noise of variance
-    energy * n0 * g / (2M).  The decision is blind to a positive scale, so
-    the matrices are drawn divided by energy: g / M on the support and
-    noise of variance g / (2M snr), with snr = energy / n0.  That keeps
-    both scales away from underflow at a tiny energy.  Decision-variable
-    differences over l mismatched slots then have mean (l/M) * g and
-    variance (l/(M snr)) * g, the continuous-receiver statistics over
-    energy, with no sampling involved.
+    on the transmitted support, here the diagonal, plus iid real Gaussian
+    noise of variance energy * n0 * g / (2M).  The decision is blind to a
+    positive scale, so the matrices are drawn divided by energy: g / M on
+    the support and noise of variance g / (2M snr), with snr = energy / n0.
+    That keeps both scales away from underflow at a tiny energy.
+    Decision-variable differences over l mismatched slots then have mean
+    (l/M) * g and variance (l/(M snr)) * g, the continuous-receiver
+    statistics over energy, with no sampling involved.
     """
-    perms = np.asarray(perms)
     gains = np.asarray(gains, dtype=float)
-    batch, m = perms.shape
+    batch = gains.shape[0]
     mu = (1.0 / m) * gains
     sigma = np.sqrt(n0 / energy / (2.0 * m) * gains)
     # an overflowed scale leaves inf/nan matrices, which the block decision
@@ -53,9 +53,7 @@ def statistic_matrices(
         )
     r = rng.standard_normal((batch, m, m))
     r *= sigma[:, None, None]
-    # flat index of entry [b, n, perms[b, n]]
-    support = np.arange(0, batch * m * m, m).reshape(batch, m) + perms
-    r.reshape(-1)[support] += mu[:, None]
+    r.reshape(batch, m * m)[:, :: m + 1] += mu[:, None]  # the diagonal
     return r
 
 

@@ -12,6 +12,12 @@ correlates with the sampled tones.  On every accepted geometry the
 sampled tones are orthogonal, so the two laws differ by one positive
 scale.  Sampled mode holds no samples; SimConfig still bounds the
 (m, samples_per_pulse) tone table its receiver is defined by.
+
+Every trial sends the identity tone order.  Permutation codes are
+geometrically uniform: relabelling the columns of a trial's matrix by
+p^-1 turns a trial for symbol p into one for the identity, with the same
+noise law and the same ML decision, so every symbol has the same error
+probability and no symbol needs to be drawn.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import factorial, isfinite, sqrt
+from math import isfinite, sqrt
 from typing import Iterable
 
 import numpy as np
@@ -247,48 +253,24 @@ def _run_block(cfg: SimConfig, point_idx: int, block_idx: int, size: int) -> int
     """Simulate one block of trials; returns the error count."""
     rng = np.random.default_rng([cfg.master_seed, point_idx, block_idx])
     n0 = n0_from_snr_db(cfg.energy, cfg.snr_db[point_idx])
-    m = cfg.m
-
-    symbols = rng.integers(0, factorial(m), size=size)
-    perms = _ranks_to_permutations(symbols, m)
-
     ch = cfg.channel_params(n0, cfg.snr_db[point_idx])
     h = draw_fading_batch(ch, rng, size)
-    gains = np.sum(np.abs(h) ** 2, axis=1)
 
     if cfg.mode == "statistic":
-        r_all = statistic_matrices(perms, gains, cfg.energy, n0, rng)
+        gains = np.sum(np.abs(h) ** 2, axis=1)
+        r_all = statistic_matrices(cfg.m, gains, cfg.energy, n0, rng)
     else:
-        r_all = _sampled_matrices(cfg, perms, h, n0, rng)
-    return int(np.count_nonzero(_block_errors(r_all, perms)))
+        r_all = _sampled_matrices(cfg, h, n0, rng)
+    return int(np.count_nonzero(_block_errors(r_all)))
 
 
-def _ranks_to_permutations(symbols: np.ndarray, m: int) -> np.ndarray:
-    """Factoradic decode of a batch of Lehmer ranks; row i equals
-    ``rank_to_permutation(symbols[i], m)``.
+def _block_errors(r_all: np.ndarray) -> np.ndarray:
+    """Per-trial error indicators of the optimal (max-sum assignment) detector
+    for trials that sent the identity.
 
-    Column i first holds the rank's factoradic digit i: where pulse i's
-    tone ranks among the tones that columns 0..i-1 leave unused.  Walking
-    the columns right to left, every later entry at or above column i's
-    value moves up by one, which turns those ranks into tone indices.
-    Exact in int64 for every rank below 20!.
-    """
-    rest = np.asarray(symbols, dtype=np.int64)
-    out = np.empty((rest.shape[0], m), dtype=np.int64)
-    for i in range(m):
-        out[:, i], rest = np.divmod(rest, factorial(m - 1 - i))
-    for i in range(m - 2, -1, -1):
-        tail = out[:, i + 1 :]
-        tail += tail >= out[:, i, None]
-    return out
-
-
-def _block_errors(r_all: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Per-trial error indicators of the optimal (max-sum assignment) detector.
-
-    Detection fails exactly when the sent permutation p is not an optimal
-    assignment of r, i.e. when the swap graph W[n, n'] = r[n, p(n')] - r[n, p(n)]
-    has a cycle of positive weight (Klein's cycle-cancelling criterion).
+    Detection fails exactly when the identity is not an optimal assignment
+    of r, i.e. when the swap graph W[n, n'] = r[n, n'] - r[n, n] has a
+    cycle of positive weight (Klein's cycle-cancelling criterion).
     Each chunk of trials is settled in this order:
 
     * no positive edge: no positive cycle, the trial is correct;
@@ -305,14 +287,10 @@ def _block_errors(r_all: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """
     batch, m, _ = r_all.shape
     out = np.zeros(batch, dtype=bool)
-    flat = r_all.reshape(-1)
     chunk = max(1, _DECISION_ELEMS // (m * m))
-    row_start = np.arange(0, m * m, m)[:, None]
     for lo in range(0, batch, chunk):
-        p = perms[lo : lo + chunk]
-        trial_start = np.arange(lo * m * m, (lo + p.shape[0]) * m * m, m * m)
-        w = flat.take((trial_start[:, None] + p)[:, None, :] + row_start)  # r[n, p(n')]
-        w -= np.diagonal(w, axis1=1, axis2=2).copy()[:, :, None]  # zero diagonal
+        r = r_all[lo : lo + chunk]
+        w = r - np.diagonal(r, axis1=1, axis2=2)[:, :, None]  # zero diagonal
         live = np.flatnonzero((w > 0).any(axis=(1, 2)))
         w = w[live]
         err = (w + w.transpose(0, 2, 1) > 0).any(axis=(1, 2))
@@ -331,12 +309,12 @@ def _block_errors(r_all: np.ndarray, perms: np.ndarray) -> np.ndarray:
 
 
 def _sampled_matrices(
-    cfg: SimConfig, perms: np.ndarray, h: np.ndarray, n0: float, rng: np.random.Generator
+    cfg: SimConfig, h: np.ndarray, n0: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Waveform-level correlation matrices of one block, drawn from their exact law.
 
     The sampled receiver (combine the antennas with conj(h), correlate each
-    pulse with the M sampled unit-energy tones) is linear: r = g * G[perm]
+    pulse with the M sampled unit-energy tones) is linear: r = g * G
     plus the receiver applied to the noise alone, with g = |h|^2 and G the
     Gram table of the sent tones against the receiver's.  White circular
     noise combined with conj(h) is white circular noise of g times its
@@ -349,7 +327,6 @@ def _sampled_matrices(
     statistic law times sqrt(E M).
     """
     wf = cfg.waveform_params()
-    m = perms.shape[1]
     # the sampled receiver sees noise samples of this scale; an overflowed
     # one has no float64 waveform, so it is refused as at full synthesis
     if not isfinite(n0 * wf.sample_rate / 2.0):
@@ -357,6 +334,6 @@ def _sampled_matrices(
             "sampled noise scale overflows", n0=n0, sample_rate=wf.sample_rate
         )
     gains = np.sum(np.abs(h) ** 2, axis=1)
-    r = statistic_matrices(perms, gains, wf.energy, n0, rng)
-    r *= sqrt(wf.energy) * sqrt(m)
+    r = statistic_matrices(wf.m, gains, wf.energy, n0, rng)
+    r *= sqrt(wf.energy) * sqrt(wf.m)
     return r

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import warnings
 from math import pi
 
 import numpy as np
@@ -303,14 +304,18 @@ def test_af_beyond_codec_block_limit(capsys):
     assert values[(0.0, 0.0)] == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("text", ["1,2\n3\n", "1,x\n3,4\n"])
+@pytest.mark.parametrize("text", ["1,2\n3\n", "1,x\n3,4\n", "", "# header only\n"])
 def test_detect_malformed_matrix_exits_one(capsys, tmp_path, text):
     path = tmp_path / "matrix.csv"
     path.write_text(text)
-    rc, _, err = _run(capsys, ["detect", "--matrix", str(path)])
+    # outside pytest a warning would print to stderr, so none may escape
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _, err = _run(capsys, ["detect", "--matrix", str(path)])
     assert rc == 1
-    assert err.count("error:") == 1
-    assert "Traceback" not in err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1  # the error line and nothing else
+    assert [str(w.message) for w in caught] == []
 
 
 def test_crlb_csv_variants(capsys):

@@ -63,8 +63,11 @@ def _correlation_matrix(received, h, params):
 
 
 def _statistic_matrix(perm, h, energy, n0, rng):
-    """Single-draw wrapper around statistic_matrices."""
-    return statistic_matrices(np.asarray([perm]), np.asarray([h.gain]), energy, n0, rng)[0]
+    """One trial for the sent permutation perm: statistic_matrices draws the
+    identity's matrix r, and relabelling its columns, r[:, argsort(perm)],
+    puts the support on the entries [n, perm[n]]."""
+    r = statistic_matrices(len(perm), np.asarray([h.gain]), energy, n0, rng)[0]
+    return r[:, np.argsort(perm)]
 
 
 # --- correlation matrix -----------------------------------------------------
@@ -138,11 +141,10 @@ def test_statistic_matrix_decision_gap_variance():
     m, energy, n0, gain = 3, 2.0, 0.7, 1.5
     rng = np.random.default_rng(3)
     size = 1_000_000
-    perm_tx = np.tile([0, 1, 2], (size, 1))
     rival = [1, 2, 0]
-    r = statistic_matrices(perm_tx, np.full(size, gain), energy, n0, rng)
+    r = statistic_matrices(m, np.full(size, gain), energy, n0, rng)  # sends [0, 1, 2]
     rows = np.arange(m)
-    gaps = r[:, rows, perm_tx[0]].sum(axis=1) - r[:, rows, rival].sum(axis=1)
+    gaps = r[:, rows, rows].sum(axis=1) - r[:, rows, rival].sum(axis=1)
     expected_var = 3.0 * n0 / (energy * m) * gain
     expected_mean = 3.0 / m * gain
     assert gaps.var() == pytest.approx(expected_var, rel=0.02)
@@ -156,8 +158,7 @@ def test_two_tone_pairwise_error_rate_matches_q():
     energy, n0 = 1.0, 1.0 / snr
     size = 1_000_000
     rng = np.random.default_rng(4)
-    perms = np.tile([0, 1], (size, 1))
-    r = statistic_matrices(perms, np.full(size, float(n_ant)), energy, n0, rng)
+    r = statistic_matrices(m, np.full(size, float(n_ant)), energy, n0, rng)  # sends [0, 1]
     # score of [0,1] vs [1,0]
     errors = (r[:, 0, 0] + r[:, 1, 1]) < (r[:, 0, 1] + r[:, 1, 0])
     p_hat = errors.mean()

@@ -1,5 +1,6 @@
 """Monte Carlo engine tests: determinism, receiver equivalence, exactness."""
 
+from dataclasses import replace
 from math import erfc, factorial, sqrt
 
 import numpy as np
@@ -17,7 +18,6 @@ from permrad.simkit import (
     SimConfig,
     _block_errors,
     _blocks,
-    _ranks_to_permutations,
     _sampled_matrices,
     run_bler_sweep,
     wilson_interval,
@@ -26,6 +26,23 @@ from permrad.simkit import (
 
 def _bler_sigma(p: float, n: int) -> float:
     return sqrt(p * (1.0 - p) / n)
+
+
+def _random_perms(rng, size, m):
+    """size uniformly random permutations of 0..m-1, one per row."""
+    return rng.permuted(np.tile(np.arange(m), (size, 1)), axis=1)
+
+
+def _relabel(r_all, perms):
+    """Trials for the identity turned into trials for perms: trial i's columns
+    are relabelled by perms[i], so r_p[i][n, perms[i, n']] = r_all[i][n, n'].
+    The noise law is unchanged and the mean moves onto [n, perms[i, n]]."""
+    return np.take_along_axis(r_all, np.argsort(perms, axis=1)[:, None, :], axis=2)
+
+
+def _to_identity(r_all, perms):
+    """The inverse of _relabel: r[i][n, n'] = r_p[i][n, perms[i, n']]."""
+    return np.take_along_axis(r_all, perms[:, None, :], axis=2)
 
 
 def test_deterministic_across_worker_counts():
@@ -161,14 +178,16 @@ def test_block_errors_match_per_trial_detectors(m):
     size = 200
     flagged = 0
     for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0):
-        perms = _ranks_to_permutations(rng.integers(0, factorial(m), size=size), m)
         gains = rng.exponential(size=size)
-        r_all = statistic_matrices(perms, gains, 1.0, 10.0 ** (-snr_db / 10.0), rng)
-        got = _block_errors(r_all, perms)
+        r_all = statistic_matrices(m, gains, 1.0, 10.0 ** (-snr_db / 10.0), rng)
+        got = _block_errors(r_all)
+        # the detectors see each trial relabelled to a random sent permutation
+        perms = _random_perms(rng, size, m)
+        r_sent = _relabel(r_all, perms)
         sent = [list(p) for p in perms]
-        assert got.tolist() == [hungarian_detect(r) != p for r, p in zip(r_all, sent)]
+        assert got.tolist() == [hungarian_detect(r) != p for r, p in zip(r_sent, sent)]
         if m <= 8:
-            assert got.tolist() == [exhaustive_detect(r) != p for r, p in zip(r_all, sent)]
+            assert got.tolist() == [exhaustive_detect(r) != p for r, p in zip(r_sent, sent)]
         flagged += int(got.sum())
     assert 0 < flagged < 5 * size  # both outcomes occur, so the check is not vacuous
 
@@ -229,12 +248,14 @@ _SAMPLED_GEOMETRIES = (
 
 
 def _sampled_case(m, n, channel, geometry, seed, size):
+    """A sampled-mode config and one block's fading, with random permutations
+    for the reference synthesis to send."""
     snr_db = m + 2.0  # keeps the error rate away from 0 and 1
     cfg = SimConfig(m=m, n=n, snr_db=(snr_db,), channel=channel, k=1.5,
                     mode="sampled", energy=2.0, **geometry)
     n0 = cfg.energy / 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
-    perms = _ranks_to_permutations(rng.integers(0, factorial(m), size=size), m)
+    perms = _random_perms(rng, size, m)
     h = draw_fading_batch(cfg.channel_params(n0, snr_db), rng, size)
     return cfg, perms, h, n0
 
@@ -249,9 +270,10 @@ def test_sampled_matrices_match_full_synthesis(m, n, channel):
         wf = cfg.waveform_params()
         gains = np.sum(np.abs(h) ** 2, axis=1)
 
-        # noise-free mean: |h|^2 times the sampled tones' Gram rows of the sent tones
-        mean = _sampled_matrices(cfg, perms, h, n0, _StubRng(identity=False))
-        want = _sampled_reference(cfg, perms, h, n0, _StubRng(identity=False))
+        # noise-free mean: |h|^2 times the sampled tones' Gram rows of the sent
+        # tones; the reference sends perms and is relabelled to the identity
+        mean = _sampled_matrices(cfg, h, n0, _StubRng(identity=False))
+        want = _to_identity(_sampled_reference(cfg, perms, h, n0, _StubRng(identity=False)), perms)
         assert mean.shape == want.shape == (size, m, m)
         assert np.max(np.abs(mean - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -259,7 +281,7 @@ def test_sampled_matrices_match_full_synthesis(m, n, channel):
         # covariance of one pulse's noise row; the reference correlator of white
         # noise of variance sigma^2 = n0 * sample_rate / 2 per real part gives
         # sigma^2 dt^2 Re(B B^H)
-        root = _sampled_matrices(cfg, perms, h, n0, _StubRng(identity=True)) - mean
+        root = _sampled_matrices(cfg, h, n0, _StubRng(identity=True)) - mean
         got = np.einsum("bpm,bpk->bmk", root, root) / gains[:, None, None]
         _, basis = _reference_basis(wf, m)
         cov = n0 * wf.sample_rate / 2.0 * wf.dt ** 2 * (basis @ basis.conj().T).real
@@ -270,15 +292,13 @@ def test_sampled_matrices_match_full_synthesis(m, n, channel):
 def test_sampled_matrices_bler_matches_full_synthesis(geometry):
     size = 20_000
     cfg, perms, h, n0 = _sampled_case(4, 2, "rician", geometry, 17, size)
-    got = np.count_nonzero(
-        _block_errors(_sampled_matrices(cfg, perms, h, n0, np.random.default_rng(1)), perms)
-    )
+    got = np.count_nonzero(_block_errors(_sampled_matrices(cfg, h, n0, np.random.default_rng(1))))
     rng = np.random.default_rng(2)
     want = 0
     for lo in range(0, size, 2000):  # the reference holds every sample of its trials
         part = slice(lo, lo + 2000)
         r = _sampled_reference(cfg, perms[part], h[part], n0, rng)
-        want += np.count_nonzero(_block_errors(r, perms[part]))
+        want += np.count_nonzero(_fw_block_errors(r, perms[part]))
     p_got, p_want = got / size, want / size
     assert 0.05 < p_want < 0.5  # the comparison is not vacuous
     pooled = (got + want) / (2 * size)
@@ -291,8 +311,10 @@ def test_block_errors_find_cycle_longer_than_a_swap():
     # positive edge at all.
     cyclic = np.array([[0.0, 1.0, -5.0], [-5.0, 0.0, 1.0], [1.0, -5.0, 0.0]])
     r_all = np.stack([cyclic, -cyclic.T, np.eye(3)])
-    perms = np.tile(np.arange(3), (3, 1))
-    assert _block_errors(r_all, perms).tolist() == [True, True, False]
+    assert _block_errors(r_all).tolist() == [True, True, False]
+    # the same trials sent as 2,0,1 give the same decisions
+    perms = np.tile([2, 0, 1], (3, 1))
+    assert _fw_block_errors(_relabel(r_all, perms), perms).tolist() == [True, True, False]
 
 
 def _fw_block_errors(r_all, perms):
@@ -330,6 +352,10 @@ def _mask_ranks_to_permutations(symbols, m):
     return out
 
 
+def _identity_perms(size, m):
+    return np.tile(np.arange(m), (size, 1))
+
+
 def _statistic_reference(perms, gains, energy, n0, rng):
     """Reference draw: scale a fresh array and add the mean by a 3-array scatter."""
     batch, m = perms.shape
@@ -340,20 +366,60 @@ def _statistic_reference(perms, gains, energy, n0, rng):
     return r
 
 
-def _reference_run_block(cfg, point_idx, block_idx, size):
-    """Reference block: the same stream through the reference draw, decision
-    and decode (sampled mode shares _sampled_matrices)."""
+def _reference_run_block(cfg, point_idx, block_idx, size, symbols=False):
+    """Reference block: the sweep's stream through the reference draw and
+    decision, sending the identity (sampled mode shares _sampled_matrices).
+
+    With symbols (statistic mode), each trial first draws a random rank,
+    decoded by masking; the mean is placed and the swap graph gathered
+    through its permutation."""
     rng = np.random.default_rng([cfg.master_seed, point_idx, block_idx])
     snr_db = cfg.snr_db[point_idx]
     n0 = n0_from_snr_db(cfg.energy, snr_db)
-    perms = _mask_ranks_to_permutations(rng.integers(0, factorial(cfg.m), size=size), cfg.m)
+    if symbols:
+        perms = _mask_ranks_to_permutations(rng.integers(0, factorial(cfg.m), size=size), cfg.m)
+    else:
+        perms = _identity_perms(size, cfg.m)
     h = draw_fading_batch(cfg.channel_params(n0, snr_db), rng, size)
     gains = np.sum(np.abs(h) ** 2, axis=1)
     if cfg.mode == "statistic":
         r_all = _statistic_reference(perms, gains, cfg.energy, n0, rng)
     else:
-        r_all = _sampled_matrices(cfg, perms, h, n0, rng)
+        r_all = _sampled_matrices(cfg, h, n0, rng)
     return int(np.count_nonzero(_fw_block_errors(r_all, perms)))
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_batch_decode_matches_mask_decode(m):
+    # the random-symbol reference decodes its ranks by masking; it must be
+    # the codec's decode, up to the largest rank 20! - 1 in int64
+    ranks = np.random.default_rng(m).integers(0, factorial(m), size=2000)
+    ranks[:2] = (0, factorial(m) - 1)
+    want = [rank_to_permutation(int(v), m) for v in ranks]
+    assert _mask_ranks_to_permutations(ranks, m).tolist() == want
+
+
+# (m, n, channel, rician k, snr dB): every symbol has the same error
+# probability, so the identity sweep's BLER is the random-symbol BLER
+_SYMBOL_CASES = [
+    (4, 1, "awgn", 0.0, 6.0),
+    (8, 2, "rician", 2.0, 10.0),
+    (12, 1, "rayleigh", 0.0, 18.0),
+    (20, 1, "awgn", 0.0, 19.0),
+]
+
+
+@pytest.mark.parametrize("m, n, channel, k, snr_db", _SYMBOL_CASES)
+def test_identity_sweep_matches_random_symbol_bler(m, n, channel, k, snr_db):
+    trials = 65_536
+    cfg = SimConfig(m=m, n=n, snr_db=(snr_db,), channel=channel, k=k, trials=trials,
+                    master_seed=m)
+    got = run_bler_sweep(cfg)[0].errors
+    ref_cfg = replace(cfg, master_seed=m + 1000)  # an independent stream
+    want = sum(_reference_run_block(ref_cfg, 0, b, s, symbols=True) for b, s in _blocks(cfg))
+    assert 0.05 < want / trials < 0.95  # the comparison is not vacuous
+    pooled = (got + want) / (2 * trials)
+    assert abs(got - want) / trials <= 4.0 * sqrt(2.0 * pooled * (1.0 - pooled) / trials)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12, 20])
@@ -362,14 +428,17 @@ def test_block_errors_match_floyd_warshall_trial_by_trial(m):
     flagged = 0
     for snr_db in range(0, 31, 3):
         rng = np.random.default_rng([m, snr_db])
-        perms = _ranks_to_permutations(rng.integers(0, factorial(m), size=size), m)
         gains = rng.exponential(size=size)
         n0 = 10.0 ** (-snr_db / 10.0)
-        r_all = statistic_matrices(perms, gains, 1.0, n0, np.random.default_rng(snr_db))
-        want_r = _statistic_reference(perms, gains, 1.0, n0, np.random.default_rng(snr_db))
+        r_all = statistic_matrices(m, gains, 1.0, n0, np.random.default_rng(snr_db))
+        want_r = _statistic_reference(
+            _identity_perms(size, m), gains, 1.0, n0, np.random.default_rng(snr_db)
+        )
         assert np.array_equal(r_all, want_r)
-        got = _block_errors(r_all, perms)
-        assert got.tolist() == _fw_block_errors(r_all, perms).tolist()
+        got = _block_errors(r_all)
+        # the reference gathers the swap graph of each trial sent as a random permutation
+        perms = _random_perms(rng, size, m)
+        assert got.tolist() == _fw_block_errors(_relabel(r_all, perms), perms).tolist()
         flagged += int(got.sum())
     assert 0 < flagged < 11 * size
 
@@ -404,7 +473,7 @@ def test_block_errors_each_settling_exit(w, settled_by, error, sent):
     assert _settling_exit(w) == settled_by
     r = np.empty_like(w)
     r[:, sent] = w + 3.0  # r[n, p(n')] - r[n, p(n)] = W[n, n']
-    got = _block_errors(r[None], np.array([sent]))
+    got = _block_errors((w + 3.0)[None])  # the same trial, sent as the identity
     assert got.tolist() == [error] == _fw_block_errors(r[None], np.array([sent])).tolist()
 
 
@@ -414,8 +483,9 @@ def test_block_errors_each_settling_exit(w, settled_by, error, sent):
     "mode, trials", [("statistic", 9_000), ("sampled", 1_500), ("sampled", 9_000)]
 )
 def test_sweep_matches_reference_blocks(mode, trials, channel, workers):
-    # one partial block per point, or two with the second partial
-    for m, snr_db in ((1, (0.0,)), (4, (4.0, 10.0)), (12, (12.0, 18.0)), (20, (20.0, 28.0))):
+    # one partial block per point, or two with the second partial; at 1,500
+    # trials every M > 1 still makes some errors, and not on every trial
+    for m, snr_db in ((1, (0.0,)), (4, (4.0, 10.0)), (12, (12.0, 18.0)), (20, (18.0, 28.0))):
         cfg = SimConfig(m=m, n=2, snr_db=snr_db, channel=channel, k=2.0, trials=trials,
                         master_seed=m, mode=mode, workers=workers)
         got = run_bler_sweep(cfg)
@@ -424,27 +494,6 @@ def test_sweep_matches_reference_blocks(mode, trials, channel, workers):
             assert (point.trials, point.errors) == (trials, want)
         if m > 1:
             assert 0 < sum(p.errors for p in got) < trials * len(got)
-
-
-@pytest.mark.parametrize("m", range(1, 21))
-def test_batch_decode_matches_mask_decode(m):
-    ranks = np.random.default_rng(m).integers(0, factorial(m), size=5000)
-    ranks[:2] = (0, factorial(m) - 1)
-    assert np.array_equal(_ranks_to_permutations(ranks, m), _mask_ranks_to_permutations(ranks, m))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=20), st.data())
-def test_batch_decode_matches_rank_to_permutation(m, data):
-    top = factorial(m) - 1
-    ranks = [0, top] + data.draw(st.lists(st.integers(0, top), max_size=16))
-    got = _ranks_to_permutations(np.array(ranks, dtype=np.int64), m)
-    assert got.tolist() == [rank_to_permutation(v, m) for v in ranks]
-
-
-def test_batch_decode_largest_rank_does_not_overflow():
-    got = _ranks_to_permutations(np.array([factorial(20) - 1]), 20)
-    assert got.tolist() == [list(range(19, -1, -1))]
 
 
 @pytest.mark.parametrize(
@@ -514,9 +563,8 @@ def test_overflowed_scales_raise_rather_than_count_as_correct():
     # the config admits these, but one trial's statistic scale, or the
     # sampled noise scale at a 1e-300 s pulse width, overflows; the
     # nan matrices it would leave read as "no positive cycle", i.e. correct
-    perms = np.array([[0, 1], [1, 0]])
     with pytest.raises(NumericError):
-        statistic_matrices(perms, np.array([1.0, 1e300]), 1.0, 1e10,
+        statistic_matrices(2, np.array([1.0, 1e300]), 1.0, 1e10,
                            np.random.default_rng(0))
     cfg = SimConfig(m=2, n=1, snr_db=(0.0,), trials=10, mode="sampled",
                     energy=1e10, t=1e-300)

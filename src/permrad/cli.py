@@ -13,7 +13,7 @@ import re
 import sys
 import warnings
 from contextlib import contextmanager
-from math import isfinite, pi
+from math import inf, isfinite, isnan, pi
 
 import numpy as np
 
@@ -345,7 +345,13 @@ def _cmd_detect(args) -> int:
     return 0
 
 
+def _check_snr_grid(snr_db) -> None:
+    if len(snr_db) == 0:
+        raise ValidationError("snr grid must not be empty")
+
+
 def _cmd_bounds(args) -> int:
+    _check_snr_grid(args.snr_db)
     cfg = bnd.SeriesConfig(tol=args.series_tol, j_max=args.j_max)
     k = args.rician_k if args.channel == "rician" else 0.0
     header = [
@@ -440,12 +446,22 @@ def _cmd_af(args) -> int:
             f"grid steps must be at least 1, got --tau-steps {args.tau_steps}, "
             f"--doppler-steps {args.doppler_steps}"
         )
+    if args.workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {args.workers}")
     perm, params = _resolve_waveform(args)
     t = params.t
     tau_min = args.tau_min_sec if args.tau_min_sec is not None else -params.duration
     tau_max = args.tau_max_sec if args.tau_max_sec is not None else params.duration
     dop_min = args.doppler_min_hz if args.doppler_min_hz is not None else -2.0 / t
     dop_max = args.doppler_max_hz if args.doppler_max_hz is not None else 2.0 / t
+    for name, lo, hi in (("delay", tau_min, tau_max),
+                         ("2 pi doppler", 2.0 * pi * dop_min, 2.0 * pi * dop_max)):
+        # finite ends and span keep every linspace value finite
+        if not (isfinite(lo) and isfinite(hi) and isfinite(hi - lo)):
+            raise ValidationError(f"the {name} axis from {lo} to {hi} is not finite")
+    # the output grid is reserved, untouched, before the axes are built, so
+    # one too large for memory is refused before its axes take any
+    np.empty((args.tau_steps, args.doppler_steps))
     tau_axis = np.linspace(tau_min, tau_max, args.tau_steps)
     omega_axis = 2.0 * pi * np.linspace(dop_min, dop_max, args.doppler_steps)
     grid = radar.af_grid(perm, params, tau_axis, omega_axis, workers=args.workers)
@@ -480,6 +496,9 @@ def _cmd_af(args) -> int:
 
 
 def _cmd_crlb(args) -> int:
+    _check_snr_grid(args.snr_db)
+    if not isfinite(args.bt):
+        raise ValidationError(f"bandwidth-time product must be finite, got {args.bt}")
     perm, params = _resolve_waveform(args)
     b = args.bt / params.t
     header = [
@@ -499,14 +518,20 @@ def _cmd_crlb(args) -> int:
     indefinite = []
     for snr_db in args.snr_db:
         n0 = n0_from_snr_db(args.energy, snr_db)
+        fim = radar.fisher_matrix(perm, params, n0, b)
         try:
-            full = radar.crlb_full(perm, params, n0, b)
+            full = radar.crlb_from_fisher(fim)
         except NumericError:
             # the large-BT closed form loses positive definiteness when the
             # coupling entry dominates; report the gap instead of aborting
             full = (float("nan"), float("nan"))
             indefinite.append(snr_db)
         simple = radar.crlb_simplified(params, n0, b)
+        if not all(0.0 < x < inf for x in (*full, *simple) if not isnan(x)):
+            raise NumericError(
+                f"a bound at snr {snr_db} dB underflows to 0 or overflows",
+                j11=fim.j11, j12=fim.j12, j22=fim.j22, crlb_full=full, crlb_simplified=simple,
+            )
         lines.append(f"{_fmt(snr_db)},{_fmt(n0)},{_fmt(full[0])},{_fmt(full[1])},full")
         lines.append(f"{_fmt(snr_db)},{_fmt(n0)},{_fmt(simple[0])},{_fmt(simple[1])},simplified")
     if indefinite:
@@ -622,6 +647,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc or 'an allocation was refused'}\n")
         return 1
 
 

@@ -16,9 +16,8 @@ Estimation accuracy is characterized by the 2x2 Fisher information in
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from math import cos
+from math import cos, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -169,6 +168,9 @@ def af_grid(
     if workers > 1 and tau_axis.size > 1:
         chunks = np.array_split(np.arange(tau_axis.size), min(workers, tau_axis.size))
         args = [(list(perm), params, tau_axis[idx], omega_axis) for idx in chunks]
+        # imported here, as in simkit: a serial call does not load the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_af_grid_chunk, args))
         values = np.vstack(parts)
@@ -277,6 +279,10 @@ def fisher_matrix(
     j11 = (2.0 * b * c / t) * (1.0 - ((m - 1) / m) * cos(omega0 * t))
     j12 = -(c * t * t / 2.0) * weighted_tone_sum(perm, params)
     j22 = c * m * m * t * t / 12.0
+    if not (isfinite(j11) and isfinite(j12) and isfinite(j22)):
+        raise NumericError(
+            "Fisher matrix entry overflows", j11=j11, j12=j12, j22=j22, c=c, b=b
+        )
     return FisherMatrix(j11=j11, j12=j12, j22=j22, c=c, b=b, omega0=omega0)
 
 

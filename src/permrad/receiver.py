@@ -27,9 +27,10 @@ def statistic_matrices(
     energy: float,
     n0: float,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batch of correlation matrices of the identity tone order, drawn
-    directly from their exact statistics.
+    directly from their exact statistics (into ``out`` if given).
 
     The continuous receiver's matrix for gain g = |h|^2 has (energy/M) * g
     on the transmitted support, here the diagonal, plus iid real Gaussian
@@ -51,7 +52,7 @@ def statistic_matrices(
         raise NumericError(
             "statistic scales overflow", energy=energy, n0=n0, max_gain=float(gains.max())
         )
-    r = rng.standard_normal((batch, m, m))
+    r = rng.standard_normal((batch, m, m), out=out)
     r *= sigma[:, None, None]
     r.reshape(batch, m * m)[:, :: m + 1] += mu[:, None]  # the diagonal
     return r

@@ -13,6 +13,10 @@ sampled tones are orthogonal, so the two laws differ by one positive
 scale.  Sampled mode holds no samples; SimConfig still bounds the
 (m, samples_per_pulse) tone table its receiver is defined by.
 
+A block is drawn and decided in slices of at most _DECISION_ELEMS
+statistics, in order from the block's one generator, so its memory does
+not grow with M^2 and its numbers are those of one whole-block draw.
+
 Every trial sends the identity tone order.  Permutation codes are
 geometrically uniform: relabelling the columns of a trial's matrix by
 p^-1 turns a trial for symbol p into one for the identity, with the same
@@ -23,7 +27,6 @@ probability and no symbol needs to be drawn.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isfinite, sqrt
 from typing import Iterable
@@ -40,15 +43,17 @@ RECEIVERS = ("hungarian", "exhaustive")
 MODES = ("statistic", "sampled")
 
 # A fixed block size keeps the RNG block structure independent of trial
-# count and worker count.  Both modes hold (block, m, m) statistics only.
+# count and worker count.  A block holds its (block, n) fading draw; its
+# statistics are held one slice at a time.
 _BLOCK = 8192
 
 # float64 values of the sampled receiver's tone table, the real and
 # imaginary parts of its (m, samples_per_pulse) entries: 8 MiB
 _TONE_TABLE_BUDGET = 1 << 20
 
-# float64 elements per (slice, m, m) array of the block error test; its few
-# such temporaries stay near 2 MB, since peak memory is part of its cost
+# float64 elements per (slice, m, m) array: a block draws and decides its
+# statistics a slice at a time, in a workspace of three such arrays
+# (1.5 MB), since peak memory is part of its cost
 _DECISION_ELEMS = 1 << 16
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -176,7 +181,13 @@ def run_bler_sweep(cfg: SimConfig) -> list[BlerPoint]:
     """Monte Carlo BLER at every SNR point of the config."""
     if cfg.mode == "sampled":
         cfg.waveform_params()  # validate geometry up front
-    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    pool = None
+    if cfg.workers > 1:
+        # imported here: the pool's modules take a sizeable share of a
+        # serial CLI call's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=cfg.workers)
     try:
         return [
             _run_point(cfg, idx, pool) for idx in range(len(cfg.snr_db))
@@ -250,28 +261,43 @@ def _block_worker(args) -> int:
 
 
 def _run_block(cfg: SimConfig, point_idx: int, block_idx: int, size: int) -> int:
-    """Simulate one block of trials; returns the error count."""
+    """Simulate one block of trials; returns the error count.
+
+    After the block's fading draw, its statistics are drawn and decided a
+    slice of trials at a time from the block's generator.  Consecutive
+    normal draws continue one stream, so the slices hold the numbers of
+    one draw for the whole block.
+    """
     rng = np.random.default_rng([cfg.master_seed, point_idx, block_idx])
     n0 = n0_from_snr_db(cfg.energy, cfg.snr_db[point_idx])
     ch = cfg.channel_params(n0, cfg.snr_db[point_idx])
     h = draw_fading_batch(ch, rng, size)
+    step = max(1, _DECISION_ELEMS // (cfg.m * cfg.m))
+    # a slice's statistics and the decision's two temporaries, allocated
+    # once: slice-sized arrays allocated and freed slice by slice made the
+    # allocator hand their pages back and fault them in again
+    work = np.empty((3, min(step, size), cfg.m, cfg.m))
+    errors = 0
+    for lo in range(0, size, step):
+        h_part = h[lo : lo + step]
+        r = work[0, : h_part.shape[0]]
+        if cfg.mode == "statistic":
+            gains = np.sum(np.abs(h_part) ** 2, axis=1)
+            statistic_matrices(cfg.m, gains, cfg.energy, n0, rng, out=r)
+        else:
+            _sampled_matrices(cfg, h_part, n0, rng, out=r)
+        errors += int(np.count_nonzero(_block_errors(r, work[1:, : r.shape[0]])))
+    return errors
 
-    if cfg.mode == "statistic":
-        gains = np.sum(np.abs(h) ** 2, axis=1)
-        r_all = statistic_matrices(cfg.m, gains, cfg.energy, n0, rng)
-    else:
-        r_all = _sampled_matrices(cfg, h, n0, rng)
-    return int(np.count_nonzero(_block_errors(r_all)))
 
-
-def _block_errors(r_all: np.ndarray) -> np.ndarray:
+def _block_errors(r: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Per-trial error indicators of the optimal (max-sum assignment) detector
     for trials that sent the identity.
 
     Detection fails exactly when the identity is not an optimal assignment
     of r, i.e. when the swap graph W[n, n'] = r[n, n'] - r[n, n] has a
     cycle of positive weight (Klein's cycle-cancelling criterion).
-    Each chunk of trials is settled in this order:
+    The trials are settled in this order:
 
     * no positive edge: no positive cycle, the trial is correct;
     * a positive 2-cycle, W + W^T > 0 somewhere: the trial is an error;
@@ -283,35 +309,48 @@ def _block_errors(r_all: np.ndarray) -> np.ndarray:
       exists iff a positive cycle does.  Node m-1 is never needed as an
       intermediate: every cycle can be closed at its largest node.
 
-    Ties have probability zero under continuous noise.
+    Its float temporaries live in ``work``, shape (2,) + r.shape, which is
+    overwritten (allocated if not given); the rest are per-trial vectors
+    and boolean arrays.  So callers bound its memory by the slice they pass
+    (_run_block passes _DECISION_ELEMS values).  Ties have probability zero
+    under continuous noise.
     """
-    batch, m, _ = r_all.shape
+    batch, m, _ = r.shape
+    if work is None:
+        work = np.empty((2,) + r.shape)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    w = np.subtract(r, diag[:, :, None], out=work[0])  # zero diagonal
+    live = np.flatnonzero((w > 0).any(axis=(1, 2)))
+    # mode="clip" takes straight into out (the default buffers); the
+    # indices are in range either way
+    w = np.take(w, live, axis=0, out=work[1, : live.size], mode="clip")
+    t = np.add(w, w.transpose(0, 2, 1), out=work[0, : live.size])
+    err = (t > 0).any(axis=(1, 2))
+    d = w[:, 0, :].copy()  # column maxima; a middle-axis max() is slower
+    for n in range(1, m):
+        np.maximum(d, w[:, n, :], out=d)
+    np.add(d[:, :, None], w, out=t)
+    unsettled = np.flatnonzero(~err & (t > d[:, None, :]).any(axis=(1, 2)))
+    w = np.take(w, unsettled, axis=0, out=work[0, : unsettled.size], mode="clip")
+    step = work[1, : unsettled.size]
+    for k in range(m - 1):
+        np.add(w[:, :, k, None], w[:, None, k, :], out=step)
+        np.maximum(w, step, out=w)
+    err[unsettled] = (np.diagonal(w, axis1=1, axis2=2) > 0).any(axis=1)
     out = np.zeros(batch, dtype=bool)
-    chunk = max(1, _DECISION_ELEMS // (m * m))
-    for lo in range(0, batch, chunk):
-        r = r_all[lo : lo + chunk]
-        w = r - np.diagonal(r, axis1=1, axis2=2)[:, :, None]  # zero diagonal
-        live = np.flatnonzero((w > 0).any(axis=(1, 2)))
-        w = w[live]
-        err = (w + w.transpose(0, 2, 1) > 0).any(axis=(1, 2))
-        d = w[:, 0, :].copy()  # column maxima; a middle-axis max() is slower
-        for n in range(1, m):
-            np.maximum(d, w[:, n, :], out=d)
-        unsettled = np.flatnonzero(~err & (d[:, :, None] + w > d[:, None, :]).any(axis=(1, 2)))
-        w = w[unsettled]
-        step = np.empty_like(w)
-        for k in range(m - 1):
-            np.add(w[:, :, k, None], w[:, None, k, :], out=step)
-            np.maximum(w, step, out=w)
-        err[unsettled] = (np.diagonal(w, axis1=1, axis2=2) > 0).any(axis=1)
-        out[lo + live] = err
+    out[live] = err
     return out
 
 
 def _sampled_matrices(
-    cfg: SimConfig, h: np.ndarray, n0: float, rng: np.random.Generator
+    cfg: SimConfig,
+    h: np.ndarray,
+    n0: float,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Waveform-level correlation matrices of one block, drawn from their exact law.
+    """Waveform-level correlation matrices of one block, drawn from their
+    exact law (into ``out`` if given).
 
     The sampled receiver (combine the antennas with conj(h), correlate each
     pulse with the M sampled unit-energy tones) is linear: r = g * G
@@ -334,6 +373,6 @@ def _sampled_matrices(
             "sampled noise scale overflows", n0=n0, sample_rate=wf.sample_rate
         )
     gains = np.sum(np.abs(h) ** 2, axis=1)
-    r = statistic_matrices(wf.m, gains, wf.energy, n0, rng)
+    r = statistic_matrices(wf.m, gains, wf.energy, n0, rng, out=out)
     r *= sqrt(wf.energy) * sqrt(wf.m)
     return r

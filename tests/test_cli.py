@@ -2,14 +2,18 @@
 
 import contextlib
 import io
+import subprocess
+import sys
 import warnings
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permrad
 from permrad.cli import _COMMANDS, _fmt, build_parser, main
 from permrad.radar import af_grid
 from permrad.waveform import WaveformParams
@@ -197,6 +201,13 @@ def test_simulate_config_bad_value_exits_one(capsys, tmp_path, line):
          "--snr-db", "0", "--oversampling", "1000000000000"],
         ["af", "--m", "2", "--f0-hz", "1e308", "--tau-steps", "3", "--doppler-steps", "3"],
         ["crlb", "--m", "2", "--f0-hz", "1e308", "--snr-db", "0"],
+        ["crlb", "--m", "4", "--snr-db", "0", "--bt", "inf"],
+        ["bounds", "--m", "4", "--n", "1", "--snr-db", ","],
+        ["crlb", "--m", "4", "--snr-db", ","],
+        # far beyond any machine's memory: numpy refuses them before
+        # allocating anything
+        ["af", "--m", "4", "--tau-steps", "100000000", "--doppler-steps", "100000000"],
+        ["waveform", "--m", "4", "--oversampling", "100000000000000000"],
     ],
 )
 def test_out_of_range_value_exits_one(capsys, argv):
@@ -205,6 +216,22 @@ def test_out_of_range_value_exits_one(capsys, argv):
     assert _data_lines(out) == []
     assert err.count("error:") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--bt", "1e308"],  # the delay information entry overflows
+        ["--t-sec", "1e5", "--bt", "1e308", "--snr-db", "30"],  # its determinant does
+    ],
+)
+def test_crlb_overflow_exits_two_with_the_entries(capsys, flags):
+    rc, out, err = _run(capsys, ["crlb", "--m", "4", "--snr-db", "0", *flags])
+    assert rc == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("numeric error:")
+    assert all(f"'{key}'" in lines[1] for key in ("j11", "j12", "j22"))
 
 
 def test_sampled_simulation_does_not_depend_on_the_base_frequency(capsys):
@@ -404,6 +431,19 @@ def test_usage_errors_equal_those_of_the_parser_with_every_argument(capsys, argv
     assert capsys.readouterr().err == full
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only --workers > 1 uses a process pool; its modules are a sizeable
+    # share of a serial call's start-up
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import permrad.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    src = str(Path(permrad.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_parser_adds_only_the_invoked_subcommands_arguments():
     _, subs = build_parser("encode")
     assert list(subs) == ["encode"]
@@ -430,13 +470,17 @@ def test_unknown_subcommand_exits_one(capsys):
     "flags",
     [("--tau-steps", "0"), ("--doppler-steps", "0"), ("--t-sec", "0"),
      ("--delta-f-hz", "inf"), ("--delta-f-hz", "nan"), ("--f0-hz", "inf"),
-     ("--f0-hz", "nan"), ("--t-sec", "inf")],
+     ("--f0-hz", "nan"), ("--t-sec", "inf"), ("--workers", "0"), ("--workers", "-2"),
+     ("--doppler-min-hz", "nan"), ("--doppler-min-hz", "-inf"), ("--tau-max-sec", "inf"),
+     ("--doppler-max-hz", "1e308"), ("--tau-min-sec", "-1e308", "--tau-max-sec", "1e308")],
 )
 def test_af_degenerate_grid_exits_one(capsys, flags):
-    rc, _, err = _run(capsys, ["af", "--m", "4", *flags])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        rc, out, err = _run(capsys, ["af", "--m", "4", "--tau-steps", "3", *flags])
     assert rc == 1
-    assert err.count("error:") == 1
-    assert "Traceback" not in err
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_headers_echo_configuration(capsys):

@@ -1,5 +1,6 @@
 """Monte Carlo engine tests: determinism, receiver equivalence, exactness."""
 
+import tracemalloc
 from dataclasses import replace
 from math import erfc, factorial, sqrt
 
@@ -13,11 +14,13 @@ from permrad.errors import NumericError, ValidationError
 from permrad.lehmer import rank_to_permutation
 from permrad.receiver import exhaustive_detect, hungarian_detect, statistic_matrices
 from permrad.simkit import (
+    _BLOCK,
     _TONE_TABLE_BUDGET,
     BlerPoint,
     SimConfig,
     _block_errors,
     _blocks,
+    _run_block,
     _sampled_matrices,
     run_bler_sweep,
     wilson_interval,
@@ -231,10 +234,11 @@ class _StubRng:
     def __init__(self, identity):
         self.identity = identity
 
-    def standard_normal(self, shape):
-        if self.identity:
-            return np.broadcast_to(np.eye(shape[-1]), shape).copy()
-        return np.zeros(shape)
+    def standard_normal(self, shape, out=None):
+        if out is None:
+            out = np.empty(shape)
+        out[...] = np.eye(shape[-1]) if self.identity else 0.0
+        return out
 
 
 # default geometry; a tone offset; delta_f * t = 2 with t != 1; an explicit
@@ -570,6 +574,21 @@ def test_overflowed_scales_raise_rather_than_count_as_correct():
                     energy=1e10, t=1e-300)
     with pytest.raises(NumericError):
         run_bler_sweep(cfg)
+
+
+def test_block_memory_does_not_grow_with_m_squared():
+    # drawn whole, a full M=20 block's statistics are 8192 * 400 float64
+    # values (26 MB); drawn and decided in slices, the block stays within
+    # its fading draw and a few slice-sized temporaries
+    cfg = SimConfig(m=20, n=1, snr_db=(24.0,), channel="rician", k=1.0, trials=_BLOCK)
+    tracemalloc.start()
+    try:
+        errors = _run_block(cfg, 0, 0, _BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < errors < _BLOCK
+    assert peak <= 4 * 2**20
 
 
 def test_sampled_block_draw_budget():

@@ -1,7 +1,6 @@
 """Frequency-permutation stepped-frequency waveforms for joint radar and communications."""
 
 from .bounds import (
-    SeriesConfig,
     nn_awgn,
     nn_rayleigh,
     nn_rician,
@@ -42,7 +41,6 @@ __all__ = [
     "FisherMatrix",
     "NumericError",
     "PermradError",
-    "SeriesConfig",
     "SimConfig",
     "ValidationError",
     "WaveformParams",

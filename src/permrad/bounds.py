@@ -4,37 +4,48 @@ Every bound is assembled from the pairwise error probability between two
 waveforms whose tone orders differ in l pulse slots.  The number of
 rivals at distance l is subfactorial(l) * C(M, l); summing pairwise
 terms over l = 2..M gives the union bound, keeping only l = 2 gives the
-nearest-neighbour approximation.  Under fading the pairwise term is the
-chi-vs-normal probability Pr[chi(2L) < sqrt(c) Z], computed from its
-positive-term closed form in doubles at every order; Rayleigh uses it
-directly and Rician mixes it over a Poisson series of orders.  Values are
-returned unclamped: a bound may exceed 1 at low SNR.
+nearest-neighbour approximation.  Over AWGN the pairwise term is
+Q(sqrt(N snr l / M)).  Under Rician fading with factor K (Rayleigh is
+K = 0) it is Craig's integral of the fading MGF (Craig, MILCOM 1991;
+Simon & Alouini, Digital Communication over Fading Channels, ch. 5):
+
+    P2(l) = (1/pi) int_0^{pi/2} M(snr l / (2 M sin^2 t)) dt,
+    M(s) = ((1+K) / (1+K+s))^N exp(-N K s / (1+K+s)),
+
+evaluated for every l of a call in one array on a fixed tanh-sinh rule
+and checked against the rule's nested half.  Values are returned
+unclamped: a bound may exceed 1 at low SNR.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb, erfc, exp, fsum, isfinite, lgamma, log, log1p, sqrt
+from math import comb, erfc, fsum, isfinite, sqrt
+
+import numpy as np
 
 from .errors import NumericError, ValidationError
 from .lehmer import MAX_M
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation controls for the Poisson-weighted fading series."""
-
-    tol: float = 1e-12
-    j_max: int = 200
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValidationError(f"series tolerance must be positive, got {self.tol}")
-        if self.j_max < 1:
-            raise ValidationError(f"series cap must be at least 1, got {self.j_max}")
+def _craig_rule() -> tuple[np.ndarray, np.ndarray]:
+    """sin^2 of the nodes, and the weights (1/pi included), of a 257-node
+    tanh-sinh rule on [0, pi/2]: theta = (pi/2) / (1 + exp(-pi sinh t)) at
+    t = -4..4 in steps of 1/32.  Its even nodes at double weight form the
+    nested rule of step 1/16.
+    """
+    t = np.arange(-128, 129) / 32.0
+    e = np.exp(-np.pi * np.sinh(t))
+    return np.sin(0.5 * np.pi / (1.0 + e)) ** 2, (np.pi / 64.0) * np.cosh(t) * e / (1.0 + e) ** 2
 
 
-DEFAULT_SERIES = SeriesConfig()
+_SIN2, _WEIGHTS = _craig_rule()
+# Relative gap allowed between the two rule levels.  The largest gap seen,
+# over M <= 20, N <= 2000, K <= 1e8 and -80..80 dB, is 3.6e-8 (at the lowest
+# SNRs); over M <= 20, N <= 32, K <= 100 and -30..40 dB the fine level stays
+# within 1e-13 of adaptive quadrature.
+_AGREE = 1e-6
+# gaps below the smallest normal double are underflow, not disagreement
+_TINY = float(np.finfo(float).tiny)
 
 
 def subfactorial(x: int) -> int:
@@ -67,9 +78,9 @@ def _check_common(m: int, n: int, snr: float) -> None:
         raise ValidationError(f"snr must be positive, got {snr}")
 
 
-def _alpha_sq(l: int, m: int, snr: float) -> float:
-    """Square of the noise-to-signal scale for an l-slot mismatch."""
-    return m / (snr * l)
+def _check_k(k: float) -> None:
+    if not (k >= 0 and isfinite(k)):
+        raise ValidationError(f"Rician factor must be non-negative and finite, got {k}")
 
 
 def union_bound_awgn(m: int, n: int, snr: float) -> float:
@@ -88,99 +99,61 @@ def nn_awgn(m: int, n: int, snr: float) -> float:
     return (m * (m - 1) / 2.0) * qfunc(sqrt(n * snr * 2 / m))
 
 
-def _normal_exceeds_chi(order: int, c: float) -> float:
-    """Pr[chi(2*order) < sqrt(c) * Z], the chi-vs-normal probability.
+def _craig_pairwise(ls: np.ndarray, m: int, n: int, k: float, snr: float) -> np.ndarray:
+    """Craig/MGF pairwise terms for the slot mismatches ls, one (l, node) array.
 
-    Positive-term closed form (Proakis, Digital Communications, eq. 14.4-15):
-    ((1-mu)/2)^order * sum_{k<order} C(order-1+k, k) ((1+mu)/2)^k with
-    mu = 1/sqrt(1+c).  For c < 1, 1-mu is formed as c/(s(s+1)) with
-    s = sqrt(1+c), so small c does not cancel.  The terms are summed in the
-    log domain, shifted by the largest, so nothing overflows or underflows
-    before the result does.
+    The MGF is taken through r = 1/s = 2 M sin^2(t) / (snr l) and
+    a = 1/(1+K) as exp(-N [log1p(a/r) + K a / (r + a)]), which stays
+    finite as s -> inf (r = 0) and for K up to the largest double.  Raises
+    NumericError with both values when the rule and its nested half disagree.
     """
-    s = sqrt(1.0 + c)
-    # (1 - mu) / 2; the direct form for c >= 1 also covers c = inf (zero SNR)
-    half_gap = 0.5 * c / (s * (s + 1.0)) if c < 1.0 else 0.5 * (1.0 - 1.0 / s)
-    if half_gap == 0.0:  # infinite SNR
-        return 0.0
-    log_b = log1p(-half_gap)  # log((1 + mu) / 2)
-    base = lgamma(order)
-    logs = [lgamma(order + k) - lgamma(k + 1) - base + k * log_b for k in range(order)]
-    top = max(logs)
-    total = fsum(exp(t - top) for t in logs)
-    return exp(order * log(half_gap) + top + log(total))
+    a = 1.0 / (1.0 + k)
+    with np.errstate(divide="ignore", over="ignore"):
+        r = (2.0 * m / snr / ls)[:, None] * _SIN2
+        vals = np.exp(-n * (np.log1p(a / r) + (k * a) / (r + a)))
+    # summed per row rather than by BLAS, so a row does not depend on which
+    # other l share the call: the l = 2 term of the union bound is the NN term
+    fine = (vals * _WEIGHTS).sum(axis=1)
+    coarse = 2.0 * (vals[:, ::2] * _WEIGHTS[::2]).sum(axis=1)
+    bad = np.abs(fine - coarse) > _AGREE * fine + _TINY
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericError(
+            "fading integral did not converge: the rule and its nested half disagree",
+            l=int(ls[i]), fine=float(fine[i]), coarse=float(coarse[i]),
+            m=m, n=n, k=k, snr=snr,
+        )
+    return fine
 
 
-def pairwise_rician(
-    l: int,
-    m: int,
-    n: int,
-    k: float,
-    snr: float,
-    cfg: SeriesConfig = DEFAULT_SERIES,
-) -> float:
-    """Pairwise error probability for an l-slot mismatch under Rician fading.
-
-    Poisson-weighted series over the non-central chi-square mixture; the
-    term of weight j is the positive-term closed form _normal_exceeds_chi
-    at order n + j.  Truncates once a term past the Poisson mode drops
-    below cfg.tol times the partial sum; failing to converge within
-    cfg.j_max raises NumericError.
-    """
+def pairwise_rician(l: int, m: int, n: int, k: float, snr: float) -> float:
+    """Pairwise error probability for an l-slot mismatch under Rician fading."""
     _check_common(m, n, snr)
     if not 2 <= l <= m:
         raise ValidationError(f"slot mismatch l must lie in [2, {m}], got {l}")
-    if not (k >= 0 and isfinite(k)):
-        raise ValidationError(f"Rician factor must be non-negative and finite, got {k}")
-    c = 2.0 * _alpha_sq(l, m, snr) * (k + 1.0)
-    nk = n * k
-    if nk == 0:
-        return _normal_exceeds_chi(n, c)
-    total = 0.0
-    log_nk = log(nk)
-    for j in range(cfg.j_max + 1):
-        weight = exp(j * log_nk - nk - lgamma(j + 1))
-        term = weight * _normal_exceeds_chi(n + j, c)
-        total += term
-        # the Poisson weights rise until j ~ nk; only truncate past the mode
-        if j > nk and term <= cfg.tol * total:
-            return total
-    raise NumericError(
-        f"fading series did not converge within j_max={cfg.j_max}",
-        j_max=cfg.j_max,
-        last_term=term,
-        partial_sum=total,
-        poisson_mean=nk,
-    )
+    _check_k(k)
+    return float(_craig_pairwise(np.array([l], dtype=float), m, n, k, snr)[0])
 
 
-def union_bound_rician(
-    m: int, n: int, k: float, snr: float, cfg: SeriesConfig = DEFAULT_SERIES
-) -> float:
+def union_bound_rician(m: int, n: int, k: float, snr: float) -> float:
     """Union bound over Rician fading with factor k."""
-    return fsum(
-        subfactorial(l) * comb(m, l) * pairwise_rician(l, m, n, k, snr, cfg)
-        for l in range(2, m + 1)
-    )
+    _check_common(m, n, snr)
+    _check_k(k)
+    ls = range(2, m + 1)
+    terms = _craig_pairwise(np.array(ls, dtype=float), m, n, k, snr)
+    return fsum(subfactorial(l) * comb(m, l) * p for l, p in zip(ls, terms.tolist()))
 
 
-def nn_rician(
-    m: int, n: int, k: float, snr: float, cfg: SeriesConfig = DEFAULT_SERIES
-) -> float:
+def nn_rician(m: int, n: int, k: float, snr: float) -> float:
     """Nearest-neighbour approximation over Rician fading."""
-    return (m * (m - 1) / 2.0) * pairwise_rician(2, m, n, k, snr, cfg)
+    return (m * (m - 1) / 2.0) * pairwise_rician(2, m, n, k, snr)
 
 
 def union_bound_rayleigh(m: int, n: int, snr: float) -> float:
-    """Union bound over Rayleigh fading: the k = 0 closed form, no series."""
-    _check_common(m, n, snr)
-    return fsum(
-        subfactorial(l) * comb(m, l) * _normal_exceeds_chi(n, 2.0 * _alpha_sq(l, m, snr))
-        for l in range(2, m + 1)
-    )
+    """Union bound over Rayleigh fading: the Rician bound at k = 0."""
+    return union_bound_rician(m, n, 0.0, snr)
 
 
 def nn_rayleigh(m: int, n: int, snr: float) -> float:
-    """Nearest-neighbour approximation over Rayleigh fading."""
-    _check_common(m, n, snr)
-    return (m * (m - 1) / 2.0) * _normal_exceeds_chi(n, 2.0 * _alpha_sq(2, m, snr))
+    """Nearest-neighbour approximation over Rayleigh fading: Rician at k = 0."""
+    return nn_rician(m, n, 0.0, snr)

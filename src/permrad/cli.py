@@ -136,8 +136,6 @@ def _bounds_arguments(p: _Parser) -> None:
     p.add_argument("--rician-k", type=float, default=0.0, help="Rician factor (linear)")
     p.add_argument("--snr-db", "--snr-db-list", dest="snr_db", type=_float_list, required=True,
                    help="comma-separated SNR grid in dB (snr = energy/n0)")
-    p.add_argument("--series-tol", type=float, default=1e-12, help="fading series truncation")
-    p.add_argument("--j-max", type=int, default=200, help="fading series term cap")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_bounds)
 
@@ -352,7 +350,6 @@ def _check_snr_grid(snr_db) -> None:
 
 def _cmd_bounds(args) -> int:
     _check_snr_grid(args.snr_db)
-    cfg = bnd.SeriesConfig(tol=args.series_tol, j_max=args.j_max)
     k = args.rician_k if args.channel == "rician" else 0.0
     header = [
         ("command", "bounds"),
@@ -361,8 +358,6 @@ def _cmd_bounds(args) -> int:
         ("channel", args.channel),
         ("rician_k", _fmt(k)),
         ("snr_db", ",".join(_fmt(x) for x in args.snr_db)),
-        ("series_tol", _fmt(args.series_tol)),
-        ("j_max", args.j_max),
         ("snr_definition", "energy/n0 per receive antenna"),
     ]
     lines = ["snr_db,ub,nn,channel,M,N,K"]
@@ -374,12 +369,9 @@ def _cmd_bounds(args) -> int:
         if args.channel == "awgn":
             ub = bnd.union_bound_awgn(args.m, args.n, snr)
             nn = bnd.nn_awgn(args.m, args.n, snr)
-        elif args.channel == "rician":
-            ub = bnd.union_bound_rician(args.m, args.n, k, snr, cfg)
-            nn = bnd.nn_rician(args.m, args.n, k, snr, cfg)
-        else:
-            ub = bnd.union_bound_rayleigh(args.m, args.n, snr)
-            nn = bnd.nn_rayleigh(args.m, args.n, snr)
+        else:  # Rayleigh is the Rician bound at k = 0
+            ub = bnd.union_bound_rician(args.m, args.n, k, snr)
+            nn = bnd.nn_rician(args.m, args.n, k, snr)
         lines.append(
             f"{_fmt(snr_db)},{_fmt(ub)},{_fmt(nn)},{args.channel},{args.m},{args.n},{_fmt(k)}"
         )

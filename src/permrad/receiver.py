@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -132,6 +133,10 @@ def _checked_square(r: np.ndarray) -> np.ndarray:
         raise ValidationError(f"correlation matrix must be square, got shape {r.shape}")
     if not np.all(np.isfinite(r)):
         raise ValidationError("correlation matrix contains non-finite entries")
+    # the detectors form shifted costs and sums of up to m entries; past
+    # this bound they overflow to inf
+    if not isfinite(2.0 * r.shape[0] * float(np.abs(r).max())):
+        raise ValidationError("correlation matrix entries too large: sums would overflow a double")
     return r
 
 

@@ -1,15 +1,14 @@
-"""Bound tests: derangement counts, Q values, and the fading closed forms."""
+"""Bound tests: derangement counts, Q values, and the fading Craig/MGF integral."""
 
 from itertools import permutations
-from math import comb, factorial, sqrt
+from math import comb, exp, factorial, fsum, lgamma, log, log1p, sqrt
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import permrad.bounds as bnd
 from permrad.bounds import (
-    DEFAULT_SERIES,
-    SeriesConfig,
     nn_awgn,
     nn_rayleigh,
     nn_rician,
@@ -120,6 +119,44 @@ def test_bound_can_exceed_one_and_clamp():
     assert clamp(ub) == 1.0
 
 
+# --- Rayleigh oracle ----------------------------------------------------------
+
+
+def _normal_exceeds_chi(order: int, c: float) -> float:
+    """Pr[chi(2*order) < sqrt(c) * Z], the chi-vs-normal probability; with
+    c = 2 M / (snr l) it is the Rayleigh pairwise term at N = order.
+
+    Positive-term closed form (Proakis, Digital Communications, eq. 14.4-15):
+    ((1-mu)/2)^order * sum_{k<order} C(order-1+k, k) ((1+mu)/2)^k with
+    mu = 1/sqrt(1+c).  For c < 1, 1-mu is formed as c/(s(s+1)) with
+    s = sqrt(1+c), so small c does not cancel.  The terms are summed in the
+    log domain, shifted by the largest, so nothing overflows or underflows
+    before the result does.
+    """
+    s = sqrt(1.0 + c)
+    # (1 - mu) / 2; the direct form for c >= 1 also covers c = inf (zero SNR)
+    half_gap = 0.5 * c / (s * (s + 1.0)) if c < 1.0 else 0.5 * (1.0 - 1.0 / s)
+    if half_gap == 0.0:  # infinite SNR
+        return 0.0
+    log_b = log1p(-half_gap)  # log((1 + mu) / 2)
+    base = lgamma(order)
+    logs = [lgamma(order + k) - lgamma(k + 1) - base + k * log_b for k in range(order)]
+    top = max(logs)
+    total = fsum(exp(t - top) for t in logs)
+    return exp(order * log(half_gap) + top + log(total))
+
+
+@pytest.mark.parametrize("order", range(1, 46))
+def test_rayleigh_against_closed_form_oracle(order):
+    for m in (4, 20):
+        for l in (2, m):
+            for snr_db in (-30.0, 0.0, 20.0, 60.0):
+                snr = 10.0 ** (snr_db / 10.0)
+                oracle = _normal_exceeds_chi(order, 2.0 * m / (snr * l))
+                got = pairwise_rician(l, m, order, 0.0, snr)
+                assert got == pytest.approx(oracle, rel=1e-9, abs=0), (m, l, snr_db)
+
+
 # --- fading bounds ----------------------------------------------------------
 
 
@@ -192,31 +229,39 @@ def test_high_snr_rician_vanishes():
     assert pairwise_rician(2, 4, 2, 1.0, 1e9) <= 1e-9
 
 
-def test_series_invariant_under_doubling_cap():
-    cfg_a = SeriesConfig(tol=1e-12, j_max=200)
-    cfg_b = SeriesConfig(tol=1e-12, j_max=400)
-    for k in (0.5, 1.0, 4.0):
-        a = union_bound_rician(4, 4, k, 10.0, cfg_a)
-        b = union_bound_rician(4, 4, k, 10.0, cfg_b)
+def test_union_bound_invariant_under_halving_the_rule(monkeypatch):
+    fine = [union_bound_rician(4, 4, k, 10.0) for k in (0.5, 1.0, 4.0)]
+    # evaluate on the nested coarse rule alone: every other node, double weight
+    monkeypatch.setattr(bnd, "_SIN2", bnd._SIN2[::2])
+    monkeypatch.setattr(bnd, "_WEIGHTS", 2.0 * bnd._WEIGHTS[::2])
+    coarse = [union_bound_rician(4, 4, k, 10.0) for k in (0.5, 1.0, 4.0)]
+    for a, b in zip(fine, coarse):
         assert abs(a - b) < 1e-10
 
 
-def test_series_non_convergence_raises_with_diagnostics():
-    cfg = SeriesConfig(tol=1e-12, j_max=3)
+def _disagreeing_rule(monkeypatch):
+    # doubling the odd nodes' weights moves the fine level but not the coarse
+    weights = bnd._WEIGHTS.copy()
+    weights[1::2] *= 2.0
+    monkeypatch.setattr(bnd, "_WEIGHTS", weights)
+
+
+def test_rule_disagreement_raises_with_diagnostics(monkeypatch):
+    _disagreeing_rule(monkeypatch)
     with pytest.raises(NumericError) as info:
-        pairwise_rician(2, 4, 4, 6.0, 2.0, cfg)  # Poisson mean 24 needs many terms
+        pairwise_rician(2, 4, 4, 6.0, 2.0)
     details = info.value.details
-    assert details["j_max"] == 3
-    assert "partial_sum" in details and "last_term" in details
+    assert details["l"] == 2
+    assert details["fine"] > 0.0 and details["coarse"] > 0.0
+    assert abs(details["fine"] - details["coarse"]) > 1e-6 * details["fine"]
 
 
 def test_large_order_path_is_sane():
-    # Poisson mean 40 pushes chi-square orders past the float-precision cutoff
-    cfg = SeriesConfig(tol=1e-12, j_max=400)
-    lo_snr = pairwise_rician(2, 4, 4, 10.0, 0.5, cfg)
-    hi_snr = pairwise_rician(2, 4, 4, 10.0, 50.0, cfg)
+    # N K = 40: a strong line-of-sight term at four antennas
+    lo_snr = pairwise_rician(2, 4, 4, 10.0, 0.5)
+    hi_snr = pairwise_rician(2, 4, 4, 10.0, 50.0)
     assert 0.0 < hi_snr < lo_snr < 0.5
-    # cross-check the heavy-series value by Monte Carlo
+    # cross-check the value by Monte Carlo
     rng = np.random.default_rng(12)
     size = 2_000_000
     n, k = 4, 10.0
@@ -251,12 +296,7 @@ def test_validation():
     with pytest.raises(ValidationError):
         pairwise_rician(2, 4, 1, -1.0, 1.0)
     with pytest.raises(ValidationError):
-        SeriesConfig(tol=0.0)
-
-
-def test_default_series_tolerances():
-    assert DEFAULT_SERIES.tol == 1e-12
-    assert DEFAULT_SERIES.j_max == 200
+        union_bound_rician(4, 1, float("inf"), 1.0)
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 9, 17, 30, 33, 45])
@@ -264,7 +304,6 @@ def test_default_series_tolerances():
 def test_chi_probability_against_angular_quadrature(order, c):
     # independent route: the probability has the angular integral form
     # (1/pi) * int_0^{pi/2} (sin^2 t / (1/c + sin^2 t))^order dt
-    from permrad.bounds import _normal_exceeds_chi
 
     def integrand(theta):
         s2 = np.sin(theta) ** 2
@@ -295,14 +334,39 @@ def _rician_mgf_oracle(l, m, n, k, snr):
      (2, 4, 4, 10.0, 50.0), (16, 16, 8, 2.0, 1000.0)],
 )
 def test_pairwise_rician_against_mgf_quadrature(l, m, n, k, snr):
-    # high SNR, large N and large K feed high chi-square orders into the series
+    # high SNR, large N and large K
     oracle = _rician_mgf_oracle(l, m, n, k, snr)
     assert pairwise_rician(l, m, n, k, snr) == pytest.approx(oracle, rel=1e-9, abs=0)
 
 
-def test_chi_probability_decreases_with_order():
-    from permrad.bounds import _normal_exceeds_chi
+@pytest.mark.parametrize("n", [1, 4, 32])
+@pytest.mark.parametrize("m", [4, 8, 16, 20])
+def test_pairwise_rician_grid_against_quadrature(m, n):
+    # includes N = 32, K = 100 at 40 dB, where both underflow to exactly 0
+    for k in (0.0, 1.0, 10.0, 100.0):
+        for snr_db in range(-30, 41, 10):
+            snr = 10.0 ** (snr_db / 10.0)
+            for l in (2, m):
+                oracle = _rician_mgf_oracle(l, m, n, k, snr)
+                got = pairwise_rician(l, m, n, k, snr)
+                assert got == pytest.approx(oracle, rel=1e-9, abs=0), (k, snr_db, l)
 
+
+@pytest.mark.parametrize("snr_db", [-30.0, 0.0, 10.0, 20.0])
+@pytest.mark.parametrize("n", [1, 4, 32])
+def test_largest_rician_factor_is_the_awgn_limit(n, snr_db):
+    # as K -> inf the MGF tends to exp(-N s) and the Craig integral to
+    # Q(sqrt(N snr l / M)); at K = 1e308 the two agree to rounding
+    snr = 10.0 ** (snr_db / 10.0)
+    for m in (4, 20):
+        for l in (2, m):
+            oracle = qfunc(sqrt(n * snr * l / m))
+            if oracle > 1e-300:
+                got = pairwise_rician(l, m, n, 1e308, snr)
+                assert got == pytest.approx(oracle, rel=1e-9, abs=0), (m, l)
+
+
+def test_chi_probability_decreases_with_order():
     values = [_normal_exceeds_chi(order, 1.5) for order in (1, 2, 5, 20, 29, 31, 35, 40)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(0.0 < v < 0.5 for v in values)
@@ -311,16 +375,12 @@ def test_chi_probability_decreases_with_order():
 def test_chi_probability_snr_limits():
     # c = 0 is infinite SNR (no error); c = inf is a vanishing SNR, where the
     # probability tends to Pr[Z > 0] = 1/2 at every order
-    from permrad.bounds import _normal_exceeds_chi
-
     for order in (1, 2, 30, 230):
         assert _normal_exceeds_chi(order, 0.0) == 0.0
         assert _normal_exceeds_chi(order, float("inf")) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_chi_probability_float_path_matches_sampling():
-    from permrad.bounds import _normal_exceeds_chi
-
     # a high order, checked by direct sampling of the defining probability
     for c in (0.2, 1.0, 5.0):
         with_floats = _normal_exceeds_chi(30, c)

@@ -5,7 +5,7 @@ import io
 import subprocess
 import sys
 import warnings
-from math import pi
+from math import isfinite, pi
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,8 @@ import permrad
 from permrad.cli import _COMMANDS, _fmt, build_parser, main
 from permrad.radar import af_grid
 from permrad.waveform import WaveformParams
+from test_bounds import _disagreeing_rule, _rician_mgf_oracle
+from test_receiver import OVERFLOWING
 
 
 def _run(capsys, argv):
@@ -105,14 +107,62 @@ def test_bounds_rician_runs(capsys):
     assert len(_data_lines(out)) == 4
 
 
-def test_bounds_numeric_failure_exit_code(capsys):
+def test_bounds_numeric_failure_exit_code(capsys, monkeypatch):
+    _disagreeing_rule(monkeypatch)
     rc, _, err = _run(
         capsys,
         ["bounds", "--m", "4", "--n", "4", "--channel", "rician",
-         "--rician-k", "8.0", "--snr-db", "5", "--j-max", "2"],
+         "--rician-k", "8.0", "--snr-db", "5"],
     )
     assert rc == 2
     assert "numeric error" in err
+    details = err.split("details: ", 1)[1]
+    assert "'fine':" in details and "'coarse':" in details
+
+
+@pytest.mark.parametrize("flag,value", [("--j-max", "200"), ("--series-tol", "1e-12")])
+def test_bounds_retired_series_flags_exit_1(capsys, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main(["bounds", "--m", "4", "--n", "2", "--channel", "rician", "--snr-db", "0",
+              flag, value])
+    assert info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("snr_db", ["-3000", "-30", "0", "40", "3000"])
+@pytest.mark.parametrize("k", ["0", "1e-300", "1", "1e308"])
+@pytest.mark.parametrize("n", ["1", "32"])
+@pytest.mark.parametrize("m", ["2", "20"])
+@pytest.mark.parametrize("channel", ["rician", "rayleigh"])
+def test_fading_bounds_are_finite(capsys, channel, m, n, k, snr_db):
+    rc, out, err = _run(capsys, ["bounds", "--m", m, "--n", n, "--channel", channel,
+                                 "--rician-k", k, "--snr-db", snr_db])
+    assert rc == 0, err
+    (row,) = _data_lines(out)[1:]
+    ub, nn = (float(x) for x in row.split(",")[1:3])
+    assert isfinite(ub) and isfinite(nn)
+    assert 0.0 <= nn <= ub
+
+
+def test_bounds_many_antennas_strong_los_matches_quadrature(capsys):
+    # the Poisson series this replaced needed more than its 200-term cap here
+    rc, out, _ = _run(capsys, ["bounds", "--m", "16", "--n", "32", "--channel", "rician",
+                               "--rician-k", "8", "--snr-db", "20"])
+    assert rc == 0
+    nn = float(_data_lines(out)[1].split(",")[2])
+    oracle = 120.0 * _rician_mgf_oracle(2, 16, 32, 8.0, 100.0)
+    assert oracle > 0.0
+    assert nn == pytest.approx(oracle, rel=1e-9, abs=0)
+
+
+def test_bounds_largest_rician_factor_completes(capsys):
+    # with N K = inf the Poisson series this replaced ran to its term cap
+    rc, out, _ = _run(capsys, ["bounds", "--m", "4", "--n", "2", "--channel", "rician",
+                               "--rician-k", "1e308", "--snr-db", "0,10"])
+    assert rc == 0
+    assert len(_data_lines(out)) == 3
 
 
 def test_simulate_reproducible_byte_for_byte(capsys):
@@ -375,6 +425,16 @@ def test_selftest_passes(capsys):
     assert all(line.endswith("ok") for line in _data_lines(out))
 
 
+@pytest.mark.parametrize("receiver", ["hungarian", "exhaustive"])
+def test_detect_refuses_overflowing_matrix(capsys, tmp_path, receiver):
+    path = tmp_path / "overflow.csv"
+    path.write_text(_OVERFLOWING_CSV)
+    rc, out, err = _run(capsys, ["detect", "--matrix", str(path), "--receiver", receiver])
+    assert rc == 1
+    assert out == ""
+    assert err.count("error:") == 1 and "overflow" in err
+
+
 def test_detect_with_oracle_receiver(capsys, tmp_path):
     path = tmp_path / "matrix.csv"
     path.write_text("-4,-3,-2,-6\n-2,1,0,-4\n4,-2,5,-3\n5,4,-4,3\n")
@@ -387,7 +447,7 @@ def test_detect_with_oracle_receiver(capsys, tmp_path):
     "sub,flags",
     [
         ("waveform", ("--t-sec", "--delta-f-hz", "--f0-hz", "--energy")),
-        ("bounds", ("--snr-db", "--rician-k", "--j-max")),
+        ("bounds", ("--snr-db", "--rician-k", "--channel")),
         ("simulate", ("--trials", "--seed", "--workers", "--mode")),
         ("af", ("--tau-min-sec", "--doppler-min-hz", "--tau-steps")),
         ("crlb", ("--bt", "--snr-db", "--t-sec")),
@@ -509,8 +569,6 @@ def test_output_file_writing(tmp_path, capsys):
 # takes milliseconds.  A sampled trial costs the same at any oversampling,
 # so a valid --oversampling goes up to 4096 samples per pulse; a bad one may
 # be huge, since a tone table over its budget is refused before it is built.
-# --j-max stays at or below 200: with a huge cap an unconvergeable Rician
-# series (--rician-k 1e308) loops until the cap.
 _M = (["1", "2", "3", "4", "8"], ["0", "-1", "21", "99999999999999999999", "1.5", "x", ""])
 _N = (["1", "2", "3"], ["0", "-2", "1e3", "x"])
 _CHANNEL = (["awgn", "rayleigh", "rician"], ["fso"])
@@ -523,8 +581,7 @@ _FLAGS = {
     "decode": {"--perm": (["0,3,2,1", "2,0,1", "0"], ["-1,0", "0,0", ",", "1", "0,1,x", ""])},
     "bounds": {
         "--m": (["2", "3", "4"], _M[1]), "--n": _N, "--channel": _CHANNEL, "--rician-k": _K,
-        "--snr-db": _SNR, "--series-tol": (["1e-12", "1e-6"], ["0", "-1", "nan", "x"]),
-        "--j-max": (["200", "100"], ["0", "-3", "1e3", "x"]),
+        "--snr-db": _SNR,
     },
     "detect": {"--matrix": None, "--receiver": (["hungarian", "exhaustive"], ["genie"])},
     "simulate": {
@@ -559,12 +616,14 @@ _FLAGS = {
 _REQUIRED = {"encode": ["--m", "--symbol"], "decode": ["--perm"],
              "bounds": ["--m", "--n", "--snr-db"], "detect": ["--matrix"], "simulate": [],
              "af": ["--m"]}
+_OVERFLOWING_CSV = "".join(",".join(repr(x) for x in row) + "\n" for row in OVERFLOWING.tolist())
 _MATRICES = {
     "golden.csv": "-4,-3,-2,-6\n-2,1,0,-4\n4,-2,5,-3\n5,4,-4,3\n",
     "ragged.csv": "1,2\n3\n",
     "text.csv": "1,x\n3,4\n",
     "nonfinite.csv": "nan,1\n1,inf\n",
     "huge.csv": "1e308,-1e308\n-1e308,1e308\n",
+    "overflow.csv": _OVERFLOWING_CSV,
     "wide.csv": "1,2,3\n4,5,6\n",
     "scalar.csv": "5\n",
     "empty.csv": "",

@@ -266,6 +266,37 @@ def test_detector_input_validation():
         hungarian_detect(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+# finite, but its shifted cost r.max() - r overflows to inf, on which the
+# assignment core never terminated
+OVERFLOWING = np.array(
+    [
+        [-1e308, -1e308, -1e308, -1e308, 1.7e308],
+        [-1e308, -1e308, -1.7e308, -1.7e308, 1e308],
+        [-1.0, 1e308, 1.0, 1.7e308, 0.0],
+        [1e308, 1e308, -1.7e308, 0.0, 0.0],
+        [-1.0, 0.0, -1.0, 0.0, 1e308],
+    ]
+)
+
+
+@pytest.mark.parametrize("detect", [hungarian_detect, exhaustive_detect])
+def test_detectors_refuse_entries_whose_sums_overflow(detect):
+    with pytest.raises(ValidationError, match="overflow"):
+        detect(OVERFLOWING)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
+def test_detectors_at_the_overflow_limit_match_the_rescaled_matrix(m, seed):
+    # largest entries accepted: 2 m max|r| is the largest finite double
+    r = np.random.default_rng(seed).normal(size=(m, m))
+    r /= np.abs(r).max()
+    r *= np.nextafter(np.finfo(float).max / (2 * m), 0.0)
+    small = r * 2.0**-900  # exact: a power-of-two scale of normal doubles
+    for detect in (hungarian_detect, exhaustive_detect):
+        assert detect(r) == detect(small)
+
+
 def test_permutation_table_matches_codec():
     for m in range(1, 6):
         table = permutation_table(m)

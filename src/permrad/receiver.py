@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from math import isfinite
+from math import isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -22,41 +22,34 @@ from .errors import CapabilityError, NumericError, ValidationError
 MAX_EXHAUSTIVE_M = 10
 
 
-def statistic_matrices(
-    m: int,
-    gains: np.ndarray,
-    energy: float,
-    n0: float,
-    rng: np.random.Generator,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Batch of correlation matrices of the identity tone order, drawn
-    directly from their exact statistics (into ``out`` if given).
+def statistic_matrices(root_gains: np.ndarray, snr: float, noise: np.ndarray) -> np.ndarray:
+    """Correlation matrices of the identity tone order at one SNR, in units
+    of the noise: adds the shift sqrt(2 g snr / M) to the diagonals of
+    ``noise``, a batch of M x M unit normal matrices, in place and returns it.
 
-    The continuous receiver's matrix for gain g = |h|^2 has (energy/M) * g
-    on the transmitted support, here the diagonal, plus iid real Gaussian
-    noise of variance energy * n0 * g / (2M).  The decision is blind to a
-    positive scale, so the matrices are drawn divided by energy: g / M on
-    the support and noise of variance g / (2M snr), with snr = energy / n0.
-    That keeps both scales away from underflow at a tiny energy.
+    The continuous receiver's matrix for gain g = |h|^2 (``root_gains`` holds
+    sqrt(g) per trial) has (energy/M) * g on the transmitted support, here
+    the diagonal, plus iid real Gaussian noise of variance
+    energy * n0 * g / (2M).  The decision is blind to a positive scale, so
+    the matrix is taken over the noise's standard deviation: unit normal
+    noise plus sqrt(2 g snr / M) on the diagonal, with snr = energy / n0.
     Decision-variable differences over l mismatched slots then have mean
-    (l/M) * g and variance (l/(M snr)) * g, the continuous-receiver
-    statistics over energy, with no sampling involved.
+    l * sqrt(2 g snr / M) and variance 2l, the continuous-receiver
+    statistics over the noise scale, with no sampling involved.  Only the
+    shift depends on the SNR, so one noise draw serves every SNR point.
+    Formed as sqrt(2/M) * sqrt(snr) * sqrt(g), the shift stays finite at any
+    finite snr and gain, and it grows with snr even after rounding.
     """
-    gains = np.asarray(gains, dtype=float)
-    batch = gains.shape[0]
-    mu = (1.0 / m) * gains
-    sigma = np.sqrt(n0 / energy / (2.0 * m) * gains)
-    # an overflowed scale leaves inf/nan matrices, which the block decision
+    m = noise.shape[-1]
+    shift = sqrt(2.0 / m) * sqrt(snr) * np.asarray(root_gains, dtype=float)
+    # a non-finite shift leaves inf/nan matrices, which the block decision
     # would count as decoded
-    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+    if not np.isfinite(shift).all():
         raise NumericError(
-            "statistic scales overflow", energy=energy, n0=n0, max_gain=float(gains.max())
+            "statistic shift overflows", snr=snr, max_root_gain=float(np.max(root_gains))
         )
-    r = rng.standard_normal((batch, m, m), out=out)
-    r *= sigma[:, None, None]
-    r.reshape(batch, m * m)[:, :: m + 1] += mu[:, None]  # the diagonal
-    return r
+    np.einsum("...ii->...i", noise)[...] += shift[:, None]  # a view of the diagonals
+    return noise
 
 
 def assignment_score(r: np.ndarray, perm: Sequence[int]) -> float:

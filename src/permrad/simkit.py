@@ -1,19 +1,30 @@
 """Deterministic Monte Carlo engine for block error rate sweeps.
 
 Trials are processed in fixed-size blocks; every block draws from its own
-generator seeded by (master_seed, point_index, block_index), so results
-are bit-identical for any worker count and blocks can run in parallel
-with plain integer-sum reduction.
+generator seeded by (master_seed, block_index), so results are
+bit-identical for any worker count and blocks can run in parallel with
+plain integer-sum reduction.
 
-Both modes draw each trial's M x M correlator outputs from their exact
-law and share the block size: statistic mode from the continuous
-receiver's statistics, sampled mode from those of a receiver that
-correlates with the sampled tones.  On every accepted geometry the
-sampled tones are orthogonal, so the two laws differ by one positive
-scale.  Sampled mode holds no samples; SimConfig still bounds the
-(m, samples_per_pulse) tone table its receiver is defined by.
+Every SNR point of a sweep decides the same trials (common random
+numbers).  In units of the noise, a trial's M x M correlator outputs are
+unit normal noise plus the shift sqrt(2 g snr / M) on the diagonal, with
+g = |h|^2, so the SNR enters only through that shift.  A block draws its
+fading once and its noise once, and decides each trial at every point.
+A trial that is decoded at one SNR is decoded at every higher SNR, so the
+points are decided in ascending SNR, each only on the trials that erred at
+the point before.  Each point's count is the one a sweep of that point
+alone gives; the rows of one sweep share their trials, so the curve is
+non-increasing.
 
-A block is drawn and decided in slices of at most _DECISION_ELEMS
+Both modes decide the same matrices.  Sampled mode's receiver correlates
+with the sampled tones, and on every accepted geometry those are
+orthogonal, so its law differs from the continuous receiver's by one
+positive scale, which the decision cannot see.  Sampled mode holds no
+samples; SimConfig still bounds the (m, samples_per_pulse) tone table its
+receiver is defined by, and the sweep refuses a point whose per-sample
+noise scale overflows.
+
+A block's noise is drawn and decided in slices of at most _DECISION_ELEMS
 statistics, in order from the block's one generator, so its memory does
 not grow with M^2 and its numbers are those of one whole-block draw.
 
@@ -28,7 +39,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 from typing import Iterable
 
 import numpy as np
@@ -147,9 +158,9 @@ class SimConfig:
             oversampling=self.oversampling,
         )
 
-    def channel_params(self, n0: float, snr_db: float) -> ChannelParams:
+    def channel_params(self) -> ChannelParams:
         k = 0.0 if self.channel == "rayleigh" else self.k
-        return ChannelParams(n=self.n, k=k, n0=n0, kind=self.channel, snr_db=snr_db)
+        return ChannelParams(n=self.n, k=k, kind=self.channel)
 
 
 @dataclass(frozen=True)
@@ -178,9 +189,20 @@ def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, f
 
 
 def run_bler_sweep(cfg: SimConfig) -> list[BlerPoint]:
-    """Monte Carlo BLER at every SNR point of the config."""
+    """Monte Carlo BLER at every SNR point of the config.
+
+    The points share their trials: each point's count is the one a sweep
+    of that point alone would give, and the rows are in the grid's order.
+    """
     if cfg.mode == "sampled":
-        cfg.waveform_params()  # validate geometry up front
+        rate = cfg.waveform_params().sample_rate  # validates the geometry
+        for snr_db in cfg.snr_db:
+            n0 = n0_from_snr_db(cfg.energy, snr_db)
+            # the sampled receiver sees noise samples of this scale; an
+            # overflowed one has no float64 waveform, so it is refused as at
+            # full synthesis
+            if not isfinite(n0 * rate / 2.0):
+                raise NumericError("sampled noise scale overflows", n0=n0, sample_rate=rate)
     pool = None
     if cfg.workers > 1:
         # imported here: the pool's modules take a sizeable share of a
@@ -189,12 +211,21 @@ def run_bler_sweep(cfg: SimConfig) -> list[BlerPoint]:
 
         pool = ProcessPoolExecutor(max_workers=cfg.workers)
     try:
-        return [
-            _run_point(cfg, idx, pool) for idx in range(len(cfg.snr_db))
-        ]
+        trials, errors = _run_points(cfg, pool)
     finally:
         if pool is not None:
             pool.shutdown()
+    points = []
+    for snr_db, n, e in zip(cfg.snr_db, trials, errors):
+        if cfg.target_errors is not None and e < cfg.target_errors:
+            warnings.warn(
+                f"snr point {snr_db} dB: reached the {cfg.trials}-trial cap "
+                f"with {e} < {cfg.target_errors} target errors",
+                stacklevel=2,  # the caller's line, not this module's
+            )
+        lo, hi = wilson_interval(e, n)
+        points.append(BlerPoint(snr_db=snr_db, bler=e / n, ci_lo=lo, ci_hi=hi, trials=n, errors=e))
+    return points
 
 
 def _blocks(cfg: SimConfig) -> list[tuple[int, int]]:
@@ -206,87 +237,76 @@ def _blocks(cfg: SimConfig) -> list[tuple[int, int]]:
     return out
 
 
-def _run_point(cfg: SimConfig, point_idx: int, pool) -> BlerPoint:
+def _run_points(cfg: SimConfig, pool) -> tuple[list[int], list[int]]:
+    """Trials and errors per point.
+
+    With an error target, block k counts at a point iff that point's target
+    was not met over blocks 0..k-1; a block is drawn while any point still
+    counts it, and decided at those points only.  Blocks go out in waves of
+    one per worker, so the stop points do not depend on the worker count.
+    """
+    points = range(len(cfg.snr_db))
+    trials = [0] * len(points)
+    errors = [0] * len(points)
+    target = inf if cfg.target_errors is None else cfg.target_errors
     blocks = _blocks(cfg)
-    errors = 0
-    trials = 0
-    if cfg.target_errors is None:
+    wave = len(blocks) if cfg.target_errors is None else cfg.workers
+    for pos in range(0, len(blocks), wave):
+        active = tuple(p for p in points if errors[p] < target)
+        if not active:
+            break
+        jobs = [(cfg, b_idx, b_size, active) for b_idx, b_size in blocks[pos : pos + wave]]
         if pool is None:
-            results: Iterable[int] = (
-                _run_block(cfg, point_idx, b_idx, b_size) for b_idx, b_size in blocks
-            )
+            results: Iterable[list[int]] = (_run_block(*job) for job in jobs)
         else:
-            results = pool.map(
-                _block_worker, [(cfg, point_idx, b_idx, b_size) for b_idx, b_size in blocks]
-            )
-        for (_, b_size), err in zip(blocks, results):
-            errors += err
-            trials += b_size
-    else:
-        # include block k iff the error target was not met over blocks 0..k-1;
-        # this prefix rule keeps the stop point worker-count independent
-        wave = max(1, cfg.workers)
-        pos = 0
-        while pos < len(blocks) and errors < cfg.target_errors:
-            batch = blocks[pos : pos + wave]
-            if pool is None:
-                outs = [_run_block(cfg, point_idx, b, s) for b, s in batch]
-            else:
-                outs = list(pool.map(_block_worker, [(cfg, point_idx, b, s) for b, s in batch]))
-            for (_, b_size), err in zip(batch, outs):
-                errors += err
-                trials += b_size
-                if errors >= cfg.target_errors:
-                    break
-            pos += len(batch)
-        if errors < cfg.target_errors:
-            warnings.warn(
-                f"snr point {cfg.snr_db[point_idx]} dB: reached the {cfg.trials}-trial cap "
-                f"with {errors} < {cfg.target_errors} target errors",
-                stacklevel=2,
-            )
-    lo, hi = wilson_interval(errors, trials)
-    return BlerPoint(
-        snr_db=cfg.snr_db[point_idx],
-        bler=errors / trials,
-        ci_lo=lo,
-        ci_hi=hi,
-        trials=trials,
-        errors=errors,
-    )
+            results = pool.map(_block_worker, jobs)
+        for (_, _, b_size, _), counts in zip(jobs, results):
+            for p, err in zip(active, counts):
+                if errors[p] < target:
+                    errors[p] += err
+                    trials[p] += b_size
+    return trials, errors
 
 
-def _block_worker(args) -> int:
+def _block_worker(args) -> list[int]:
     return _run_block(*args)
 
 
-def _run_block(cfg: SimConfig, point_idx: int, block_idx: int, size: int) -> int:
-    """Simulate one block of trials; returns the error count.
+def _run_block(cfg: SimConfig, block_idx: int, size: int, points: tuple[int, ...]) -> list[int]:
+    """Simulate one block of trials; returns the error count at each of
+    ``points``.
 
-    After the block's fading draw, its statistics are drawn and decided a
-    slice of trials at a time from the block's generator.  Consecutive
-    normal draws continue one stream, so the slices hold the numbers of
-    one draw for the whole block.
+    After the block's fading draw, its unit noise is drawn a slice of
+    trials at a time from the block's generator.  Consecutive normal draws
+    continue one stream, so the slices hold the numbers of one draw for the
+    whole block.  Each slice is decided at every point in ascending SNR,
+    and at each point only on the trials that erred at the one before: a
+    trial errs iff a cycle of its swap graph has a mean weight above its
+    diagonal shift, and the shift grows with the SNR.
     """
-    rng = np.random.default_rng([cfg.master_seed, point_idx, block_idx])
-    n0 = n0_from_snr_db(cfg.energy, cfg.snr_db[point_idx])
-    ch = cfg.channel_params(n0, cfg.snr_db[point_idx])
-    h = draw_fading_batch(ch, rng, size)
+    rng = np.random.default_rng([cfg.master_seed, block_idx])
+    h = draw_fading_batch(cfg.channel_params(), rng, size)
+    root_gains = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
+    snrs = [10.0 ** (cfg.snr_db[p] / 10.0) for p in points]
+    order = sorted(range(len(points)), key=snrs.__getitem__)
     step = max(1, _DECISION_ELEMS // (cfg.m * cfg.m))
-    # a slice's statistics and the decision's two temporaries, allocated
-    # once: slice-sized arrays allocated and freed slice by slice made the
-    # allocator hand their pages back and fault them in again
+    # the slice's noise, and the decision's two temporaries, the second of
+    # which also holds the point's matrices (the decision reads them only
+    # to form its first), allocated once: slice-sized arrays allocated and
+    # freed slice by slice made the allocator hand their pages back and
+    # fault them in again
     work = np.empty((3, min(step, size), cfg.m, cfg.m))
-    errors = 0
+    errors = [0] * len(points)
     for lo in range(0, size, step):
-        h_part = h[lo : lo + step]
-        r = work[0, : h_part.shape[0]]
-        if cfg.mode == "statistic":
-            gains = np.sum(np.abs(h_part) ** 2, axis=1)
-            statistic_matrices(cfg.m, gains, cfg.energy, n0, rng, out=r)
-        else:
-            _sampled_matrices(cfg, h_part, n0, rng, out=r)
-        errors += int(np.count_nonzero(_block_errors(r, work[1:, : r.shape[0]])))
+        noise = rng.standard_normal(out=work[0, : min(step, size - lo)])
+        erred = np.arange(noise.shape[0])
+        for i in order:
+            r = np.take(noise, erred, axis=0, out=work[2, : erred.size], mode="clip")
+            statistic_matrices(root_gains[lo + erred], snrs[i], r)
+            erred = erred[_block_errors(r, work[1:, : erred.size])]
+            errors[i] += erred.size
+            if erred.size == 0:
+                break
     return errors
 
 
@@ -310,7 +330,8 @@ def _block_errors(r: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
       intermediate: every cycle can be closed at its largest node.
 
     Its float temporaries live in ``work``, shape (2,) + r.shape, which is
-    overwritten (allocated if not given); the rest are per-trial vectors
+    overwritten (allocated if not given).  r is read only to form work[0],
+    so it may live in work[1].  The rest are per-trial vectors
     and boolean arrays.  So callers bound its memory by the slice they pass
     (_run_block passes _DECISION_ELEMS values).  Ties have probability zero
     under continuous noise.
@@ -340,39 +361,3 @@ def _block_errors(r: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     out = np.zeros(batch, dtype=bool)
     out[live] = err
     return out
-
-
-def _sampled_matrices(
-    cfg: SimConfig,
-    h: np.ndarray,
-    n0: float,
-    rng: np.random.Generator,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Waveform-level correlation matrices of one block, drawn from their
-    exact law (into ``out`` if given).
-
-    The sampled receiver (combine the antennas with conj(h), correlate each
-    pulse with the M sampled unit-energy tones) is linear: r = g * G
-    plus the receiver applied to the noise alone, with g = |h|^2 and G the
-    Gram table of the sent tones against the receiver's.  White circular
-    noise combined with conj(h) is white circular noise of g times its
-    variance, whatever the phase of h, so its projections are Gaussian,
-    independent across pulses, with covariance g * n0 / 2 times the Gram
-    matrix of the unit-energy tones.  Every accepted geometry has
-    delta_f * t an integer and at least the Nyquist floor of samples per
-    pulse, so the sampled tones are exactly orthogonal: G = sqrt(E / M) * I
-    and the noise entries are iid of variance g * n0 / 2.  That is the
-    statistic law times sqrt(E M).
-    """
-    wf = cfg.waveform_params()
-    # the sampled receiver sees noise samples of this scale; an overflowed
-    # one has no float64 waveform, so it is refused as at full synthesis
-    if not isfinite(n0 * wf.sample_rate / 2.0):
-        raise NumericError(
-            "sampled noise scale overflows", n0=n0, sample_rate=wf.sample_rate
-        )
-    gains = np.sum(np.abs(h) ** 2, axis=1)
-    r = statistic_matrices(wf.m, gains, wf.energy, n0, rng, out=out)
-    r *= sqrt(wf.energy) * sqrt(wf.m)
-    return r

@@ -317,9 +317,13 @@ def test_chi_probability_against_angular_quadrature(order, c):
 
 def _rician_mgf_oracle(l, m, n, k, snr):
     # Craig/MGF form: (1/pi) int_0^{pi/2} M(snr l / (2 m sin^2 t)) dt with the
-    # Rician MGF M(s) = ((1+K)/(1+K+s))^N exp(-N K s / (1+K+s))
+    # Rician MGF M(s) = ((1+K)/(1+K+s))^N exp(-N K s / (1+K+s)), written
+    # through a = 1/(1+K) as (1 + a s)^-N exp(-N K a s / (1 + a s)), so that
+    # 1 + K + s is never formed and K up to the largest double stays finite
+    a = 1.0 / (1.0 + k)
+
     def mgf(s):
-        return ((1.0 + k) / (1.0 + k + s)) ** n * np.exp(-n * k * s / (1.0 + k + s))
+        return np.exp(-n * (np.log1p(a * s) + k * a * s / (1.0 + a * s)))
 
     def integrand(theta):
         return mgf(snr * l / (2.0 * m * np.sin(theta) ** 2))
@@ -342,8 +346,9 @@ def test_pairwise_rician_against_mgf_quadrature(l, m, n, k, snr):
 @pytest.mark.parametrize("n", [1, 4, 32])
 @pytest.mark.parametrize("m", [4, 8, 16, 20])
 def test_pairwise_rician_grid_against_quadrature(m, n):
-    # includes N = 32, K = 100 at 40 dB, where both underflow to exactly 0
-    for k in (0.0, 1.0, 10.0, 100.0):
+    # includes N = 32, K = 100 at 40 dB, where both underflow to exactly 0,
+    # and the largest K, where 1 + K + s would overflow
+    for k in (0.0, 1.0, 10.0, 100.0, 1e308):
         for snr_db in range(-30, 41, 10):
             snr = 10.0 ** (snr_db / 10.0)
             for l in (2, m):

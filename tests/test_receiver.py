@@ -63,11 +63,12 @@ def _correlation_matrix(received, h, params):
 
 
 def _statistic_matrix(perm, h, energy, n0, rng):
-    """One trial for the sent permutation perm: statistic_matrices draws the
-    identity's matrix r, and relabelling its columns, r[:, argsort(perm)],
-    puts the support on the entries [n, perm[n]]."""
-    r = statistic_matrices(len(perm), np.asarray([h.gain]), energy, n0, rng)[0]
-    return r[:, np.argsort(perm)]
+    """One trial for the sent permutation perm: statistic_matrices forms the
+    identity's matrix r from unit noise, and relabelling its columns,
+    r[:, argsort(perm)], puts the support on the entries [n, perm[n]]."""
+    m = len(perm)
+    r = statistic_matrices(np.asarray([sqrt(h.gain)]), energy / n0, rng.standard_normal((1, m, m)))
+    return r[0][:, np.argsort(perm)]
 
 
 # --- correlation matrix -----------------------------------------------------
@@ -129,24 +130,29 @@ def test_statistic_matrix_noise_free_support():
     h = FadingRealization.from_vector(np.ones(2))
     rng = np.random.default_rng(2)
     r = _statistic_matrix([2, 0, 1], h, energy=1.0, n0=1e-300, rng=rng)
+    # in units of the noise, the support holds sqrt(2 g snr / m)
+    shift = sqrt(2.0 * h.gain * 1e300 / 3.0)
     expected = np.zeros((3, 3))
     for n, p in enumerate([2, 0, 1]):
-        expected[n, p] = (1.0 / 3.0) * h.gain
-    assert np.allclose(r, expected, atol=1e-140)
+        expected[n, p] = 1.0
+    assert np.allclose(r / shift, expected, rtol=1e-15, atol=1e-140)
 
 
 def test_statistic_matrix_decision_gap_variance():
-    # permutations differing in all 3 slots: drawn at unit energy, the score
-    # gap has mean 3 / m * gain and variance 3 * n0 / (energy * m) * gain
+    # permutations differing in all 3 slots: in units of the noise, the score
+    # gap has mean 3 sqrt(2 gain snr / m) and variance 6, the continuous
+    # receiver's mean 3 energy gain / m over its noise scale
+    # sqrt(energy n0 gain / (2 m))
     m, energy, n0, gain = 3, 2.0, 0.7, 1.5
     rng = np.random.default_rng(3)
     size = 1_000_000
     rival = [1, 2, 0]
-    r = statistic_matrices(m, np.full(size, gain), energy, n0, rng)  # sends [0, 1, 2]
+    noise = rng.standard_normal((size, m, m))
+    r = statistic_matrices(np.full(size, sqrt(gain)), energy / n0, noise)  # sends [0, 1, 2]
     rows = np.arange(m)
     gaps = r[:, rows, rows].sum(axis=1) - r[:, rows, rival].sum(axis=1)
-    expected_var = 3.0 * n0 / (energy * m) * gain
-    expected_mean = 3.0 / m * gain
+    expected_var = 6.0
+    expected_mean = 3.0 * energy / m * gain / sqrt(energy * n0 * gain / (2.0 * m))
     assert gaps.var() == pytest.approx(expected_var, rel=0.02)
     assert gaps.mean() == pytest.approx(expected_mean, rel=0.02)
 
@@ -158,7 +164,8 @@ def test_two_tone_pairwise_error_rate_matches_q():
     energy, n0 = 1.0, 1.0 / snr
     size = 1_000_000
     rng = np.random.default_rng(4)
-    r = statistic_matrices(m, np.full(size, float(n_ant)), energy, n0, rng)  # sends [0, 1]
+    noise = rng.standard_normal((size, m, m))
+    r = statistic_matrices(np.full(size, sqrt(n_ant)), energy / n0, noise)  # sends [0, 1]
     # score of [0,1] vs [1,0]
     errors = (r[:, 0, 0] + r[:, 1, 1]) < (r[:, 0, 1] + r[:, 1, 0])
     p_hat = errors.mean()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permrad.channel import draw_fading_batch, n0_from_snr_db
+from permrad.channel import draw_fading_batch
 from permrad.errors import NumericError, ValidationError
 from permrad.lehmer import rank_to_permutation
 from permrad.receiver import exhaustive_detect, hungarian_detect, statistic_matrices
@@ -21,7 +21,6 @@ from permrad.simkit import (
     _block_errors,
     _blocks,
     _run_block,
-    _sampled_matrices,
     run_bler_sweep,
     wilson_interval,
 )
@@ -182,7 +181,8 @@ def test_block_errors_match_per_trial_detectors(m):
     flagged = 0
     for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0):
         gains = rng.exponential(size=size)
-        r_all = statistic_matrices(m, gains, 1.0, 10.0 ** (-snr_db / 10.0), rng)
+        noise = rng.standard_normal((size, m, m))
+        r_all = statistic_matrices(np.sqrt(gains), 10.0 ** (snr_db / 10.0), noise)
         got = _block_errors(r_all)
         # the detectors see each trial relabelled to a random sent permutation
         perms = _random_perms(rng, size, m)
@@ -227,18 +227,11 @@ def _sampled_reference(cfg, perms, h, n0, rng):
     return np.einsum("bps,ms->bpm", pulses, basis.conj()).real * wf.dt
 
 
-class _StubRng:
-    """Draws a fixed value in place of standard normals: zeros, or identity
-    matrices along the last two axes."""
+class _ZeroRng:
+    """Draws zeros in place of standard normals: a noise-free synthesis."""
 
-    def __init__(self, identity):
-        self.identity = identity
-
-    def standard_normal(self, shape, out=None):
-        if out is None:
-            out = np.empty(shape)
-        out[...] = np.eye(shape[-1]) if self.identity else 0.0
-        return out
+    def standard_normal(self, shape):
+        return np.zeros(shape)
 
 
 # default geometry; a tone offset; delta_f * t = 2 with t != 1; an explicit
@@ -260,7 +253,7 @@ def _sampled_case(m, n, channel, geometry, seed, size):
     n0 = cfg.energy / 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
     perms = _random_perms(rng, size, m)
-    h = draw_fading_batch(cfg.channel_params(n0, snr_db), rng, size)
+    h = draw_fading_batch(cfg.channel_params(), rng, size)
     return cfg, perms, h, n0
 
 
@@ -268,27 +261,32 @@ def _sampled_case(m, n, channel, geometry, seed, size):
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
 def test_sampled_matrices_match_full_synthesis(m, n, channel):
+    # sampled mode decides the statistic matrices; the full synthesis, over
+    # its noise scale sqrt(|h|^2 n0 / 2), has their mean and noise law
     size = 256
     for g_idx, geometry in enumerate(_SAMPLED_GEOMETRIES):
         cfg, perms, h, n0 = _sampled_case(m, n, channel, geometry, [m, n, g_idx], size)
         wf = cfg.waveform_params()
         gains = np.sum(np.abs(h) ** 2, axis=1)
+        snr = cfg.energy / n0
+        scale = np.sqrt(gains * n0 / 2.0)[:, None, None]
 
         # noise-free mean: |h|^2 times the sampled tones' Gram rows of the sent
         # tones; the reference sends perms and is relabelled to the identity
-        mean = _sampled_matrices(cfg, h, n0, _StubRng(identity=False))
-        want = _to_identity(_sampled_reference(cfg, perms, h, n0, _StubRng(identity=False)), perms)
+        mean = statistic_matrices(np.sqrt(gains), snr, np.zeros((size, m, m)))
+        want = _to_identity(_sampled_reference(cfg, perms, h, n0, _ZeroRng()), perms)
+        want /= scale
         assert mean.shape == want.shape == (size, m, m)
         assert np.max(np.abs(mean - want)) <= 1e-12 * np.max(np.abs(want))
 
-        # with identity draws, a trial's noise N has N^T N = |h|^2 times the
-        # covariance of one pulse's noise row; the reference correlator of white
-        # noise of variance sigma^2 = n0 * sample_rate / 2 per real part gives
-        # sigma^2 dt^2 Re(B B^H)
-        root = _sampled_matrices(cfg, h, n0, _StubRng(identity=True)) - mean
-        got = np.einsum("bpm,bpk->bmk", root, root) / gains[:, None, None]
+        # with identity draws, a trial's noise N has N^T N = the covariance of
+        # one pulse's noise row; the reference correlator of white noise of
+        # variance sigma^2 = n0 * sample_rate / 2 per real part gives
+        # sigma^2 dt^2 Re(B B^H), which over the noise scale is the identity
+        root = statistic_matrices(np.sqrt(gains), snr, np.tile(np.eye(m), (size, 1, 1))) - mean
+        got = np.einsum("bpm,bpk->bmk", root, root)
         _, basis = _reference_basis(wf, m)
-        cov = n0 * wf.sample_rate / 2.0 * wf.dt ** 2 * (basis @ basis.conj().T).real
+        cov = wf.sample_rate * wf.dt ** 2 * (basis @ basis.conj().T).real
         assert np.max(np.abs(got - cov)) <= 1e-12 * np.max(np.abs(cov))
 
 
@@ -296,7 +294,9 @@ def test_sampled_matrices_match_full_synthesis(m, n, channel):
 def test_sampled_matrices_bler_matches_full_synthesis(geometry):
     size = 20_000
     cfg, perms, h, n0 = _sampled_case(4, 2, "rician", geometry, 17, size)
-    got = np.count_nonzero(_block_errors(_sampled_matrices(cfg, h, n0, np.random.default_rng(1))))
+    root_gains = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
+    noise = np.random.default_rng(1).standard_normal((size, 4, 4))
+    got = np.count_nonzero(_block_errors(statistic_matrices(root_gains, cfg.energy / n0, noise)))
     rng = np.random.default_rng(2)
     want = 0
     for lo in range(0, size, 2000):  # the reference holds every sample of its trials
@@ -360,37 +360,39 @@ def _identity_perms(size, m):
     return np.tile(np.arange(m), (size, 1))
 
 
-def _statistic_reference(perms, gains, energy, n0, rng):
-    """Reference draw: scale a fresh array and add the mean by a 3-array scatter."""
+def _statistic_reference(perms, gains, snr, noise):
+    """Reference matrices: a copy of the unit noise with the shift
+    sqrt(2 g snr / m) added by a 3-array scatter onto the sent support."""
     batch, m = perms.shape
-    mu = (energy / m) * gains
-    sigma = np.sqrt(energy * n0 / (2.0 * m) * gains)
-    r = rng.standard_normal((batch, m, m)) * sigma[:, None, None]
-    r[np.arange(batch)[:, None], np.arange(m)[None, :], perms] += mu[:, None]
+    r = noise.copy()
+    shift = sqrt(2.0 / m) * sqrt(snr) * np.sqrt(gains)
+    r[np.arange(batch)[:, None], np.arange(m)[None, :], perms] += shift[:, None]
     return r
 
 
-def _reference_run_block(cfg, point_idx, block_idx, size, symbols=False):
-    """Reference block: the sweep's stream through the reference draw and
-    decision, sending the identity (sampled mode shares _sampled_matrices).
+def _reference_run_block(cfg, block_idx, size, symbols=False):
+    """Reference block: the sweep's (seed, block) stream drawn whole, every
+    trial decided at every point by the reference decision, with no
+    ascending filter; the error count per point.  Both modes decide the
+    same matrices.
 
-    With symbols (statistic mode), each trial first draws a random rank,
-    decoded by masking; the mean is placed and the swap graph gathered
-    through its permutation."""
-    rng = np.random.default_rng([cfg.master_seed, point_idx, block_idx])
-    snr_db = cfg.snr_db[point_idx]
-    n0 = n0_from_snr_db(cfg.energy, snr_db)
+    With symbols, each trial first draws a random rank, decoded by
+    masking; the shift is placed and the swap graph gathered through its
+    permutation, not the identity."""
+    rng = np.random.default_rng([cfg.master_seed, block_idx])
     if symbols:
         perms = _mask_ranks_to_permutations(rng.integers(0, factorial(cfg.m), size=size), cfg.m)
     else:
         perms = _identity_perms(size, cfg.m)
-    h = draw_fading_batch(cfg.channel_params(n0, snr_db), rng, size)
+    h = draw_fading_batch(cfg.channel_params(), rng, size)
     gains = np.sum(np.abs(h) ** 2, axis=1)
-    if cfg.mode == "statistic":
-        r_all = _statistic_reference(perms, gains, cfg.energy, n0, rng)
-    else:
-        r_all = _sampled_matrices(cfg, h, n0, rng)
-    return int(np.count_nonzero(_fw_block_errors(r_all, perms)))
+    noise = rng.standard_normal((size, cfg.m, cfg.m))
+    return [
+        int(np.count_nonzero(_fw_block_errors(
+            _statistic_reference(perms, gains, 10.0 ** (snr_db / 10.0), noise), perms
+        )))
+        for snr_db in cfg.snr_db
+    ]
 
 
 @pytest.mark.parametrize("m", range(1, 21))
@@ -420,7 +422,7 @@ def test_identity_sweep_matches_random_symbol_bler(m, n, channel, k, snr_db):
                     master_seed=m)
     got = run_bler_sweep(cfg)[0].errors
     ref_cfg = replace(cfg, master_seed=m + 1000)  # an independent stream
-    want = sum(_reference_run_block(ref_cfg, 0, b, s, symbols=True) for b, s in _blocks(cfg))
+    want = sum(_reference_run_block(ref_cfg, b, s, symbols=True)[0] for b, s in _blocks(cfg))
     assert 0.05 < want / trials < 0.95  # the comparison is not vacuous
     pooled = (got + want) / (2 * trials)
     assert abs(got - want) / trials <= 4.0 * sqrt(2.0 * pooled * (1.0 - pooled) / trials)
@@ -433,11 +435,10 @@ def test_block_errors_match_floyd_warshall_trial_by_trial(m):
     for snr_db in range(0, 31, 3):
         rng = np.random.default_rng([m, snr_db])
         gains = rng.exponential(size=size)
-        n0 = 10.0 ** (-snr_db / 10.0)
-        r_all = statistic_matrices(m, gains, 1.0, n0, np.random.default_rng(snr_db))
-        want_r = _statistic_reference(
-            _identity_perms(size, m), gains, 1.0, n0, np.random.default_rng(snr_db)
-        )
+        snr = 10.0 ** (snr_db / 10.0)
+        noise = np.random.default_rng(snr_db).standard_normal((size, m, m))
+        want_r = _statistic_reference(_identity_perms(size, m), gains, snr, noise)
+        r_all = statistic_matrices(np.sqrt(gains), snr, noise)
         assert np.array_equal(r_all, want_r)
         got = _block_errors(r_all)
         # the reference gathers the swap graph of each trial sent as a random permutation
@@ -493,9 +494,8 @@ def test_sweep_matches_reference_blocks(mode, trials, channel, workers):
         cfg = SimConfig(m=m, n=2, snr_db=snr_db, channel=channel, k=2.0, trials=trials,
                         master_seed=m, mode=mode, workers=workers)
         got = run_bler_sweep(cfg)
-        for point_idx, point in enumerate(got):
-            want = sum(_reference_run_block(cfg, point_idx, b, s) for b, s in _blocks(cfg))
-            assert (point.trials, point.errors) == (trials, want)
+        want = np.sum([_reference_run_block(cfg, b, s) for b, s in _blocks(cfg)], axis=0)
+        assert [(p.trials, p.errors) for p in got] == [(trials, int(w)) for w in want]
         if m > 1:
             assert 0 < sum(p.errors for p in got) < trials * len(got)
 
@@ -564,12 +564,13 @@ def test_validation_errors():
 
 
 def test_overflowed_scales_raise_rather_than_count_as_correct():
-    # the config admits these, but one trial's statistic scale, or the
-    # sampled noise scale at a 1e-300 s pulse width, overflows; the
-    # nan matrices it would leave read as "no positive cycle", i.e. correct
-    with pytest.raises(NumericError):
-        statistic_matrices(2, np.array([1.0, 1e300]), 1.0, 1e10,
-                           np.random.default_rng(0))
+    # a non-finite statistic shift (from an infinite gain or SNR), or the
+    # sampled noise scale at a 1e-300 s pulse width, which the config
+    # admits; the nan matrices they would leave read as "no positive
+    # cycle", i.e. correct
+    for root_gains, snr in (([1.0, np.inf], 1.0), ([1.0, 1.0], np.inf)):
+        with pytest.raises(NumericError):
+            statistic_matrices(np.array(root_gains), snr, np.zeros((2, 2, 2)))
     cfg = SimConfig(m=2, n=1, snr_db=(0.0,), trials=10, mode="sampled",
                     energy=1e10, t=1e-300)
     with pytest.raises(NumericError):
@@ -583,7 +584,7 @@ def test_block_memory_does_not_grow_with_m_squared():
     cfg = SimConfig(m=20, n=1, snr_db=(24.0,), channel="rician", k=1.0, trials=_BLOCK)
     tracemalloc.start()
     try:
-        errors = _run_block(cfg, 0, 0, _BLOCK)
+        (errors,) = _run_block(cfg, 0, _BLOCK, (0,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -618,3 +619,66 @@ def test_bler_decreases_with_snr():
     )
     points = run_bler_sweep(cfg)
     assert points[0].bler > points[1].bler > points[2].bler
+
+
+def test_trial_cap_warning_points_at_the_caller():
+    cfg = SimConfig(m=2, n=1, snr_db=(60.0,), trials=100, target_errors=10)
+    with pytest.warns(UserWarning, match="trial cap") as record:
+        run_bler_sweep(cfg)
+    assert [w.filename for w in record if "trial cap" in str(w.message)] == [__file__]
+
+
+_CHANNELS = st.sampled_from([("awgn", 0.0), ("rayleigh", 0.0), ("rician", 2.0)])
+
+
+def _sweep_case(draw, max_points=5):
+    """A small sweep: m, n, channel, seed and an unsorted grid that spans
+    error rates from near 1 to near 0."""
+    m = draw(st.integers(min_value=2, max_value=8))
+    channel, k = draw(_CHANNELS)
+    grid = draw(st.lists(st.integers(min_value=-4, max_value=22), min_size=2, max_size=max_points))
+    return dict(m=m, n=draw(st.integers(min_value=1, max_value=3)), channel=channel, k=k,
+                snr_db=tuple(float(x) for x in grid),
+                master_seed=draw(st.integers(min_value=0, max_value=2**32)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_error_counts_do_not_increase_along_an_ascending_grid(data):
+    case = _sweep_case(data.draw)
+    case["snr_db"] = tuple(sorted(case["snr_db"]))
+    errors = [p.errors for p in run_bler_sweep(SimConfig(trials=3_000, **case))]
+    assert errors == sorted(errors, reverse=True)
+
+
+@pytest.mark.filterwarnings("ignore:snr point")  # points that hit the trial cap
+@pytest.mark.parametrize("target_errors", [None, 60])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_each_point_equals_its_single_point_sweep(target_errors, data):
+    # 20,000 trials are three blocks, so an error target can stop the
+    # points at different blocks
+    cfg = SimConfig(trials=20_000, target_errors=target_errors, **_sweep_case(data.draw, 4))
+    got = run_bler_sweep(cfg)
+    for snr_db, point in zip(cfg.snr_db, got):
+        assert run_bler_sweep(replace(cfg, snr_db=(snr_db,))) == [point]
+
+
+def test_unsorted_grid_gives_the_sorted_rows_in_the_given_order():
+    base = dict(m=6, n=2, channel="rician", k=1.0, trials=9_000, master_seed=21)
+    grid = (14.0, 2.0, 8.0, 11.0, 8.0, 5.0)  # unsorted, with a repeated point
+    got = run_bler_sweep(SimConfig(snr_db=grid, **base))
+    by_snr = {p.snr_db: p for p in run_bler_sweep(SimConfig(snr_db=tuple(sorted(set(grid))), **base))}
+    assert got == [by_snr[x] for x in grid]
+    assert len({p.errors for p in got}) == 5  # the rows differ
+
+
+def test_target_errors_workers_agree_when_points_stop_at_different_blocks():
+    base = dict(m=4, n=1, channel="rayleigh", snr_db=(20.0, 4.0, 12.0, 30.0),
+                trials=5 * _BLOCK, target_errors=400, master_seed=33)
+    with pytest.warns(UserWarning, match="trial cap"):  # 30 dB cannot reach the target
+        serial = run_bler_sweep(SimConfig(workers=1, **base))
+    with pytest.warns(UserWarning, match="trial cap"):
+        parallel = run_bler_sweep(SimConfig(workers=2, **base))
+    assert serial == parallel
+    assert len({p.trials for p in serial}) >= 3  # the stop blocks differ

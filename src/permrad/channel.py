@@ -22,26 +22,20 @@ CHANNEL_KINDS = ("awgn", "rician", "rayleigh")
 class ChannelParams:
     """Receive-side channel description.
 
-    n       number of receive antennas
-    k       Rician factor (linear, >= 0); power ratio of LOS to scatter
-    n0      noise variance per complex noise sample of the continuous model
-    kind    one of "awgn" | "rician" | "rayleigh"
-    snr_db  optional convenience record of 10*log10(energy / n0)
+    n     number of receive antennas
+    k     Rician factor (linear, >= 0); power ratio of LOS to scatter
+    kind  one of "awgn" | "rician" | "rayleigh"
     """
 
     n: int
     k: float = 0.0
-    n0: float = 1.0
     kind: str = "rician"
-    snr_db: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"antenna count must be at least 1, got {self.n}")
         if not (self.k >= 0 and isfinite(self.k)):
             raise ValidationError(f"Rician factor must be non-negative and finite, got {self.k}")
-        if not self.n0 > 0:
-            raise ValidationError(f"noise variance must be positive, got {self.n0}")
         if self.kind not in CHANNEL_KINDS:
             raise ValidationError(f"channel kind must be one of {CHANNEL_KINDS}, got {self.kind!r}")
         if self.kind == "rayleigh" and self.k != 0:

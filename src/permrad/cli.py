@@ -154,13 +154,9 @@ def _simulate_arguments(p: _Parser) -> None:
                    help="stop a point early once this many errors are seen")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--receiver", choices=simkit.RECEIVERS, default="hungarian")
-    p.add_argument("--mode", choices=simkit.MODES, default="statistic")
-    p.add_argument("--energy", type=float, default=1.0)
+    p.add_argument("--mode", choices=simkit.MODES, default="statistic",
+                   help="labels the output: both modes print the same counts")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--t-sec", type=float, default=1.0, help="pulse width (sampled mode)")
-    p.add_argument("--delta-f-hz", type=float, default=None, help="tone spacing (sampled mode)")
-    p.add_argument("--f0-hz", type=float, default=0.0, help="base frequency (sampled mode)")
-    p.add_argument("--oversampling", type=int, default=None, help="samples per pulse (sampled mode)")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_simulate)
 
@@ -392,12 +388,7 @@ def _cmd_simulate(args) -> int:
         master_seed=args.seed,
         receiver=args.receiver,
         mode=args.mode,
-        energy=args.energy,
         workers=args.workers,
-        t=args.t_sec,
-        delta_f=args.delta_f_hz,
-        f0=args.f0_hz,
-        oversampling=args.oversampling,
     )
     points = simkit.run_bler_sweep(cfg)
     header = [
@@ -412,12 +403,7 @@ def _cmd_simulate(args) -> int:
         ("seed", cfg.master_seed),
         ("receiver", cfg.receiver),
         ("mode", cfg.mode),
-        ("energy", _fmt(cfg.energy)),
         ("workers", cfg.workers),
-        ("t_sec", _fmt(cfg.t)),
-        ("delta_f_hz", _fmt(cfg.delta_f) if cfg.delta_f is not None else None),
-        ("f0_hz", _fmt(cfg.f0)),
-        ("oversampling", cfg.oversampling),
         ("snr_definition", "energy/n0 per receive antenna"),
     ]
     lines = ["snr_db,bler,ci_lo,ci_hi,trials,errors,M,N,channel,K,receiver,mode,seed"]
@@ -576,26 +562,15 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
-def _config_defaults(path: str) -> dict:
-    """Parse a flat key=value file into typed simulate defaults."""
+def _config_defaults(path: str, parser: _Parser) -> dict:
+    """Parse a flat key=value file into typed defaults for ``parser``.
+
+    A key is a flag's dest, converted by the flag's own type.
+    """
     converters = {
-        "m": int,
-        "n": int,
-        "channel": str,
-        "rician_k": float,
-        "snr_db": _float_list,
-        "trials": int,
-        "target_errors": int,
-        "seed": int,
-        "receiver": str,
-        "mode": str,
-        "energy": float,
-        "workers": int,
-        "t_sec": float,
-        "delta_f_hz": float,
-        "f0_hz": float,
-        "oversampling": int,
-        "out": str,
+        action.dest: action.type or str
+        for action in parser._actions
+        if action.dest not in ("help", "config")
     }
     out = {}
     with open(path, encoding="utf-8") as fh:
@@ -624,9 +599,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            defaults = _config_defaults(args.config)
-            parser, subs = build_parser(command)
-            subs["simulate"].set_defaults(**defaults)
+            subs["simulate"].set_defaults(**_config_defaults(args.config, subs["simulate"]))
             args = parser.parse_args(argv)
         return args.handler(args)
     except NumericError as exc:

@@ -16,14 +16,6 @@ the point before.  Each point's count is the one a sweep of that point
 alone gives; the rows of one sweep share their trials, so the curve is
 non-increasing.
 
-Both modes decide the same matrices.  Sampled mode's receiver correlates
-with the sampled tones, and on every accepted geometry those are
-orthogonal, so its law differs from the continuous receiver's by one
-positive scale, which the decision cannot see.  Sampled mode holds no
-samples; SimConfig still bounds the (m, samples_per_pulse) tone table its
-receiver is defined by, and the sweep refuses a point whose per-sample
-noise scale overflows.
-
 A block's noise is drawn and decided in slices of at most _DECISION_ELEMS
 statistics, in order from the block's one generator, so its memory does
 not grow with M^2 and its numbers are those of one whole-block draw.
@@ -39,16 +31,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import inf, isfinite, sqrt
+from math import inf, sqrt
 from typing import Iterable
 
 import numpy as np
 
-from .channel import CHANNEL_KINDS, ChannelParams, draw_fading_batch, n0_from_snr_db
-from .errors import NumericError, ValidationError
+from .channel import CHANNEL_KINDS, ChannelParams, draw_fading_batch
+from .errors import ValidationError
 from .lehmer import MAX_M
 from .receiver import MAX_EXHAUSTIVE_M, statistic_matrices
-from .waveform import WaveformParams
 
 RECEIVERS = ("hungarian", "exhaustive")
 MODES = ("statistic", "sampled")
@@ -57,10 +48,6 @@ MODES = ("statistic", "sampled")
 # count and worker count.  A block holds its (block, n) fading draw; its
 # statistics are held one slice at a time.
 _BLOCK = 8192
-
-# float64 values of the sampled receiver's tone table, the real and
-# imaginary parts of its (m, samples_per_pulse) entries: 8 MiB
-_TONE_TABLE_BUDGET = 1 << 20
 
 # float64 elements per (slice, m, m) array: a block draws and decides its
 # statistics a slice at a time, in a workspace of three such arrays
@@ -89,14 +76,8 @@ class SimConfig:
     target_errors: int | None = None
     master_seed: int = 0
     receiver: str = "hungarian"
-    mode: str = "statistic"
-    energy: float = 1.0
+    mode: str = "statistic"  # a label: both modes decide the same matrices
     workers: int = 1
-    # waveform geometry, used by sampled mode only
-    t: float = 1.0
-    delta_f: float | None = None
-    f0: float = 0.0
-    oversampling: int | None = None
 
     def __post_init__(self):
         if not 1 <= self.m <= MAX_M:
@@ -119,44 +100,20 @@ class SimConfig:
             raise ValidationError(
                 f"exhaustive receiver sweeps are limited to m <= 8, got m={self.m}"
             )
-        if not (self.energy > 0 and isfinite(self.energy)):
-            raise ValidationError(f"energy must be positive and finite, got {self.energy}")
-        if not all(isfinite(x) for x in self.snr_db):
-            raise ValidationError(f"snr grid must be finite, got {self.snr_db}")
         for snr_db in self.snr_db:
-            n0 = n0_from_snr_db(self.energy, snr_db)  # raises unless 0 < n0 < inf
-            if not isfinite(self.energy * n0):
+            try:
+                snr = 10.0 ** (snr_db / 10.0)
+            except OverflowError:
+                snr = inf
+            if not 0.0 < snr < inf:  # also refuses a nan or infinite snr_db
                 raise ValidationError(
-                    f"energy {self.energy} at snr {snr_db} dB: the noise scale "
-                    f"energy * n0 = energy**2 / snr overflows"
-                )
-        if not (self.t > 0 and isfinite(self.t)):
-            raise ValidationError(f"pulse width must be positive and finite, got {self.t}")
-        if self.mode == "sampled":
-            q = (self.delta_f if self.delta_f is not None else 1.0 / self.t) * self.t
-            spp = self.oversampling if self.oversampling is not None else 8 * self.m * q
-            table = 2 * self.m * spp
-            if table > _TONE_TABLE_BUDGET:  # a nan geometry is left to WaveformParams
-                raise ValidationError(
-                    f"the sampled receiver's tone table would hold 2 * m * samples_per_pulse = "
-                    f"{table:.4g} float64 values, over the budget of {_TONE_TABLE_BUDGET} "
-                    "(8 MiB); lower the oversampling, delta_f * t or m"
+                    f"snr {snr_db} dB: the linear snr is not a positive finite double"
                 )
         if self.workers < 1:
             raise ValidationError(f"workers must be at least 1, got {self.workers}")
         if self.master_seed < 0:
             raise ValidationError("master_seed must be non-negative")
-
-    def waveform_params(self) -> WaveformParams:
-        delta_f = self.delta_f if self.delta_f is not None else 1.0 / self.t
-        return WaveformParams(
-            m=self.m,
-            t=self.t,
-            delta_f=delta_f,
-            f0=self.f0,
-            energy=self.energy,
-            oversampling=self.oversampling,
-        )
+        self.channel_params()  # validates k
 
     def channel_params(self) -> ChannelParams:
         k = 0.0 if self.channel == "rayleigh" else self.k
@@ -194,15 +151,6 @@ def run_bler_sweep(cfg: SimConfig) -> list[BlerPoint]:
     The points share their trials: each point's count is the one a sweep
     of that point alone would give, and the rows are in the grid's order.
     """
-    if cfg.mode == "sampled":
-        rate = cfg.waveform_params().sample_rate  # validates the geometry
-        for snr_db in cfg.snr_db:
-            n0 = n0_from_snr_db(cfg.energy, snr_db)
-            # the sampled receiver sees noise samples of this scale; an
-            # overflowed one has no float64 waveform, so it is refused as at
-            # full synthesis
-            if not isfinite(n0 * rate / 2.0):
-                raise NumericError("sampled noise scale overflows", n0=n0, sample_rate=rate)
     pool = None
     if cfg.workers > 1:
         # imported here: the pool's modules take a sizeable share of a

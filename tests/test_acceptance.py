@@ -193,7 +193,7 @@ def test_criterion_07_channel_gain_distribution():
     ok = True
     details = []
     for n, k in ((2, 0.0), (4, 1.0), (4, 4.0)):
-        params = ChannelParams(n=n, k=k, n0=1.0, kind="rician")
+        params = ChannelParams(n=n, k=k, kind="rician")
         rng = np.random.default_rng(500 + n + int(k))
         gains = fading_gains(params, rng, 100_000)
         scaled = 2.0 * (k + 1.0) * gains

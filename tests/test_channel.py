@@ -82,7 +82,7 @@ def test_gain_cache_matches_recomputed_norm():
 def test_pure_los_limit():
     # scatter amplitude scales as 1/sqrt(k); k = 1e14 pushes the gain residual
     # an order of magnitude below the 1e-6 tolerance
-    params = ChannelParams(n=4, k=1e14, n0=1.0, kind="rician")
+    params = ChannelParams(n=4, k=1e14, kind="rician")
     rng = np.random.default_rng(1)
     for _ in range(20):
         real = draw_fading(params, rng)
@@ -90,7 +90,7 @@ def test_pure_los_limit():
 
 
 def test_awgn_mode_gain_exact():
-    params = ChannelParams(n=3, k=0.0, n0=1.0, kind="awgn")
+    params = ChannelParams(n=3, k=0.0, kind="awgn")
     rng = np.random.default_rng(2)
     real = draw_fading(params, rng)
     assert real.gain == 3.0
@@ -98,7 +98,7 @@ def test_awgn_mode_gain_exact():
 
 
 def test_rayleigh_mean_gain():
-    params = ChannelParams(n=2, k=0.0, n0=1.0, kind="rayleigh")
+    params = ChannelParams(n=2, k=0.0, kind="rayleigh")
     rng = np.random.default_rng(3)
     gains = fading_gains(params, rng, 1_000_000)
     assert gains.mean() == pytest.approx(2.0, rel=0.01)
@@ -107,7 +107,7 @@ def test_rayleigh_mean_gain():
 @pytest.mark.parametrize("n,k", [(2, 0.0), (4, 1.0), (4, 4.0)])
 def test_scaled_gain_distribution(n, k):
     # 2(k+1)|h|^2 follows a noncentral chi-square with 2n dof, noncentrality 2nk
-    params = ChannelParams(n=n, k=k, n0=1.0, kind="rician")
+    params = ChannelParams(n=n, k=k, kind="rician")
     rng = np.random.default_rng(10 + n + int(k))
     gains = fading_gains(params, rng, 100_000)
     scaled = 2.0 * (k + 1.0) * gains
@@ -120,7 +120,7 @@ def test_scaled_gain_distribution(n, k):
 
 @pytest.mark.parametrize("n,k", [(1, 0.0), (2, 0.5), (4, 1.0), (3, 6.0)])
 def test_gain_moments_three_sigma(n, k):
-    params = ChannelParams(n=n, k=k, n0=1.0, kind="rician")
+    params = ChannelParams(n=n, k=k, kind="rician")
     rng = np.random.default_rng(5)
     size = 200_000
     gains = fading_gains(params, rng, size)
@@ -172,7 +172,7 @@ def test_matched_filter_statistics():
 
 
 def test_awgn_batch_draw_consumes_no_randomness():
-    params = ChannelParams(n=2, k=0.0, n0=1.0, kind="awgn")
+    params = ChannelParams(n=2, k=0.0, kind="awgn")
     rng = np.random.default_rng(9)
     before = rng.bit_generator.state["state"]["state"]
     draw_fading_batch(params, rng, 100)
@@ -181,15 +181,13 @@ def test_awgn_batch_draw_consumes_no_randomness():
 
 def test_validation():
     with pytest.raises(ValidationError):
-        ChannelParams(n=0, k=0.0, n0=1.0)
+        ChannelParams(n=0, k=0.0)
     with pytest.raises(ValidationError):
-        ChannelParams(n=1, k=-0.5, n0=1.0)
-    with pytest.raises(ValidationError):
-        ChannelParams(n=1, k=0.0, n0=0.0)
+        ChannelParams(n=1, k=-0.5)
     with pytest.raises(ValidationError, match="rayleigh"):
-        ChannelParams(n=1, k=2.0, n0=1.0, kind="rayleigh")
+        ChannelParams(n=1, k=2.0, kind="rayleigh")
     with pytest.raises(ValidationError):
-        ChannelParams(n=1, k=0.0, n0=1.0, kind="urban")
+        ChannelParams(n=1, k=0.0, kind="urban")
 
 
 def test_snr_helpers_round_trip():

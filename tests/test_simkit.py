@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permrad.channel import draw_fading_batch
+from permrad.channel import ChannelParams, draw_fading_batch
 from permrad.errors import NumericError, ValidationError
 from permrad.lehmer import rank_to_permutation
 from permrad.receiver import exhaustive_detect, hungarian_detect, statistic_matrices
 from permrad.simkit import (
     _BLOCK,
-    _TONE_TABLE_BUDGET,
     BlerPoint,
     SimConfig,
     _block_errors,
@@ -24,6 +23,7 @@ from permrad.simkit import (
     run_bler_sweep,
     wilson_interval,
 )
+from permrad.waveform import WaveformParams
 
 
 def _bler_sigma(p: float, n: int) -> float:
@@ -87,17 +87,12 @@ def test_receiver_equivalence_identical_error_counts():
 
 
 def test_statistic_and_sampled_modes_agree():
+    # the mode is a label: both decide the same matrices from the same draw
     base = dict(m=4, n=2, channel="rician", k=1.0, trials=100_000,
-                master_seed=3, receiver="exhaustive")
-    for snr_db in (0.0, 4.0, 8.0):
-        stat = run_bler_sweep(SimConfig(mode="statistic", snr_db=(snr_db,), **base))[0]
-        samp = run_bler_sweep(SimConfig(mode="sampled", snr_db=(snr_db,), **base))[0]
-        gap = abs(stat.bler - samp.bler)
-        sigma = sqrt(
-            _bler_sigma(stat.bler, stat.trials) ** 2
-            + _bler_sigma(samp.bler, samp.trials) ** 2
-        )
-        assert gap <= 3.0 * sigma
+                master_seed=3, receiver="exhaustive", snr_db=(0.0, 4.0, 8.0))
+    stat = run_bler_sweep(SimConfig(mode="statistic", **base))
+    assert run_bler_sweep(SimConfig(mode="sampled", **base)) == stat
+    assert 0 < stat[-1].errors < stat[0].errors < stat[0].trials
 
 
 def test_noise_free_limit_has_no_errors():
@@ -202,10 +197,9 @@ def _reference_basis(wf, m):
     return tt, np.exp(2j * np.pi * np.outer(tone_f, tt)) / sqrt(wf.t)
 
 
-def _sampled_reference(cfg, perms, h, n0, rng):
+def _sampled_reference(wf, perms, h, n0, rng):
     """Reference: synthesise tx, noise and rx sample by sample, then combine
     the antennas and correlate each pulse with the sampled tones."""
-    wf = cfg.waveform_params()
     size, m = perms.shape
     spp = wf.samples_per_pulse
     total = m * spp
@@ -217,8 +211,8 @@ def _sampled_reference(cfg, perms, h, n0, rng):
 
     sigma = sqrt(n0 * wf.sample_rate / 2.0)
     noise = sigma * (
-        rng.standard_normal((size, cfg.n, total))
-        + 1j * rng.standard_normal((size, cfg.n, total))
+        rng.standard_normal((size, h.shape[1], total))
+        + 1j * rng.standard_normal((size, h.shape[1], total))
     )
     rx = h[:, :, None] * tx[:, None, :] + noise
     combined = np.einsum("bn,bns->bs", h.conj(), rx)
@@ -245,36 +239,35 @@ _SAMPLED_GEOMETRIES = (
 
 
 def _sampled_case(m, n, channel, geometry, seed, size):
-    """A sampled-mode config and one block's fading, with random permutations
-    for the reference synthesis to send."""
+    """A waveform, its noise variance and one block's fading, with random
+    permutations for the reference synthesis to send."""
     snr_db = m + 2.0  # keeps the error rate away from 0 and 1
-    cfg = SimConfig(m=m, n=n, snr_db=(snr_db,), channel=channel, k=1.5,
-                    mode="sampled", energy=2.0, **geometry)
-    n0 = cfg.energy / 10.0 ** (snr_db / 10.0)
+    wf = WaveformParams(**{"m": m, "t": 1.0, "delta_f": 1.0, "energy": 2.0, **geometry})
+    n0 = wf.energy / 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
     perms = _random_perms(rng, size, m)
-    h = draw_fading_batch(cfg.channel_params(), rng, size)
-    return cfg, perms, h, n0
+    channel_params = ChannelParams(n=n, k=0.0 if channel == "rayleigh" else 1.5, kind=channel)
+    h = draw_fading_batch(channel_params, rng, size)
+    return wf, perms, h, n0
 
 
 @pytest.mark.parametrize("channel", ["awgn", "rayleigh", "rician"])
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
 def test_sampled_matrices_match_full_synthesis(m, n, channel):
-    # sampled mode decides the statistic matrices; the full synthesis, over
-    # its noise scale sqrt(|h|^2 n0 / 2), has their mean and noise law
+    # the sweep decides the statistic matrices; the full synthesis, over its
+    # noise scale sqrt(|h|^2 n0 / 2), has their mean and noise law
     size = 256
     for g_idx, geometry in enumerate(_SAMPLED_GEOMETRIES):
-        cfg, perms, h, n0 = _sampled_case(m, n, channel, geometry, [m, n, g_idx], size)
-        wf = cfg.waveform_params()
+        wf, perms, h, n0 = _sampled_case(m, n, channel, geometry, [m, n, g_idx], size)
         gains = np.sum(np.abs(h) ** 2, axis=1)
-        snr = cfg.energy / n0
+        snr = wf.energy / n0
         scale = np.sqrt(gains * n0 / 2.0)[:, None, None]
 
         # noise-free mean: |h|^2 times the sampled tones' Gram rows of the sent
         # tones; the reference sends perms and is relabelled to the identity
         mean = statistic_matrices(np.sqrt(gains), snr, np.zeros((size, m, m)))
-        want = _to_identity(_sampled_reference(cfg, perms, h, n0, _ZeroRng()), perms)
+        want = _to_identity(_sampled_reference(wf, perms, h, n0, _ZeroRng()), perms)
         want /= scale
         assert mean.shape == want.shape == (size, m, m)
         assert np.max(np.abs(mean - want)) <= 1e-12 * np.max(np.abs(want))
@@ -293,15 +286,15 @@ def test_sampled_matrices_match_full_synthesis(m, n, channel):
 @pytest.mark.parametrize("geometry", [{}, {"t": 0.5, "delta_f": 4.0}])
 def test_sampled_matrices_bler_matches_full_synthesis(geometry):
     size = 20_000
-    cfg, perms, h, n0 = _sampled_case(4, 2, "rician", geometry, 17, size)
+    wf, perms, h, n0 = _sampled_case(4, 2, "rician", geometry, 17, size)
     root_gains = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
     noise = np.random.default_rng(1).standard_normal((size, 4, 4))
-    got = np.count_nonzero(_block_errors(statistic_matrices(root_gains, cfg.energy / n0, noise)))
+    got = np.count_nonzero(_block_errors(statistic_matrices(root_gains, wf.energy / n0, noise)))
     rng = np.random.default_rng(2)
     want = 0
     for lo in range(0, size, 2000):  # the reference holds every sample of its trials
         part = slice(lo, lo + 2000)
-        r = _sampled_reference(cfg, perms[part], h[part], n0, rng)
+        r = _sampled_reference(wf, perms[part], h[part], n0, rng)
         want += np.count_nonzero(_fw_block_errors(r, perms[part]))
     p_got, p_want = got / size, want / size
     assert 0.05 < p_want < 0.5  # the comparison is not vacuous
@@ -503,15 +496,15 @@ def test_sweep_matches_reference_blocks(mode, trials, channel, workers):
 @pytest.mark.parametrize(
     "bad",
     [
-        {"energy": float("inf")},
-        {"energy": float("nan")},
+        {"snr_db": (4000.0,)},  # finite, but its linear value overflows
+        {"snr_db": (-4000.0,)},  # and this one underflows to 0
         {"snr_db": (0.0, float("inf"))},
         {"snr_db": (float("nan"),)},
         {"snr_db": (float("-inf"),)},
-        {"t": float("inf")},
-        {"t": float("nan")},
-        {"t": 0.0},
-        {"energy": 1e308},  # finite, but the noise scale energy * n0 overflows
+        {"channel": "rician", "k": float("inf")},
+        {"channel": "rician", "k": float("nan")},
+        {"channel": "rician", "k": -1.0},
+        {"snr_db": (0.0, 3100.0)},  # only the second point overflows
     ],
 )
 def test_non_finite_config_values_rejected(bad):
@@ -564,17 +557,11 @@ def test_validation_errors():
 
 
 def test_overflowed_scales_raise_rather_than_count_as_correct():
-    # a non-finite statistic shift (from an infinite gain or SNR), or the
-    # sampled noise scale at a 1e-300 s pulse width, which the config
-    # admits; the nan matrices they would leave read as "no positive
-    # cycle", i.e. correct
+    # a non-finite statistic shift (from an infinite gain or SNR); the nan
+    # matrices it would leave read as "no positive cycle", i.e. correct
     for root_gains, snr in (([1.0, np.inf], 1.0), ([1.0, 1.0], np.inf)):
         with pytest.raises(NumericError):
             statistic_matrices(np.array(root_gains), snr, np.zeros((2, 2, 2)))
-    cfg = SimConfig(m=2, n=1, snr_db=(0.0,), trials=10, mode="sampled",
-                    energy=1e10, t=1e-300)
-    with pytest.raises(NumericError):
-        run_bler_sweep(cfg)
 
 
 def test_block_memory_does_not_grow_with_m_squared():
@@ -590,26 +577,6 @@ def test_block_memory_does_not_grow_with_m_squared():
         tracemalloc.stop()
     assert 0 < errors < _BLOCK
     assert peak <= 4 * 2**20
-
-
-def test_sampled_block_draw_budget():
-    # every point of the sampled-mode benchmark (m <= 6, n <= 4, default
-    # 8 m samples per pulse) fits; a tone table that could never be held does not
-    for m in range(1, 7):
-        for n in range(1, 5):
-            SimConfig(m=m, n=n, snr_db=(0.0,), mode="sampled")
-    assert 2 * 6 * 48 <= _TONE_TABLE_BUDGET
-    for geometry in ({"oversampling": 10**12}, {"delta_f": 1e6}, {"delta_f": float("inf")}):
-        with pytest.raises(ValidationError, match="budget"):
-            SimConfig(m=2, n=1, snr_db=(0.0,), mode="sampled", **geometry)
-    # statistic mode draws no samples
-    SimConfig(m=2, n=1, snr_db=(0.0,), oversampling=10**12)
-
-
-def test_sampled_mode_bad_geometry_rejected():
-    cfg = SimConfig(m=2, n=1, snr_db=(0.0,), mode="sampled", t=1.0, delta_f=0.3)
-    with pytest.raises(ValidationError):
-        run_bler_sweep(cfg)
 
 
 def test_bler_decreases_with_snr():

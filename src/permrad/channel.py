@@ -42,15 +42,24 @@ class ChannelParams:
             raise ValidationError("rayleigh channel requires k=0")
 
 
+def snr_from_db(snr_db: float) -> float:
+    """Linear SNR 10^(snr_db / 10); one that overflows, underflows to 0 or is
+    nan is rejected."""
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = inf
+    if not 0.0 < snr < inf:  # also refuses a nan or infinite snr_db
+        raise ValidationError(f"snr {snr_db} dB: the linear snr is not a positive finite double")
+    return snr
+
+
 def n0_from_snr_db(energy: float, snr_db: float) -> float:
     """Noise variance for a target per-antenna SNR of energy / n0.
 
     An SNR whose linear value or n0 overflows or underflows is rejected.
     """
-    try:
-        n0 = energy / 10.0 ** (snr_db / 10.0)
-    except (OverflowError, ZeroDivisionError):
-        n0 = float("nan")
+    n0 = energy / snr_from_db(snr_db)
     if not 0.0 < n0 < inf:
         raise ValidationError(
             f"snr {snr_db} dB at energy {energy} puts the noise variance "

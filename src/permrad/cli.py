@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import radar, simkit
-from .channel import n0_from_snr_db
+from .channel import n0_from_snr_db, snr_from_db
 from .errors import CapabilityError, NumericError, PermradError, ValidationError
 from .lehmer import (
     bits_per_block,
@@ -27,7 +27,7 @@ from .lehmer import (
     rank_to_permutation,
     symbol_capacity,
 )
-from .receiver import assignment_score, exhaustive_detect, hungarian_detect
+from .receiver import exhaustive_detect, hungarian_detect
 from .waveform import WaveformParams, synthesize
 
 # key aliases accepted in simulate config files
@@ -197,11 +197,6 @@ def _crlb_arguments(p: _Parser) -> None:
     p.set_defaults(handler=_cmd_crlb)
 
 
-def _selftest_arguments(p: _Parser) -> None:
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_selftest)
-
-
 # subcommand -> (help line, function that adds its arguments)
 _COMMANDS = {
     "encode": ("map a data symbol to a tone permutation", _encode_arguments),
@@ -212,7 +207,6 @@ _COMMANDS = {
     "simulate": ("Monte Carlo BLER sweep as CSV", _simulate_arguments),
     "af": ("ambiguity magnitude grid as CSV tau,omega_rad_s,magnitude", _af_arguments),
     "crlb": ("delay/Doppler estimation bounds as CSV", _crlb_arguments),
-    "selftest": ("run built-in golden and identity checks", _selftest_arguments),
 }
 
 
@@ -358,10 +352,7 @@ def _cmd_bounds(args) -> int:
     ]
     lines = ["snr_db,ub,nn,channel,M,N,K"]
     for snr_db in args.snr_db:
-        try:
-            snr = 10.0 ** (snr_db / 10.0)
-        except OverflowError:
-            raise ValidationError(f"snr {snr_db} dB overflows a double") from None
+        snr = snr_from_db(snr_db)
         if args.channel == "awgn":
             ub = bnd.union_bound_awgn(args.m, args.n, snr)
             nn = bnd.nn_awgn(args.m, args.n, snr)
@@ -521,44 +512,6 @@ def _cmd_crlb(args) -> int:
         )
     with _open_out(args.out) as fh:
         _write(fh, header, lines)
-    return 0
-
-
-# reference 4x4 case: optimal assignment [2, 1, 0, 3] with objective 6
-_GOLDEN_MATRIX = np.array(
-    [
-        [-4.0, -3.0, -2.0, -6.0],
-        [-2.0, 1.0, 0.0, -4.0],
-        [4.0, -2.0, 5.0, -3.0],
-        [5.0, 4.0, -4.0, 3.0],
-    ]
-)
-
-
-def _cmd_selftest(args) -> int:
-    checks = []
-    got = hungarian_detect(_GOLDEN_MATRIX)
-    checks.append(("assignment_golden_case", got == [2, 1, 0, 3]))
-    checks.append(
-        ("assignment_objective", assignment_score(_GOLDEN_MATRIX, got) == 6.0)
-    )
-    checks.append(
-        ("assignment_oracle_agreement", exhaustive_detect(_GOLDEN_MATRIX) == got)
-    )
-    ub = bnd.union_bound_awgn(2, 1, 1.0)
-    nn = bnd.nn_awgn(2, 1, 1.0)
-    q1 = bnd.qfunc(1.0)
-    checks.append(("two_tone_bound_identity", ub == nn == q1))
-    checks.append(("two_tone_bound_value", abs(q1 - 0.15865525393145707) < 1e-15))
-    ray = bnd.union_bound_rayleigh(4, 2, 10.0)
-    ric0 = bnd.union_bound_rician(4, 2, 0.0, 10.0)
-    checks.append(("rayleigh_k0_identity", abs(ray - ric0) <= 1e-12 * ray))
-
-    lines = [f"{name}: {'ok' if ok else 'FAILED'}" for name, ok in checks]
-    with _open_out(args.out) as fh:
-        _write(fh, [("command", "selftest")], lines)
-    if not all(ok for _, ok in checks):
-        raise NumericError("selftest failed", failed=[n for n, ok in checks if not ok])
     return 0
 
 

@@ -15,6 +15,7 @@ Estimation accuracy is characterized by the 2x2 Fisher information in
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, replace
 from math import cos, isfinite
@@ -165,8 +166,10 @@ def af_grid(
     """Evaluate |A| over the outer product of the two axes."""
     tau_axis = np.asarray(tau_axis, dtype=float)
     omega_axis = np.asarray(omega_axis, dtype=float)
-    if workers > 1 and tau_axis.size > 1:
-        chunks = np.array_split(np.arange(tau_axis.size), min(workers, tau_axis.size))
+    # no more processes than delay rows, or than cores
+    workers = min(workers, tau_axis.size, os.cpu_count() or 1)
+    if workers > 1:
+        chunks = np.array_split(np.arange(tau_axis.size), workers)
         args = [(list(perm), params, tau_axis[idx], omega_axis) for idx in chunks]
         # imported here, as in simkit: a serial call does not load the pool
         from concurrent.futures import ProcessPoolExecutor

@@ -101,8 +101,9 @@ def hungarian_detect(r: np.ndarray) -> list[int]:
 
     Negates the matrix, shifts it to non-negative, and runs a minimizing
     augmenting-path core with dual potentials.  Among equal-objective
-    assignments the lexicographically smallest permutation is returned,
-    identified through the zero-reduced-cost edges of the optimal duals.
+    assignments the lexicographically smallest permutation is returned: a
+    second solve of the same core keeps only the edges that the optimal
+    duals leave tight, and orders their matchings lexicographically.
     """
     r = _checked_square(r)
     m = r.shape[0]
@@ -110,14 +111,20 @@ def hungarian_detect(r: np.ndarray) -> list[int]:
         return [0]
     # shift so the minimizing core works on non-negative entries
     cost = (float(r.max()) - r).tolist()
-    col_of_row, u, v = _solve_min_assignment(cost)
+    _, u, v = _solve_min_assignment(cost)
     reduced = np.asarray(cost) - np.asarray(u)[:, None] - np.asarray(v)[None, :]
-    span = float(np.ptp(r))
-    zero = reduced <= 1e-9 * (1.0 + span)
-    if int(zero.sum()) > m:
-        # extra tight edges: ties are possible, refine lexicographically
-        return _lex_smallest_matching(zero)
-    return col_of_row
+    # the optimal matchings are the perfect matchings of the tight edges; a
+    # tolerance of rounding size relative to the span only, so the answer
+    # does not depend on the matrix's scale
+    tight = reduced <= 8 * m * np.finfo(float).eps * float(np.ptp(r))
+    # exact integer costs: a tight edge (i, j) costs digit j of a base-m
+    # number, any other edge more than every tight matching, so the cheapest
+    # matching is the lexicographically smallest optimal permutation
+    lex = [
+        [j * m ** (m - 1 - i) if t else m**m for j, t in enumerate(row)]
+        for i, row in enumerate(tight.tolist())
+    ]
+    return _solve_min_assignment(lex)[0]
 
 
 def _checked_square(r: np.ndarray) -> np.ndarray:
@@ -141,8 +148,9 @@ def _solve_min_assignment(cost: list[list[float]]) -> tuple[list[int], list[floa
     """
     n = len(cost)
     inf = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
+    # integer potentials keep integer costs exact; float costs are unchanged
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     p = [0] * (n + 1)  # p[j] = 1-based row matched to column j; column 0 is virtual
     way = [0] * (n + 1)
     for i in range(1, n + 1):
@@ -182,39 +190,3 @@ def _solve_min_assignment(cost: list[list[float]]) -> tuple[list[int], list[floa
     for j in range(1, n + 1):
         col_of_row[p[j] - 1] = j - 1
     return col_of_row, u[1:], v[1:]
-
-
-def _lex_smallest_matching(zero: np.ndarray) -> list[int]:
-    """Lexicographically smallest perfect matching of the tight-edge graph.
-
-    Fixes rows in order to their smallest feasible column, where feasible
-    means the remaining rows still admit a perfect matching (checked by
-    augmenting paths).  The graph is guaranteed to contain one.
-    """
-    n = zero.shape[0]
-    out: list[int] = []
-    free_cols = set(range(n))
-    for row in range(n):
-        for c in sorted(free_cols):
-            if zero[row, c] and _can_match(zero, range(row + 1, n), free_cols - {c}):
-                out.append(c)
-                free_cols.discard(c)
-                break
-        else:  # pragma: no cover - unreachable when zero contains a perfect matching
-            raise AssertionError("tight-edge graph lost its perfect matching")
-    return out
-
-
-def _can_match(zero: np.ndarray, rows, cols: set[int]) -> bool:
-    match: dict[int, int | None] = {c: None for c in cols}
-
-    def extend(row: int, seen: set[int]) -> bool:
-        for c in cols:
-            if zero[row, c] and c not in seen:
-                seen.add(c)
-                if match[c] is None or extend(match[c], seen):
-                    match[c] = row
-                    return True
-        return False
-
-    return all(extend(row, set()) for row in rows)

@@ -29,14 +29,16 @@ probability and no symbol needs to be drawn.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from math import inf, sqrt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .channel import CHANNEL_KINDS, ChannelParams, draw_fading_batch
+from .channel import CHANNEL_KINDS, ChannelParams, draw_fading_batch, snr_from_db
 from .errors import ValidationError
 from .lehmer import MAX_M
 from .receiver import MAX_EXHAUSTIVE_M, statistic_matrices
@@ -101,14 +103,7 @@ class SimConfig:
                 f"exhaustive receiver sweeps are limited to m <= 8, got m={self.m}"
             )
         for snr_db in self.snr_db:
-            try:
-                snr = 10.0 ** (snr_db / 10.0)
-            except OverflowError:
-                snr = inf
-            if not 0.0 < snr < inf:  # also refuses a nan or infinite snr_db
-                raise ValidationError(
-                    f"snr {snr_db} dB: the linear snr is not a positive finite double"
-                )
+            snr_from_db(snr_db)
         if self.workers < 1:
             raise ValidationError(f"workers must be at least 1, got {self.workers}")
         if self.master_seed < 0:
@@ -151,15 +146,17 @@ def run_bler_sweep(cfg: SimConfig) -> list[BlerPoint]:
     The points share their trials: each point's count is the one a sweep
     of that point alone would give, and the rows are in the grid's order.
     """
+    # no more processes than blocks, or than cores
+    workers = min(cfg.workers, -(-cfg.trials // _BLOCK), os.cpu_count() or 1)
     pool = None
-    if cfg.workers > 1:
+    if workers > 1:
         # imported here: the pool's modules take a sizeable share of a
         # serial CLI call's start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=cfg.workers)
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        trials, errors = _run_points(cfg, pool)
+        trials, errors = _run_points(cfg, pool, workers)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -176,34 +173,33 @@ def run_bler_sweep(cfg: SimConfig) -> list[BlerPoint]:
     return points
 
 
-def _blocks(cfg: SimConfig) -> list[tuple[int, int]]:
-    size = _BLOCK
-    full, rest = divmod(cfg.trials, size)
-    out = [(i, size) for i in range(full)]
-    if rest:
-        out.append((full, rest))
-    return out
+def _blocks(cfg: SimConfig) -> Iterator[tuple[int, int]]:
+    """(index, size) of each block in turn: block b holds trials
+    b * _BLOCK onwards, at most _BLOCK of them."""
+    for b_idx, start in enumerate(range(0, cfg.trials, _BLOCK)):
+        yield b_idx, min(_BLOCK, cfg.trials - start)
 
 
-def _run_points(cfg: SimConfig, pool) -> tuple[list[int], list[int]]:
+def _run_points(cfg: SimConfig, pool, workers: int) -> tuple[list[int], list[int]]:
     """Trials and errors per point.
 
     With an error target, block k counts at a point iff that point's target
     was not met over blocks 0..k-1; a block is drawn while any point still
     counts it, and decided at those points only.  Blocks go out in waves of
     one per worker, so the stop points do not depend on the worker count.
+    They are taken from the block schedule as they go out, so a sweep that
+    meets its target early never lists the rest of its trial cap.
     """
     points = range(len(cfg.snr_db))
     trials = [0] * len(points)
     errors = [0] * len(points)
     target = inf if cfg.target_errors is None else cfg.target_errors
     blocks = _blocks(cfg)
-    wave = len(blocks) if cfg.target_errors is None else cfg.workers
-    for pos in range(0, len(blocks), wave):
-        active = tuple(p for p in points if errors[p] < target)
-        if not active:
+    wave = None if cfg.target_errors is None else workers  # None: every block at once
+    while active := tuple(p for p in points if errors[p] < target):
+        jobs = [(cfg, b_idx, b_size, active) for b_idx, b_size in islice(blocks, wave)]
+        if not jobs:
             break
-        jobs = [(cfg, b_idx, b_size, active) for b_idx, b_size in blocks[pos : pos + wave]]
         if pool is None:
             results: Iterable[list[int]] = (_run_block(*job) for job in jobs)
         else:
@@ -235,7 +231,7 @@ def _run_block(cfg: SimConfig, block_idx: int, size: int, points: tuple[int, ...
     rng = np.random.default_rng([cfg.master_seed, block_idx])
     h = draw_fading_batch(cfg.channel_params(), rng, size)
     root_gains = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
-    snrs = [10.0 ** (cfg.snr_db[p] / 10.0) for p in points]
+    snrs = [snr_from_db(cfg.snr_db[p]) for p in points]
     order = sorted(range(len(points)), key=snrs.__getitem__)
     step = max(1, _DECISION_ELEMS // (cfg.m * cfg.m))
     # the slice's noise, and the decision's two temporaries, the second of

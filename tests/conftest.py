@@ -1,0 +1,31 @@
+"""Shared fixtures."""
+
+import concurrent.futures
+
+import pytest
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces the process pool with one that maps in this process; returns
+    the list of the sizes the code under test asked its pools for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+        def shutdown(self):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shutdown()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes

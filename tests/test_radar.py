@@ -1,5 +1,6 @@
 """Ambiguity surface, Fisher information, and CRLB tests."""
 
+import os
 import tracemalloc
 from itertools import permutations
 from math import ceil, cos, floor, pi
@@ -691,6 +692,17 @@ def test_af_grid_workers_agree_with_serial():
     serial = af_grid([1, 2, 0], params, taus, omegas, workers=1)
     parallel = af_grid([1, 2, 0], params, taus, omegas, workers=3)
     assert np.array_equal(serial.values, parallel.values)
+
+
+def test_af_grid_pool_is_sized_to_the_delay_rows_and_the_cores(pool_sizes, monkeypatch):
+    params = _params(m=3)
+    taus = np.linspace(-3, 3, 3)
+    omegas = np.linspace(-6.0, 6.0, 5)
+    serial = af_grid([1, 2, 0], params, taus, omegas).values
+    for cores in (64, 2, 1):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert np.array_equal(af_grid([1, 2, 0], params, taus, omegas, workers=64).values, serial)
+    assert pool_sizes == [3, 2]  # one core runs in this process
 
 
 def test_af_grid_workers_bit_identical_on_default_grid():

@@ -213,14 +213,29 @@ def test_tie_breaking_is_lexicographic():
     r = np.array([[2.0, 2.0], [1.0, 1.0]])
     assert hungarian_detect(r) == [0, 1]
     assert exhaustive_detect(r) == [0, 1]
+    # a unique optimum whose margin is tiny next to 1, or next to the
+    # entries' size, is not a tie
+    for r in ([[0.0, 0.0], [1e-10, 0.0]], [[1e6, 1e6], [1e-4, 0.0]]):
+        assert hungarian_detect(np.array(r)) == exhaustive_detect(np.array(r)) == [1, 0]
 
 
 def test_scale_invariance():
     rng = np.random.default_rng(5)
     r = rng.normal(size=(5, 5))
     base = hungarian_detect(r)
-    for c in (1e-6, 0.5, 3.0, 1e6):
-        assert hungarian_detect(c * r) == base
+    for c in (1e-300, 1e-12, 1e-9, 1e-6, 0.5, 3.0, 1e6):
+        assert hungarian_detect(c * r) == exhaustive_detect(c * r) == base
+
+
+def test_ties_match_exhaustive_at_any_power_of_two_scale():
+    # small integer entries tie often; a power-of-two scale keeps them exact,
+    # so the tied optima are the same at every scale and the detectors must
+    # agree on the lexicographically smallest
+    rng = np.random.default_rng(9)
+    for _ in range(2400):
+        m = int(rng.integers(2, 8))
+        r = rng.integers(-2, 3, size=(m, m)) * 2.0 ** int(rng.integers(-60, 30))
+        assert hungarian_detect(r) == exhaustive_detect(r)
 
 
 def test_row_shift_invariance():

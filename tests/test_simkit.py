@@ -1,5 +1,6 @@
 """Monte Carlo engine tests: determinism, receiver equivalence, exactness."""
 
+import os
 import tracemalloc
 from dataclasses import replace
 from math import erfc, factorial, sqrt
@@ -577,6 +578,36 @@ def test_block_memory_does_not_grow_with_m_squared():
         tracemalloc.stop()
     assert 0 < errors < _BLOCK
     assert peak <= 4 * 2**20
+
+
+def test_an_early_stop_does_not_pay_for_the_trial_cap():
+    # a cap of a million blocks that the first block's errors meet costs what
+    # a one-block cap does: the schedule is worked out as the blocks go out
+    cfg = SimConfig(m=4, n=1, snr_db=(0.0,), trials=_BLOCK * 10**6, target_errors=1)
+    tracemalloc.start()
+    try:
+        got = run_bler_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == run_bler_sweep(replace(cfg, trials=_BLOCK))
+    assert peak <= 10 * 2**20
+
+
+def test_process_pool_is_sized_to_the_blocks_and_the_cores(pool_sizes, monkeypatch):
+    base = dict(m=2, n=1, snr_db=(0.0, 3.0), master_seed=5)
+    # one block needs no pool at all
+    serial = run_bler_sweep(SimConfig(workers=1, trials=100, **base))
+    assert run_bler_sweep(SimConfig(workers=64, trials=100, **base)) == serial
+    assert pool_sizes == []
+    # three blocks: one process per block, and no more than the cores
+    for target_errors in (None, 10):
+        cfg = SimConfig(trials=2 * _BLOCK + 1, target_errors=target_errors, **base)
+        serial = run_bler_sweep(cfg)
+        for cores in (64, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            assert run_bler_sweep(replace(cfg, workers=64)) == serial
+    assert pool_sizes == [3, 2, 3, 2]
 
 
 def test_bler_decreases_with_snr():

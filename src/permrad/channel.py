@@ -76,7 +76,7 @@ def draw_fading_batch(params: ChannelParams, rng: np.random.Generator, size: int
     """
     if params.kind == "awgn":
         return np.ones((size, params.n), dtype=complex)
-    k = 0.0 if params.kind == "rayleigh" else params.k
     g = rng.standard_normal((size, params.n, 2))
     u = (g[..., 0] + 1j * g[..., 1]) / sqrt(2.0)
+    k = params.k  # 0 on a Rayleigh channel, as ChannelParams checks
     return sqrt(k / (k + 1.0)) + sqrt(1.0 / (k + 1.0)) * u

@@ -77,6 +77,15 @@ def _open_out(path: str | None):
             yield fh
 
 
+@contextmanager
+def _warnings_into(header):
+    """Adds each distinct warning raised inside to ``header``, not stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    header.extend(("warning", msg) for msg in dict.fromkeys(str(w.message) for w in caught))
+
+
 def _write(fh, header_pairs, lines):
     for key, value in header_pairs:
         fh.write(f"# {key}={value}\n")
@@ -381,7 +390,6 @@ def _cmd_simulate(args) -> int:
         mode=args.mode,
         workers=args.workers,
     )
-    points = simkit.run_bler_sweep(cfg)
     header = [
         ("command", "simulate"),
         ("m", cfg.m),
@@ -397,6 +405,8 @@ def _cmd_simulate(args) -> int:
         ("workers", cfg.workers),
         ("snr_definition", "energy/n0 per receive antenna"),
     ]
+    with _warnings_into(header):  # points that hit the trial cap
+        points = simkit.run_bler_sweep(cfg)
     lines = ["snr_db,bler,ci_lo,ci_hi,trials,errors,M,N,channel,K,receiver,mode,seed"]
     for pt in points:
         lines.append(
@@ -485,24 +495,25 @@ def _cmd_crlb(args) -> int:
     ]
     lines = ["snr_db,n0,crlb_tau,crlb_omega,variant"]
     indefinite = []
-    for snr_db in args.snr_db:
-        n0 = n0_from_snr_db(args.energy, snr_db)
-        fim = radar.fisher_matrix(perm, params, n0, b)
-        try:
-            full = radar.crlb_from_fisher(fim)
-        except NumericError:
-            # the large-BT closed form loses positive definiteness when the
-            # coupling entry dominates; report the gap instead of aborting
-            full = (float("nan"), float("nan"))
-            indefinite.append(snr_db)
-        simple = radar.crlb_simplified(params, n0, b)
-        if not all(0.0 < x < inf for x in (*full, *simple) if not isnan(x)):
-            raise NumericError(
-                f"a bound at snr {snr_db} dB underflows to 0 or overflows",
-                j11=fim.j11, j12=fim.j12, j22=fim.j22, crlb_full=full, crlb_simplified=simple,
-            )
-        lines.append(f"{_fmt(snr_db)},{_fmt(n0)},{_fmt(full[0])},{_fmt(full[1])},full")
-        lines.append(f"{_fmt(snr_db)},{_fmt(n0)},{_fmt(simple[0])},{_fmt(simple[1])},simplified")
+    with _warnings_into(header):  # a bandwidth-time product below 10
+        for snr_db in args.snr_db:
+            n0 = n0_from_snr_db(args.energy, snr_db)
+            fim = radar.fisher_matrix(perm, params, n0, b)
+            try:
+                full = radar.crlb_from_fisher(fim)
+            except NumericError:
+                # the large-BT closed form loses positive definiteness when the
+                # coupling entry dominates; report the gap instead of aborting
+                full = (float("nan"), float("nan"))
+                indefinite.append(snr_db)
+            simple = radar.crlb_simplified(params, n0, b)
+            if not all(0.0 < x < inf for x in (*full, *simple) if not isnan(x)):
+                raise NumericError(
+                    f"a bound at snr {snr_db} dB underflows to 0 or overflows",
+                    j11=fim.j11, j12=fim.j12, j22=fim.j22, crlb_full=full, crlb_simplified=simple,
+                )
+            for variant, (tau, omega) in (("full", full), ("simplified", simple)):
+                lines.append(f"{_fmt(snr_db)},{_fmt(n0)},{_fmt(tau)},{_fmt(omega)},{variant}")
     if indefinite:
         header.append(
             ("warning",

@@ -11,45 +11,15 @@ reference oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
-from math import isfinite, sqrt
+from itertools import chain, permutations
+from math import factorial, isfinite
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, NumericError, ValidationError
+from .errors import CapabilityError, ValidationError
 
 MAX_EXHAUSTIVE_M = 10
-
-
-def statistic_matrices(root_gains: np.ndarray, snr: float, noise: np.ndarray) -> np.ndarray:
-    """Correlation matrices of the identity tone order at one SNR, in units
-    of the noise: adds the shift sqrt(2 g snr / M) to the diagonals of
-    ``noise``, a batch of M x M unit normal matrices, in place and returns it.
-
-    The continuous receiver's matrix for gain g = |h|^2 (``root_gains`` holds
-    sqrt(g) per trial) has (energy/M) * g on the transmitted support, here
-    the diagonal, plus iid real Gaussian noise of variance
-    energy * n0 * g / (2M).  The decision is blind to a positive scale, so
-    the matrix is taken over the noise's standard deviation: unit normal
-    noise plus sqrt(2 g snr / M) on the diagonal, with snr = energy / n0.
-    Decision-variable differences over l mismatched slots then have mean
-    l * sqrt(2 g snr / M) and variance 2l, the continuous-receiver
-    statistics over the noise scale, with no sampling involved.  Only the
-    shift depends on the SNR, so one noise draw serves every SNR point.
-    Formed as sqrt(2/M) * sqrt(snr) * sqrt(g), the shift stays finite at any
-    finite snr and gain, and it grows with snr even after rounding.
-    """
-    m = noise.shape[-1]
-    shift = sqrt(2.0 / m) * sqrt(snr) * np.asarray(root_gains, dtype=float)
-    # a non-finite shift leaves inf/nan matrices, which the block decision
-    # would count as decoded
-    if not np.isfinite(shift).all():
-        raise NumericError(
-            "statistic shift overflows", snr=snr, max_root_gain=float(np.max(root_gains))
-        )
-    np.einsum("...ii->...i", noise)[...] += shift[:, None]  # a view of the diagonals
-    return noise
 
 
 def assignment_score(r: np.ndarray, perm: Sequence[int]) -> float:
@@ -62,13 +32,16 @@ def assignment_score(r: np.ndarray, perm: Sequence[int]) -> float:
 def permutation_table(m: int) -> np.ndarray:
     """All permutations of 0..m-1 in lexicographic order, shape (m!, m).
 
-    Row index equals the Lehmer rank of that row.
+    Row index equals the Lehmer rank of that row.  The rows stream into one
+    int8 table, with no list of m! tuples in between.
     """
     if m > MAX_EXHAUSTIVE_M:
         raise CapabilityError(
             f"permutation table for m={m} would have {m}! rows; limit is {MAX_EXHAUSTIVE_M}"
         )
-    return np.array(list(permutations(range(m))), dtype=np.int64)
+    rows = factorial(m)
+    flat = np.fromiter(chain.from_iterable(permutations(range(m))), np.int8, count=rows * m)
+    return flat.reshape(rows, m)
 
 
 def exhaustive_detect(r: np.ndarray) -> list[int]:

@@ -6,10 +6,13 @@ bit-identical for any worker count and blocks can run in parallel with
 plain integer-sum reduction.
 
 Every SNR point of a sweep decides the same trials (common random
-numbers).  In units of the noise, a trial's M x M correlator outputs are
+numbers).  The receiver's M x M correlator outputs are (energy / M) g on
+the diagonal, g = |h|^2, plus noise of variance energy n0 g / (2M); the
+decision is blind to a positive scale, so in units of the noise they are
 unit normal noise plus the shift sqrt(2 g snr / M) on the diagonal, with
-g = |h|^2, so the SNR enters only through that shift.  A block draws its
-fading once and its noise once, and decides each trial at every point.
+snr = energy / n0, and the SNR enters only through that shift.  A block
+draws its fading once and its noise once, and decides each trial at every
+point.
 A trial that is decoded at one SNR is decoded at every higher SNR, so the
 points are decided in ascending SNR, each only on the trials that erred at
 the point before.  Each point's count is the one a sweep of that point
@@ -39,9 +42,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .channel import CHANNEL_KINDS, ChannelParams, draw_fading_batch, snr_from_db
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .lehmer import MAX_M
-from .receiver import MAX_EXHAUSTIVE_M, statistic_matrices
 
 RECEIVERS = ("hungarian", "exhaustive")
 MODES = ("statistic", "sampled")
@@ -64,6 +66,7 @@ class SimConfig:
     """Full description of one BLER sweep.
 
     snr is energy / n0 per receive antenna; the grid is given in dB.
+    ``k`` is the Rician factor; on the other channels it is set to 0.
     ``trials`` is the per-point trial budget; with ``target_errors`` set,
     a point stops at the first block boundary where the error target has
     been met (still deterministic for any worker count).
@@ -94,11 +97,14 @@ class SimConfig:
             raise ValidationError("target_errors must be at least 1 when set")
         if self.channel not in CHANNEL_KINDS:
             raise ValidationError(f"channel must be one of {CHANNEL_KINDS}, got {self.channel!r}")
+        ChannelParams(n=self.n, k=self.k)  # a malformed k is refused on any channel
+        if self.channel != "rician":
+            object.__setattr__(self, "k", 0.0)
         if self.receiver not in RECEIVERS:
             raise ValidationError(f"receiver must be one of {RECEIVERS}, got {self.receiver!r}")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.receiver == "exhaustive" and self.m > min(8, MAX_EXHAUSTIVE_M):
+        if self.receiver == "exhaustive" and self.m > 8:
             raise ValidationError(
                 f"exhaustive receiver sweeps are limited to m <= 8, got m={self.m}"
             )
@@ -108,11 +114,9 @@ class SimConfig:
             raise ValidationError(f"workers must be at least 1, got {self.workers}")
         if self.master_seed < 0:
             raise ValidationError("master_seed must be non-negative")
-        self.channel_params()  # validates k
 
     def channel_params(self) -> ChannelParams:
-        k = 0.0 if self.channel == "rayleigh" else self.k
-        return ChannelParams(n=self.n, k=k, kind=self.channel)
+        return ChannelParams(n=self.n, k=self.k, kind=self.channel)
 
 
 @dataclass(frozen=True)
@@ -188,14 +192,17 @@ def _run_points(cfg: SimConfig, pool, workers: int) -> tuple[list[int], list[int
     counts it, and decided at those points only.  Blocks go out in waves of
     one per worker, so the stop points do not depend on the worker count.
     They are taken from the block schedule as they go out, so a sweep that
-    meets its target early never lists the rest of its trial cap.
+    meets its target early, or runs in this process, never lists the rest
+    of its trial cap.  Without a target, a pool gets every block in one
+    wave: a wave per worker made `--workers 2` about 14% slower, one wait
+    per wave.
     """
     points = range(len(cfg.snr_db))
     trials = [0] * len(points)
     errors = [0] * len(points)
     target = inf if cfg.target_errors is None else cfg.target_errors
     blocks = _blocks(cfg)
-    wave = None if cfg.target_errors is None else workers  # None: every block at once
+    wave = None if cfg.target_errors is None and pool is not None else workers  # None: all
     while active := tuple(p for p in points if errors[p] < target):
         jobs = [(cfg, b_idx, b_size, active) for b_idx, b_size in islice(blocks, wave)]
         if not jobs:
@@ -233,35 +240,46 @@ def _run_block(cfg: SimConfig, block_idx: int, size: int, points: tuple[int, ...
     root_gains = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
     snrs = [snr_from_db(cfg.snr_db[p]) for p in points]
     order = sorted(range(len(points)), key=snrs.__getitem__)
+    # each point's shifts, formed as sqrt(2/M) * sqrt(snr) * sqrt(g) so that
+    # they grow with snr even after rounding; a non-finite shift would leave
+    # inf/nan swap graphs, which the decision counts as decoded
+    shifts = sqrt(2.0 / cfg.m) * np.sqrt(snrs)[:, None] * root_gains
+    if not np.isfinite(shifts).all():
+        raise NumericError(
+            "statistic shift overflows", snr=max(snrs), max_root_gain=float(np.max(root_gains))
+        )
     step = max(1, _DECISION_ELEMS // (cfg.m * cfg.m))
-    # the slice's noise, and the decision's two temporaries, the second of
-    # which also holds the point's matrices (the decision reads them only
-    # to form its first), allocated once: slice-sized arrays allocated and
-    # freed slice by slice made the allocator hand their pages back and
-    # fault them in again
+    # the slice's noise, the point's swap graphs and the decision's other
+    # temporary, allocated once: slice-sized arrays allocated and freed
+    # slice by slice made the allocator hand their pages back and fault
+    # them in again
     work = np.empty((3, min(step, size), cfg.m, cfg.m))
     errors = [0] * len(points)
     for lo in range(0, size, step):
         noise = rng.standard_normal(out=work[0, : min(step, size - lo)])
         erred = np.arange(noise.shape[0])
         for i in order:
-            r = np.take(noise, erred, axis=0, out=work[2, : erred.size], mode="clip")
-            statistic_matrices(root_gains[lo + erred], snrs[i], r)
-            erred = erred[_block_errors(r, work[1:, : erred.size])]
+            # W[n, n'] = Z[n, n'] - (Z[n, n] + shift), the swap graph of the
+            # noise Z plus the shift on the diagonal, with a zero diagonal
+            w = np.take(noise, erred, axis=0, out=work[1, : erred.size], mode="clip")
+            diag = np.einsum("...ii->...i", w)  # a view of the diagonals
+            w -= (diag + shifts[i][lo + erred, None])[:, :, None]
+            diag[...] = 0.0
+            erred = erred[_block_errors(w, work[1:, : erred.size])]
             errors[i] += erred.size
             if erred.size == 0:
                 break
     return errors
 
 
-def _block_errors(r: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def _block_errors(w: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Per-trial error indicators of the optimal (max-sum assignment) detector
-    for trials that sent the identity.
+    for trials that sent the identity, from their swap graphs w: the
+    W[n, n'] = r[n, n'] - r[n, n] of their correlation matrices r.
 
     Detection fails exactly when the identity is not an optimal assignment
-    of r, i.e. when the swap graph W[n, n'] = r[n, n'] - r[n, n] has a
-    cycle of positive weight (Klein's cycle-cancelling criterion).
-    The trials are settled in this order:
+    of r, i.e. when W has a cycle of positive weight (Klein's
+    cycle-cancelling criterion).  The trials are settled in this order:
 
     * no positive edge: no positive cycle, the trial is correct;
     * a positive 2-cycle, W + W^T > 0 somewhere: the trial is an error;
@@ -273,18 +291,15 @@ def _block_errors(r: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
       exists iff a positive cycle does.  Node m-1 is never needed as an
       intermediate: every cycle can be closed at its largest node.
 
-    Its float temporaries live in ``work``, shape (2,) + r.shape, which is
-    overwritten (allocated if not given).  r is read only to form work[0],
-    so it may live in work[1].  The rest are per-trial vectors
-    and boolean arrays.  So callers bound its memory by the slice they pass
-    (_run_block passes _DECISION_ELEMS values).  Ties have probability zero
-    under continuous noise.
+    Its float temporaries live in ``work``, shape (2,) + w.shape, which is
+    overwritten (allocated if not given); w may be work[0].  The rest are
+    per-trial vectors and boolean arrays.  So callers bound its memory by
+    the slice they pass (_run_block passes _DECISION_ELEMS values).  Ties
+    have probability zero under continuous noise.
     """
-    batch, m, _ = r.shape
+    batch, m, _ = w.shape
     if work is None:
-        work = np.empty((2,) + r.shape)
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    w = np.subtract(r, diag[:, :, None], out=work[0])  # zero diagonal
+        work = np.empty((2,) + w.shape)
     live = np.flatnonzero((w > 0).any(axis=(1, 2)))
     # mode="clip" takes straight into out (the default buffers); the
     # indices are in range either way

@@ -476,6 +476,46 @@ def test_crlb_indefinite_full_variant_reports_nan(capsys):
     assert any("indefinite" in line for line in out.splitlines() if line.startswith("#"))
 
 
+def _warning_lines(argv, capsys):
+    """The header warning lines of a CLI call, which must exit 0 with no
+    warning left to print to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = _run(capsys, argv)
+    assert rc == 0 and err == ""
+    assert [str(w.message) for w in caught] == []
+    return [line for line in out.splitlines() if line.startswith("# warning=")]
+
+
+def test_crlb_small_bandwidth_time_warning_goes_into_the_header(capsys):
+    # the closed forms assume b t >= 10; one line however many points
+    lines = _warning_lines(["crlb", "--m", "1", "--snr-db", "0,10", "--bt", "1"], capsys)
+    assert lines == ["# warning=bandwidth-time product 1 is below 10; "
+                     "the closed-form information matrix assumes a large product"]
+    assert _warning_lines(["crlb", "--m", "1", "--snr-db", "0", "--bt", "10"], capsys) == []
+
+
+def test_simulate_trial_cap_warning_goes_into_the_header(capsys):
+    argv = ["simulate", "--m", "2", "--n", "1", "--snr-db", "60,0,50", "--trials", "300",
+            "--target-errors", "10"]
+    assert _warning_lines(argv, capsys) == [
+        f"# warning=snr point {snr} dB: reached the 300-trial cap with 0 < 10 target errors"
+        for snr in ("60.0", "50.0")
+    ]
+
+
+def test_simulate_echoes_the_rician_factor_it_draws_with(capsys):
+    # K is the Rician factor: 0 on a Rayleigh or AWGN channel, as in bounds
+    for channel in ("rayleigh", "awgn"):
+        base = ["simulate", "--m", "4", "--n", "2", "--channel", channel, "--snr-db", "0,6",
+                "--trials", "3000", "--seed", "9"]
+        _, out, _ = _run(capsys, base + ["--rician-k", "4"])
+        _, want, _ = _run(capsys, base + ["--rician-k", "0"])
+        assert out == want
+        assert "# rician_k=0.0" in out.splitlines()
+        assert all(row.split(",")[9] == "0.0" for row in _data_lines(out)[1:])
+
+
 @pytest.mark.parametrize("receiver", ["hungarian", "exhaustive"])
 def test_detect_refuses_overflowing_matrix(capsys, tmp_path, receiver):
     path = tmp_path / "overflow.csv"
@@ -729,12 +769,16 @@ def _argv(draw, matrix_dir):
 def test_cli_fuzz_exits_cleanly(matrix_dir, data):
     argv = data.draw(_argv(matrix_dir))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # outside pytest a warning would print to stderr, so none may escape
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             rc = main(argv)
         except SystemExit as exc:  # argparse usage errors
             rc = exc.code
     assert rc in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == [], argv
     if rc == 1:
         assert "error:" in err.getvalue()

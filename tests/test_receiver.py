@@ -1,5 +1,6 @@
 """Detector tests: correlation construction, statistics, and assignment optimality."""
 
+import tracemalloc
 from itertools import permutations
 from math import erfc, sqrt
 
@@ -16,7 +17,6 @@ from permrad.receiver import (
     exhaustive_detect,
     hungarian_detect,
     permutation_table,
-    statistic_matrices,
 )
 from permrad.waveform import ComplexSignal, WaveformParams, synthesize
 from test_channel import FadingRealization, apply_channel, draw_fading
@@ -62,13 +62,31 @@ def _correlation_matrix(received, h, params):
     return (pulses @ basis.conj().T).real * params.dt
 
 
+def statistic_model(perms, gains, snr, noise):
+    """Correlation matrices in units of the noise, the model the sweep
+    decides: adds the shift sqrt(2 g snr / M) to ``noise``, a batch of M x M
+    unit normal matrices, on each trial's sent support [n, perms[i, n]], in
+    place, and returns it.  ``gains`` holds g = |h|^2 per trial.
+
+    The continuous receiver's matrix has (energy/M) * g on the sent support
+    plus iid real Gaussian noise of variance energy * n0 * g / (2M).  The
+    decision is blind to a positive scale, so the matrix is taken over the
+    noise's standard deviation, with snr = energy / n0.  Decision-variable
+    differences over l mismatched slots then have mean l * sqrt(2 g snr / M)
+    and variance 2l.
+    """
+    batch, m = perms.shape
+    shift = sqrt(2.0 / m) * sqrt(snr) * np.sqrt(gains)
+    noise[np.arange(batch)[:, None], np.arange(m)[None, :], perms] += shift[:, None]
+    return noise
+
+
 def _statistic_matrix(perm, h, energy, n0, rng):
-    """One trial for the sent permutation perm: statistic_matrices forms the
-    identity's matrix r from unit noise, and relabelling its columns,
-    r[:, argsort(perm)], puts the support on the entries [n, perm[n]]."""
+    """One trial's statistic matrix for the sent permutation perm."""
     m = len(perm)
-    r = statistic_matrices(np.asarray([sqrt(h.gain)]), energy / n0, rng.standard_normal((1, m, m)))
-    return r[0][:, np.argsort(perm)]
+    r = statistic_model(np.array([perm]), np.array([h.gain]), energy / n0,
+                        rng.standard_normal((1, m, m)))
+    return r[0]
 
 
 # --- correlation matrix -----------------------------------------------------
@@ -148,7 +166,7 @@ def test_statistic_matrix_decision_gap_variance():
     size = 1_000_000
     rival = [1, 2, 0]
     noise = rng.standard_normal((size, m, m))
-    r = statistic_matrices(np.full(size, sqrt(gain)), energy / n0, noise)  # sends [0, 1, 2]
+    r = statistic_model(np.tile(np.arange(m), (size, 1)), np.full(size, gain), energy / n0, noise)
     rows = np.arange(m)
     gaps = r[:, rows, rows].sum(axis=1) - r[:, rows, rival].sum(axis=1)
     expected_var = 6.0
@@ -165,7 +183,7 @@ def test_two_tone_pairwise_error_rate_matches_q():
     size = 1_000_000
     rng = np.random.default_rng(4)
     noise = rng.standard_normal((size, m, m))
-    r = statistic_matrices(np.full(size, sqrt(n_ant)), energy / n0, noise)  # sends [0, 1]
+    r = statistic_model(np.tile([0, 1], (size, 1)), np.full(size, n_ant), energy / n0, noise)
     # score of [0,1] vs [1,0]
     errors = (r[:, 0, 0] + r[:, 1, 1]) < (r[:, 0, 1] + r[:, 1, 0])
     p_hat = errors.mean()
@@ -324,6 +342,20 @@ def test_permutation_table_matches_codec():
         table = permutation_table(m)
         for rank, row in enumerate(table):
             assert list(row) == rank_to_permutation(rank, m)
+
+
+def test_permutation_table_streams_its_rows():
+    # 9! rows of 9 int8 tones are 3.1 MiB; a list of the 9! tuples on the
+    # way there, and an int64 table, took 77.5 MiB
+    tracemalloc.start()
+    try:
+        table = permutation_table.__wrapped__(9)  # not the cached table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (362_880, 9)
+    assert table[-1].tolist() == rank_to_permutation(362_879, 9)
+    assert peak <= 4 * 2**20
 
 
 def test_end_to_end_low_noise_recovers_symbol():

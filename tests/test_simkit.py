@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permrad import simkit
 from permrad.channel import ChannelParams, draw_fading_batch
 from permrad.errors import NumericError, ValidationError
 from permrad.lehmer import rank_to_permutation
-from permrad.receiver import exhaustive_detect, hungarian_detect, statistic_matrices
+from permrad.receiver import exhaustive_detect, hungarian_detect
 from permrad.simkit import (
     _BLOCK,
     BlerPoint,
@@ -25,6 +26,7 @@ from permrad.simkit import (
     wilson_interval,
 )
 from permrad.waveform import WaveformParams
+from test_receiver import statistic_model
 
 
 def _bler_sigma(p: float, n: int) -> float:
@@ -41,6 +43,11 @@ def _relabel(r_all, perms):
     are relabelled by perms[i], so r_p[i][n, perms[i, n']] = r_all[i][n, n'].
     The noise law is unchanged and the mean moves onto [n, perms[i, n]]."""
     return np.take_along_axis(r_all, np.argsort(perms, axis=1)[:, None, :], axis=2)
+
+
+def _swap_graphs(r_all):
+    """W[n, n'] = r[n, n'] - r[n, n] of each trial sent as the identity."""
+    return r_all - np.diagonal(r_all, axis1=1, axis2=2)[:, :, None]
 
 
 def _to_identity(r_all, perms):
@@ -178,8 +185,8 @@ def test_block_errors_match_per_trial_detectors(m):
     for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0):
         gains = rng.exponential(size=size)
         noise = rng.standard_normal((size, m, m))
-        r_all = statistic_matrices(np.sqrt(gains), 10.0 ** (snr_db / 10.0), noise)
-        got = _block_errors(r_all)
+        r_all = statistic_model(_identity_perms(size, m), gains, 10.0 ** (snr_db / 10.0), noise)
+        got = _block_errors(_swap_graphs(r_all))
         # the detectors see each trial relabelled to a random sent permutation
         perms = _random_perms(rng, size, m)
         r_sent = _relabel(r_all, perms)
@@ -267,7 +274,8 @@ def test_sampled_matrices_match_full_synthesis(m, n, channel):
 
         # noise-free mean: |h|^2 times the sampled tones' Gram rows of the sent
         # tones; the reference sends perms and is relabelled to the identity
-        mean = statistic_matrices(np.sqrt(gains), snr, np.zeros((size, m, m)))
+        identity = _identity_perms(size, m)
+        mean = statistic_model(identity, gains, snr, np.zeros((size, m, m)))
         want = _to_identity(_sampled_reference(wf, perms, h, n0, _ZeroRng()), perms)
         want /= scale
         assert mean.shape == want.shape == (size, m, m)
@@ -277,7 +285,7 @@ def test_sampled_matrices_match_full_synthesis(m, n, channel):
         # one pulse's noise row; the reference correlator of white noise of
         # variance sigma^2 = n0 * sample_rate / 2 per real part gives
         # sigma^2 dt^2 Re(B B^H), which over the noise scale is the identity
-        root = statistic_matrices(np.sqrt(gains), snr, np.tile(np.eye(m), (size, 1, 1))) - mean
+        root = statistic_model(identity, gains, snr, np.tile(np.eye(m), (size, 1, 1))) - mean
         got = np.einsum("bpm,bpk->bmk", root, root)
         _, basis = _reference_basis(wf, m)
         cov = wf.sample_rate * wf.dt ** 2 * (basis @ basis.conj().T).real
@@ -288,9 +296,10 @@ def test_sampled_matrices_match_full_synthesis(m, n, channel):
 def test_sampled_matrices_bler_matches_full_synthesis(geometry):
     size = 20_000
     wf, perms, h, n0 = _sampled_case(4, 2, "rician", geometry, 17, size)
-    root_gains = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
+    gains = np.sum(np.abs(h) ** 2, axis=1)
     noise = np.random.default_rng(1).standard_normal((size, 4, 4))
-    got = np.count_nonzero(_block_errors(statistic_matrices(root_gains, wf.energy / n0, noise)))
+    r_all = statistic_model(_identity_perms(size, 4), gains, wf.energy / n0, noise)
+    got = np.count_nonzero(_block_errors(_swap_graphs(r_all)))
     rng = np.random.default_rng(2)
     want = 0
     for lo in range(0, size, 2000):  # the reference holds every sample of its trials
@@ -309,7 +318,7 @@ def test_block_errors_find_cycle_longer_than_a_swap():
     # positive edge at all.
     cyclic = np.array([[0.0, 1.0, -5.0], [-5.0, 0.0, 1.0], [1.0, -5.0, 0.0]])
     r_all = np.stack([cyclic, -cyclic.T, np.eye(3)])
-    assert _block_errors(r_all).tolist() == [True, True, False]
+    assert _block_errors(_swap_graphs(r_all)).tolist() == [True, True, False]
     # the same trials sent as 2,0,1 give the same decisions
     perms = np.tile([2, 0, 1], (3, 1))
     assert _fw_block_errors(_relabel(r_all, perms), perms).tolist() == [True, True, False]
@@ -354,16 +363,6 @@ def _identity_perms(size, m):
     return np.tile(np.arange(m), (size, 1))
 
 
-def _statistic_reference(perms, gains, snr, noise):
-    """Reference matrices: a copy of the unit noise with the shift
-    sqrt(2 g snr / m) added by a 3-array scatter onto the sent support."""
-    batch, m = perms.shape
-    r = noise.copy()
-    shift = sqrt(2.0 / m) * sqrt(snr) * np.sqrt(gains)
-    r[np.arange(batch)[:, None], np.arange(m)[None, :], perms] += shift[:, None]
-    return r
-
-
 def _reference_run_block(cfg, block_idx, size, symbols=False):
     """Reference block: the sweep's (seed, block) stream drawn whole, every
     trial decided at every point by the reference decision, with no
@@ -383,7 +382,7 @@ def _reference_run_block(cfg, block_idx, size, symbols=False):
     noise = rng.standard_normal((size, cfg.m, cfg.m))
     return [
         int(np.count_nonzero(_fw_block_errors(
-            _statistic_reference(perms, gains, 10.0 ** (snr_db / 10.0), noise), perms
+            statistic_model(perms, gains, 10.0 ** (snr_db / 10.0), noise.copy()), perms
         )))
         for snr_db in cfg.snr_db
     ]
@@ -431,10 +430,8 @@ def test_block_errors_match_floyd_warshall_trial_by_trial(m):
         gains = rng.exponential(size=size)
         snr = 10.0 ** (snr_db / 10.0)
         noise = np.random.default_rng(snr_db).standard_normal((size, m, m))
-        want_r = _statistic_reference(_identity_perms(size, m), gains, snr, noise)
-        r_all = statistic_matrices(np.sqrt(gains), snr, noise)
-        assert np.array_equal(r_all, want_r)
-        got = _block_errors(r_all)
+        r_all = statistic_model(_identity_perms(size, m), gains, snr, noise)
+        got = _block_errors(_swap_graphs(r_all))
         # the reference gathers the swap graph of each trial sent as a random permutation
         perms = _random_perms(rng, size, m)
         assert got.tolist() == _fw_block_errors(_relabel(r_all, perms), perms).tolist()
@@ -472,7 +469,7 @@ def test_block_errors_each_settling_exit(w, settled_by, error, sent):
     assert _settling_exit(w) == settled_by
     r = np.empty_like(w)
     r[:, sent] = w + 3.0  # r[n, p(n')] - r[n, p(n)] = W[n, n']
-    got = _block_errors((w + 3.0)[None])  # the same trial, sent as the identity
+    got = _block_errors(w[None])  # the same trial, sent as the identity
     assert got.tolist() == [error] == _fw_block_errors(r[None], np.array([sent])).tolist()
 
 
@@ -506,6 +503,8 @@ def test_sweep_matches_reference_blocks(mode, trials, channel, workers):
         {"channel": "rician", "k": float("nan")},
         {"channel": "rician", "k": -1.0},
         {"snr_db": (0.0, 3100.0)},  # only the second point overflows
+        {"channel": "rayleigh", "k": float("nan")},  # K is checked before it is set to 0
+        {"channel": "awgn", "k": -1.0},
     ],
 )
 def test_non_finite_config_values_rejected(bad):
@@ -557,12 +556,19 @@ def test_validation_errors():
         SimConfig(m=2, n=1, snr_db=(0.0,), master_seed=-1)
 
 
-def test_overflowed_scales_raise_rather_than_count_as_correct():
-    # a non-finite statistic shift (from an infinite gain or SNR); the nan
-    # matrices it would leave read as "no positive cycle", i.e. correct
-    for root_gains, snr in (([1.0, np.inf], 1.0), ([1.0, 1.0], np.inf)):
-        with pytest.raises(NumericError):
-            statistic_matrices(np.array(root_gains), snr, np.zeros((2, 2, 2)))
+def test_overflowed_scales_raise_rather_than_count_as_correct(monkeypatch):
+    # a non-finite statistic shift; the nan swap graphs it would leave read
+    # as "no positive cycle", i.e. correct.  (fading entry, m, snr dB, the
+    # largest root gain): an infinite gain, a gain whose square overflows,
+    # and a finite gain and snr whose shift overflows
+    for h, m, snr_db, root_gain in ((np.inf, 2, 0.0, np.inf), (1e200, 2, 0.0, np.inf),
+                                    (1.3e154, 1, 3082.0, 1.3e154)):
+        fading = np.array([[1.0], [h]], dtype=complex)
+        monkeypatch.setattr(simkit, "draw_fading_batch", lambda params, rng, size: fading)
+        cfg = SimConfig(m=m, n=1, snr_db=(0.0, snr_db), channel="rayleigh")
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="shift") as info:
+            _run_block(cfg, 0, 2, (0, 1))
+        assert info.value.details["max_root_gain"] == root_gain
 
 
 def test_block_memory_does_not_grow_with_m_squared():
@@ -592,6 +598,21 @@ def test_an_early_stop_does_not_pay_for_the_trial_cap():
         tracemalloc.stop()
     assert got == run_bler_sweep(replace(cfg, trials=_BLOCK))
     assert peak <= 10 * 2**20
+
+
+def test_a_serial_sweep_takes_its_blocks_one_at_a_time(monkeypatch):
+    # in this process the blocks are taken from the schedule as they run, so
+    # a large trial cap costs no list of jobs; the blocks are stubbed out
+    monkeypatch.setattr(simkit, "_run_block", lambda cfg, b_idx, size, points: [0] * len(points))
+    cfg = SimConfig(m=4, n=1, snr_db=(0.0, 3.0), trials=_BLOCK * 20_000)
+    tracemalloc.start()
+    try:
+        got = run_bler_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(p.trials, p.errors) for p in got] == [(cfg.trials, 0)] * 2
+    assert peak <= 2**19
 
 
 def test_process_pool_is_sized_to_the_blocks_and_the_cores(pool_sizes, monkeypatch):

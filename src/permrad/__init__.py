@@ -1,17 +1,7 @@
 """Frequency-permutation stepped-frequency waveforms for joint radar and communications."""
 
-from .bounds import (
-    nn_awgn,
-    nn_rayleigh,
-    nn_rician,
-    pairwise_rician,
-    qfunc,
-    subfactorial,
-    union_bound_awgn,
-    union_bound_rayleigh,
-    union_bound_rician,
-)
-from .channel import ChannelParams, n0_from_snr_db
+from .bounds import block_error_bounds, pairwise_errors, qfunc, subfactorial
+from .channel import check_channel, n0_from_snr_db
 from .errors import CapabilityError, NumericError, PermradError, ValidationError
 from .lehmer import bits_per_block, permutation_to_rank, rank_to_permutation
 from .radar import (
@@ -36,7 +26,6 @@ __all__ = [
     "AFGrid",
     "BlerPoint",
     "CapabilityError",
-    "ChannelParams",
     "ComplexSignal",
     "FisherMatrix",
     "NumericError",
@@ -46,6 +35,8 @@ __all__ = [
     "WaveformParams",
     "af_grid",
     "bits_per_block",
+    "block_error_bounds",
+    "check_channel",
     "complex_af",
     "crlb_full",
     "crlb_simplified",
@@ -53,10 +44,7 @@ __all__ = [
     "fisher_matrix",
     "hungarian_detect",
     "n0_from_snr_db",
-    "nn_awgn",
-    "nn_rayleigh",
-    "nn_rician",
-    "pairwise_rician",
+    "pairwise_errors",
     "permutation_to_rank",
     "qfunc",
     "rank_to_permutation",
@@ -65,9 +53,6 @@ __all__ = [
     "subfactorial",
     "synthesize",
     "tone_frequencies",
-    "union_bound_awgn",
-    "union_bound_rayleigh",
-    "union_bound_rician",
     "wilson_interval",
     "zero_delay_cut",
     "zero_doppler_cut",

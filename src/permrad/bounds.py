@@ -13,16 +13,18 @@ Simon & Alouini, Digital Communication over Fading Channels, ch. 5):
     M(s) = ((1+K) / (1+K+s))^N exp(-N K s / (1+K+s)),
 
 evaluated for every l of a call in one array on a fixed tanh-sinh rule
-and checked against the rule's nested half.  Values are returned
-unclamped: a bound may exceed 1 at low SNR.
+and checked against the rule's nested half.  ``pairwise_errors`` gives
+that array, and ``block_error_bounds`` both bounds of one SNR from it.
+Values are returned unclamped: a bound may exceed 1 at low SNR.
 """
 
 from __future__ import annotations
 
-from math import comb, erfc, fsum, isfinite, sqrt
+from math import comb, erfc, fsum, sqrt
 
 import numpy as np
 
+from .channel import check_channel
 from .errors import NumericError, ValidationError
 from .lehmer import MAX_M
 
@@ -67,38 +69,6 @@ def qfunc(x: float) -> float:
     return 0.5 * erfc(x / sqrt(2.0))
 
 
-def _check_common(m: int, n: int, snr: float) -> None:
-    if m < 2:
-        raise ValidationError(f"bounds need m >= 2 (no rival permutations below that), got {m}")
-    if m > MAX_M:
-        raise ValidationError(f"bounds support m up to {MAX_M}, got {m}")
-    if n < 1:
-        raise ValidationError(f"antenna count must be at least 1, got {n}")
-    if not snr > 0:
-        raise ValidationError(f"snr must be positive, got {snr}")
-
-
-def _check_k(k: float) -> None:
-    if not (k >= 0 and isfinite(k)):
-        raise ValidationError(f"Rician factor must be non-negative and finite, got {k}")
-
-
-def union_bound_awgn(m: int, n: int, snr: float) -> float:
-    """Union bound on the block error rate over AWGN, snr = energy / n0."""
-    _check_common(m, n, snr)
-    terms = [
-        subfactorial(l) * comb(m, l) * qfunc(sqrt(n * snr * l / m))
-        for l in range(2, m + 1)
-    ]
-    return fsum(terms)
-
-
-def nn_awgn(m: int, n: int, snr: float) -> float:
-    """Nearest-neighbour approximation over AWGN: only the l = 2 rivals."""
-    _check_common(m, n, snr)
-    return (m * (m - 1) / 2.0) * qfunc(sqrt(n * snr * 2 / m))
-
-
 def _craig_pairwise(ls: np.ndarray, m: int, n: int, k: float, snr: float) -> np.ndarray:
     """Craig/MGF pairwise terms for the slot mismatches ls, one (l, node) array.
 
@@ -112,7 +82,7 @@ def _craig_pairwise(ls: np.ndarray, m: int, n: int, k: float, snr: float) -> np.
         r = (2.0 * m / snr / ls)[:, None] * _SIN2
         vals = np.exp(-n * (np.log1p(a / r) + (k * a) / (r + a)))
     # summed per row rather than by BLAS, so a row does not depend on which
-    # other l share the call: the l = 2 term of the union bound is the NN term
+    # other l share the call
     fine = (vals * _WEIGHTS).sum(axis=1)
     coarse = 2.0 * (vals[:, ::2] * _WEIGHTS[::2]).sum(axis=1)
     bad = np.abs(fine - coarse) > _AGREE * fine + _TINY
@@ -126,34 +96,27 @@ def _craig_pairwise(ls: np.ndarray, m: int, n: int, k: float, snr: float) -> np.
     return fine
 
 
-def pairwise_rician(l: int, m: int, n: int, k: float, snr: float) -> float:
-    """Pairwise error probability for an l-slot mismatch under Rician fading."""
-    _check_common(m, n, snr)
-    if not 2 <= l <= m:
-        raise ValidationError(f"slot mismatch l must lie in [2, {m}], got {l}")
-    _check_k(k)
-    return float(_craig_pairwise(np.array([l], dtype=float), m, n, k, snr)[0])
+def pairwise_errors(m: int, n: int, channel: str, k: float, snr: float) -> np.ndarray:
+    """Pairwise error probabilities P2(l) for l = 2..m, in that order.
+
+    ``channel`` and ``k`` are checked as ``check_channel`` does; Rayleigh and
+    AWGN ignore ``k``.
+    """
+    if m < 2:
+        raise ValidationError(f"bounds need m >= 2 (no rival permutations below that), got {m}")
+    if m > MAX_M:
+        raise ValidationError(f"bounds support m up to {MAX_M}, got {m}")
+    k = check_channel(channel, n, k)
+    if not snr > 0:
+        raise ValidationError(f"snr must be positive, got {snr}")
+    if channel == "awgn":
+        return np.array([qfunc(sqrt(n * snr * l / m)) for l in range(2, m + 1)])
+    return _craig_pairwise(np.arange(2.0, m + 1), m, n, k, snr)
 
 
-def union_bound_rician(m: int, n: int, k: float, snr: float) -> float:
-    """Union bound over Rician fading with factor k."""
-    _check_common(m, n, snr)
-    _check_k(k)
-    ls = range(2, m + 1)
-    terms = _craig_pairwise(np.array(ls, dtype=float), m, n, k, snr)
-    return fsum(subfactorial(l) * comb(m, l) * p for l, p in zip(ls, terms.tolist()))
-
-
-def nn_rician(m: int, n: int, k: float, snr: float) -> float:
-    """Nearest-neighbour approximation over Rician fading."""
-    return (m * (m - 1) / 2.0) * pairwise_rician(2, m, n, k, snr)
-
-
-def union_bound_rayleigh(m: int, n: int, snr: float) -> float:
-    """Union bound over Rayleigh fading: the Rician bound at k = 0."""
-    return union_bound_rician(m, n, 0.0, snr)
-
-
-def nn_rayleigh(m: int, n: int, snr: float) -> float:
-    """Nearest-neighbour approximation over Rayleigh fading: Rician at k = 0."""
-    return nn_rician(m, n, 0.0, snr)
+def block_error_bounds(m: int, n: int, channel: str, k: float, snr: float) -> tuple[float, float]:
+    """(union bound, nearest-neighbour approximation) on the block error rate,
+    snr = energy / n0 per receive antenna."""
+    p = pairwise_errors(m, n, channel, k, snr).tolist()
+    ub = fsum(subfactorial(l) * comb(m, l) * pl for l, pl in zip(range(2, m + 1), p))
+    return ub, (m * (m - 1) / 2.0) * p[0]

@@ -1,4 +1,4 @@
-"""Receive-side channel parameters and multi-antenna fading draws.
+"""Receive-side channel checks and multi-antenna fading draws.
 
 The fading vector h has independent Rician entries built from a
 unit-modulus line-of-sight term and a circular complex Gaussian scatter
@@ -8,7 +8,6 @@ that |h|^2 equals the antenna count exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf, isfinite, sqrt
 
 import numpy as np
@@ -18,28 +17,22 @@ from .errors import ValidationError
 CHANNEL_KINDS = ("awgn", "rician", "rayleigh")
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Receive-side channel description.
+def check_channel(kind: str, n: int, k: float) -> float:
+    """Refuse a malformed channel description; return the Rician factor the
+    channel draws with: ``k`` on a Rician channel, 0 on the others.
 
     n     number of receive antennas
-    k     Rician factor (linear, >= 0); power ratio of LOS to scatter
-    kind  one of "awgn" | "rician" | "rayleigh"
+    k     Rician factor (linear, >= 0); power ratio of LOS to scatter,
+          checked on every channel
+    kind  one of CHANNEL_KINDS
     """
-
-    n: int
-    k: float = 0.0
-    kind: str = "rician"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"antenna count must be at least 1, got {self.n}")
-        if not (self.k >= 0 and isfinite(self.k)):
-            raise ValidationError(f"Rician factor must be non-negative and finite, got {self.k}")
-        if self.kind not in CHANNEL_KINDS:
-            raise ValidationError(f"channel kind must be one of {CHANNEL_KINDS}, got {self.kind!r}")
-        if self.kind == "rayleigh" and self.k != 0:
-            raise ValidationError("rayleigh channel requires k=0")
+    if n < 1:
+        raise ValidationError(f"antenna count must be at least 1, got {n}")
+    if not (k >= 0 and isfinite(k)):
+        raise ValidationError(f"Rician factor must be non-negative and finite, got {k}")
+    if kind not in CHANNEL_KINDS:
+        raise ValidationError(f"channel kind must be one of {CHANNEL_KINDS}, got {kind!r}")
+    return k if kind == "rician" else 0.0
 
 
 def snr_from_db(snr_db: float) -> float:
@@ -68,15 +61,17 @@ def n0_from_snr_db(energy: float, snr_db: float) -> float:
     return n0
 
 
-def draw_fading_batch(params: ChannelParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` independent fading vectors, shape (size, n) complex.
+def draw_fading_batch(
+    kind: str, n: int, k: float, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Draw ``size`` independent fading vectors, shape (size, n) complex,
+    for a channel that ``check_channel`` accepts and the factor it returns.
 
     The LOS phases are all fixed to 1: only |h|^2 enters the detection
     statistics, and it is invariant to those phases.
     """
-    if params.kind == "awgn":
-        return np.ones((size, params.n), dtype=complex)
-    g = rng.standard_normal((size, params.n, 2))
+    if kind == "awgn":
+        return np.ones((size, n), dtype=complex)
+    g = rng.standard_normal((size, n, 2))
     u = (g[..., 0] + 1j * g[..., 1]) / sqrt(2.0)
-    k = params.k  # 0 on a Rayleigh channel, as ChannelParams checks
     return sqrt(k / (k + 1.0)) + sqrt(1.0 / (k + 1.0)) * u

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import radar, simkit
-from .channel import n0_from_snr_db, snr_from_db
+from .channel import CHANNEL_KINDS, check_channel, n0_from_snr_db, snr_from_db
 from .errors import CapabilityError, NumericError, PermradError, ValidationError
 from .lehmer import (
     bits_per_block,
@@ -104,14 +104,12 @@ def _encode_arguments(p: _Parser) -> None:
     p.add_argument("--symbol", type=int, required=True, help="symbol rank (0-based)")
     p.add_argument("--bit-mode", action="store_true",
                    help="restrict symbols to the 2**floor(log2 m!) binary-addressable range")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(handler=_cmd_encode)
 
 
 def _decode_arguments(p: _Parser) -> None:
     p.add_argument("--perm", type=_int_list, required=True,
                    help="comma-separated tone indices, e.g. 0,3,2,1")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_decode)
 
 
@@ -126,14 +124,12 @@ def _waveform_arguments(p: _Parser) -> None:
     p.add_argument("--f0-hz", type=float, default=0.0, help="lowest tone frequency in Hz")
     p.add_argument("--energy", type=float, default=1.0, help="total waveform energy")
     p.add_argument("--oversampling", type=int, default=None, help="samples per pulse")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_waveform)
 
 
 def _detect_arguments(p: _Parser) -> None:
     p.add_argument("--matrix", required=True, help="CSV file with the square matrix ('#' comments ok)")
     p.add_argument("--receiver", choices=simkit.RECEIVERS, default="hungarian")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_detect)
 
 
@@ -141,11 +137,10 @@ def _bounds_arguments(p: _Parser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", "--n-antennas", dest="n", type=int, required=True,
                    help="receive antennas")
-    p.add_argument("--channel", choices=("awgn", "rician", "rayleigh"), default="awgn")
+    p.add_argument("--channel", choices=CHANNEL_KINDS, default="awgn")
     p.add_argument("--rician-k", type=float, default=0.0, help="Rician factor (linear)")
     p.add_argument("--snr-db", "--snr-db-list", dest="snr_db", type=_float_list, required=True,
                    help="comma-separated SNR grid in dB (snr = energy/n0)")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_bounds)
 
 
@@ -154,7 +149,7 @@ def _simulate_arguments(p: _Parser) -> None:
                    help="flat key=value file; command-line flags win over it")
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--n", "--n-antennas", dest="n", type=int, default=2)
-    p.add_argument("--channel", choices=("awgn", "rician", "rayleigh"), default="awgn")
+    p.add_argument("--channel", choices=CHANNEL_KINDS, default="awgn")
     p.add_argument("--rician-k", type=float, default=0.0)
     p.add_argument("--snr-db", "--snr-db-list", dest="snr_db", type=_float_list,
                    default=(0.0, 2.0, 4.0, 6.0, 8.0, 10.0))
@@ -166,7 +161,6 @@ def _simulate_arguments(p: _Parser) -> None:
     p.add_argument("--mode", choices=simkit.MODES, default="statistic",
                    help="labels the output: both modes print the same counts")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_simulate)
 
 
@@ -187,7 +181,6 @@ def _af_arguments(p: _Parser) -> None:
     p.add_argument("--doppler-max-hz", type=float, default=None, help="default +2/t")
     p.add_argument("--doppler-steps", type=int, default=81)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_af)
 
 
@@ -202,7 +195,6 @@ def _crlb_arguments(p: _Parser) -> None:
     p.add_argument("--energy", type=float, default=1.0)
     p.add_argument("--snr-db", "--snr-db-list", dest="snr_db", type=_float_list, required=True,
                    help="SNR grid in dB; n0 = energy / snr")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_crlb)
 
 
@@ -236,6 +228,7 @@ def build_parser(command: str | None = None) -> tuple[_Parser, dict[str, _Parser
         if command in (None, name):
             subs[name] = sub.add_parser(name, help=help_line)
             add_arguments(subs[name])
+            subs[name].add_argument("--out", default=None, help="output path (default stdout)")
     return parser, subs
 
 
@@ -349,7 +342,7 @@ def _check_snr_grid(snr_db) -> None:
 
 def _cmd_bounds(args) -> int:
     _check_snr_grid(args.snr_db)
-    k = args.rician_k if args.channel == "rician" else 0.0
+    k = check_channel(args.channel, args.n, args.rician_k)
     header = [
         ("command", "bounds"),
         ("m", args.m),
@@ -361,13 +354,7 @@ def _cmd_bounds(args) -> int:
     ]
     lines = ["snr_db,ub,nn,channel,M,N,K"]
     for snr_db in args.snr_db:
-        snr = snr_from_db(snr_db)
-        if args.channel == "awgn":
-            ub = bnd.union_bound_awgn(args.m, args.n, snr)
-            nn = bnd.nn_awgn(args.m, args.n, snr)
-        else:  # Rayleigh is the Rician bound at k = 0
-            ub = bnd.union_bound_rician(args.m, args.n, k, snr)
-            nn = bnd.nn_rician(args.m, args.n, k, snr)
+        ub, nn = bnd.block_error_bounds(args.m, args.n, args.channel, k, snr_from_db(snr_db))
         lines.append(
             f"{_fmt(snr_db)},{_fmt(ub)},{_fmt(nn)},{args.channel},{args.m},{args.n},{_fmt(k)}"
         )

@@ -233,14 +233,12 @@ def ridge_covariance(
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """2x2 information matrix for (delay, Doppler), with its inputs."""
+    """2x2 information matrix for (delay, Doppler), with its constant C."""
 
     j11: float
     j12: float
     j22: float
-    c: float        # energy-to-noise constant (2/n0) / (1 + n0)
-    b: float        # receiver filter bandwidth, Hz
-    omega0: float   # 2 pi f0
+    c: float  # energy-to-noise constant (2/n0) / (1 + n0)
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.j11, self.j12], [self.j12, self.j22]])
@@ -286,7 +284,7 @@ def fisher_matrix(
         raise NumericError(
             "Fisher matrix entry overflows", j11=j11, j12=j12, j22=j22, c=c, b=b
         )
-    return FisherMatrix(j11=j11, j12=j12, j22=j22, c=c, b=b, omega0=omega0)
+    return FisherMatrix(j11=j11, j12=j12, j22=j22, c=c)
 
 
 def crlb_full(

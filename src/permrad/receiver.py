@@ -13,19 +13,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, permutations
 from math import factorial, isfinite
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CapabilityError, ValidationError
 
 MAX_EXHAUSTIVE_M = 10
-
-
-def assignment_score(r: np.ndarray, perm: Sequence[int]) -> float:
-    """Objective sum r[n, perm[n]] accumulated in row order."""
-    r = np.asarray(r, dtype=float)
-    return float(sum(r[n, p] for n, p in enumerate(perm)))
 
 
 @lru_cache(maxsize=None)

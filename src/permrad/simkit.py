@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .channel import CHANNEL_KINDS, ChannelParams, draw_fading_batch, snr_from_db
+from .channel import check_channel, draw_fading_batch, snr_from_db
 from .errors import NumericError, ValidationError
 from .lehmer import MAX_M
 
@@ -87,19 +87,13 @@ class SimConfig:
     def __post_init__(self):
         if not 1 <= self.m <= MAX_M:
             raise ValidationError(f"m must be in [1, {MAX_M}], got {self.m}")
-        if self.n < 1:
-            raise ValidationError(f"n must be at least 1, got {self.n}")
         if len(self.snr_db) == 0:
             raise ValidationError("snr grid must not be empty")
         if self.trials < 1:
             raise ValidationError(f"trials must be at least 1, got {self.trials}")
         if self.target_errors is not None and self.target_errors < 1:
             raise ValidationError("target_errors must be at least 1 when set")
-        if self.channel not in CHANNEL_KINDS:
-            raise ValidationError(f"channel must be one of {CHANNEL_KINDS}, got {self.channel!r}")
-        ChannelParams(n=self.n, k=self.k)  # a malformed k is refused on any channel
-        if self.channel != "rician":
-            object.__setattr__(self, "k", 0.0)
+        object.__setattr__(self, "k", check_channel(self.channel, self.n, self.k))
         if self.receiver not in RECEIVERS:
             raise ValidationError(f"receiver must be one of {RECEIVERS}, got {self.receiver!r}")
         if self.mode not in MODES:
@@ -114,9 +108,6 @@ class SimConfig:
             raise ValidationError(f"workers must be at least 1, got {self.workers}")
         if self.master_seed < 0:
             raise ValidationError("master_seed must be non-negative")
-
-    def channel_params(self) -> ChannelParams:
-        return ChannelParams(n=self.n, k=self.k, kind=self.channel)
 
 
 @dataclass(frozen=True)
@@ -236,7 +227,7 @@ def _run_block(cfg: SimConfig, block_idx: int, size: int, points: tuple[int, ...
     diagonal shift, and the shift grows with the SNR.
     """
     rng = np.random.default_rng([cfg.master_seed, block_idx])
-    h = draw_fading_batch(cfg.channel_params(), rng, size)
+    h = draw_fading_batch(cfg.channel, cfg.n, cfg.k, rng, size)
     root_gains = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
     snrs = [snr_from_db(cfg.snr_db[p]) for p in points]
     order = sorted(range(len(points)), key=snrs.__getitem__)

@@ -5,6 +5,7 @@ and timings inline.
 """
 
 import time
+from functools import partial
 from itertools import permutations
 from math import erfc, factorial, pi, sqrt
 
@@ -13,14 +14,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import simpson
 
-from permrad.bounds import (
-    nn_awgn,
-    nn_rician,
-    union_bound_awgn,
-    union_bound_rayleigh,
-    union_bound_rician,
-)
-from permrad.channel import ChannelParams
+from permrad.bounds import block_error_bounds
 from permrad.lehmer import permutation_to_rank, rank_to_permutation
 from permrad.radar import (
     complex_af,
@@ -32,11 +26,12 @@ from permrad.radar import (
     weighted_tone_sum,
     zero_delay_cut,
 )
-from permrad.receiver import assignment_score, exhaustive_detect, hungarian_detect
+from permrad.receiver import exhaustive_detect, hungarian_detect
 from permrad.simkit import SimConfig, run_bler_sweep
 from permrad.waveform import WaveformParams
 from test_channel import fading_gains
 from test_radar import af_numeric_oracle
+from test_receiver import assignment_score
 
 GOLDEN = np.array(
     [
@@ -121,7 +116,8 @@ def test_criterion_03_codec_bijectivity_and_order():
 def test_criterion_04_awgn_bler_against_bounds():
     start = time.perf_counter()
     m, n, trials = 4, 2, 1_000_000
-    nn_star_db = _solve_nn_equals(1e-3, lambda snr: nn_awgn(m, n, snr))
+    bounds = partial(block_error_bounds, m, n, "awgn", 0.0)
+    nn_star_db = _solve_nn_equals(1e-3, lambda snr: bounds(snr)[1])
     grid = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, nn_star_db)
     cfg = SimConfig(m=m, n=n, snr_db=grid, channel="awgn", trials=trials,
                     master_seed=101, receiver="exhaustive", mode="statistic")
@@ -130,9 +126,9 @@ def test_criterion_04_awgn_bler_against_bounds():
     detail = []
     for pt in points:
         snr = 10.0 ** (pt.snr_db / 10.0)
-        ub = union_bound_awgn(m, n, snr)
+        ub = bounds(snr)[0]
         dominance = dominance and pt.bler <= ub + 3.0 * _sigma(pt.bler, pt.trials)
-    ratio = points[-1].bler / nn_awgn(m, n, 10.0 ** (nn_star_db / 10.0))
+    ratio = points[-1].bler / bounds(10.0 ** (nn_star_db / 10.0))[1]
     ratio_ok = 0.7 <= ratio <= 1.3
     elapsed = time.perf_counter() - start
     detail = f"union bound dominates at {len(points)} points; bler/nn={ratio:.3f} at {nn_star_db:.2f} dB"
@@ -165,12 +161,13 @@ def test_criterion_06_rician_rayleigh_consistency():
     for m, n in ((2, 4), (4, 4)):
         for snr_db in np.linspace(0.0, 19.0, 20):
             snr = 10.0 ** (snr_db / 10.0)
-            ric = union_bound_rician(m, n, 0.0, snr)
-            ray = union_bound_rayleigh(m, n, snr)
+            ric = block_error_bounds(m, n, "rician", 0.0, snr)[0]
+            ray = block_error_bounds(m, n, "rayleigh", 0.0, snr)[0]
             identity_ok = identity_ok and abs(ric - ray) <= 1e-12 * max(ray, 1e-300)
     # Monte Carlo vs bounds under k=1 fading
     m, n, k, trials = 4, 4, 1.0, 1_000_000
-    nn_star_db = _solve_nn_equals(1e-3, lambda snr: nn_rician(m, n, k, snr))
+    bounds = partial(block_error_bounds, m, n, "rician", k)
+    nn_star_db = _solve_nn_equals(1e-3, lambda snr: bounds(snr)[1])
     grid = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, nn_star_db)
     cfg = SimConfig(m=m, n=n, snr_db=grid, channel="rician", k=k, trials=trials,
                     master_seed=103, receiver="exhaustive", mode="statistic")
@@ -178,9 +175,9 @@ def test_criterion_06_rician_rayleigh_consistency():
     dominance = True
     for pt in points:
         snr = 10.0 ** (pt.snr_db / 10.0)
-        ub = union_bound_rician(m, n, k, snr)
+        ub = bounds(snr)[0]
         dominance = dominance and pt.bler <= ub + 3.0 * _sigma(pt.bler, pt.trials)
-    ratio = points[-1].bler / nn_rician(m, n, k, 10.0 ** (nn_star_db / 10.0))
+    ratio = points[-1].bler / bounds(10.0 ** (nn_star_db / 10.0))[1]
     ratio_ok = 0.7 <= ratio <= 1.3
     elapsed = time.perf_counter() - start
     _verdict(6, "Rician bounds and fading Monte Carlo", identity_ok and dominance and ratio_ok,
@@ -193,9 +190,8 @@ def test_criterion_07_channel_gain_distribution():
     ok = True
     details = []
     for n, k in ((2, 0.0), (4, 1.0), (4, 4.0)):
-        params = ChannelParams(n=n, k=k, kind="rician")
         rng = np.random.default_rng(500 + n + int(k))
-        gains = fading_gains(params, rng, 100_000)
+        gains = fading_gains("rician", n, k, rng, 100_000)
         scaled = 2.0 * (k + 1.0) * gains
         if k == 0:
             res = stats.kstest(scaled, stats.chi2(df=2 * n).cdf)

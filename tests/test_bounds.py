@@ -8,18 +8,13 @@ import pytest
 from scipy import integrate, stats
 
 import permrad.bounds as bnd
-from permrad.bounds import (
-    nn_awgn,
-    nn_rayleigh,
-    nn_rician,
-    pairwise_rician,
-    qfunc,
-    subfactorial,
-    union_bound_awgn,
-    union_bound_rayleigh,
-    union_bound_rician,
-)
+from permrad.bounds import block_error_bounds, pairwise_errors, qfunc, subfactorial
 from permrad.errors import NumericError, ValidationError
+
+
+def rician_p2(l: int, m: int, n: int, k: float, snr: float) -> float:
+    """P2(l) under Rician fading: entry l - 2 of the one array of a call."""
+    return float(pairwise_errors(m, n, "rician", k, snr)[l - 2])
 
 
 # --- combinatorics ----------------------------------------------------------
@@ -81,25 +76,28 @@ def test_qfunc_reference_value():
 
 
 def test_awgn_two_tone_equals_q():
-    assert union_bound_awgn(2, 1, 1.0) == pytest.approx(qfunc(1.0), rel=1e-15)
-    assert nn_awgn(2, 1, 1.0) == union_bound_awgn(2, 1, 1.0)
+    ub, nn = block_error_bounds(2, 1, "awgn", 0.0, 1.0)
+    assert ub == pytest.approx(qfunc(1.0), rel=1e-15)
+    assert nn == ub
 
 
 def test_awgn_nn_example():
     # m=4, n=2, snr=10: 6 * Q(sqrt(10))
     expected = 6.0 * _q_quadrature(sqrt(10.0))
-    assert nn_awgn(4, 2, 10.0) == pytest.approx(expected, rel=1e-9)
-    assert nn_awgn(4, 2, 10.0) == pytest.approx(4.696e-3, rel=1e-3)
+    nn = block_error_bounds(4, 2, "awgn", 0.0, 10.0)[1]
+    assert nn == pytest.approx(expected, rel=1e-9)
+    assert nn == pytest.approx(4.696e-3, rel=1e-3)
 
 
 def test_awgn_high_snr_vanishes():
-    assert union_bound_awgn(4, 2, 1e6) == 0.0
+    assert block_error_bounds(4, 2, "awgn", 0.0, 1e6)[0] == 0.0
 
 
 def test_nn_below_union_bound():
     for snr_db in np.arange(-5, 20, 2.5):
         snr = 10 ** (snr_db / 10)
-        assert nn_awgn(6, 2, snr) <= union_bound_awgn(6, 2, snr)
+        ub, nn = block_error_bounds(6, 2, "awgn", 0.0, snr)
+        assert nn <= ub
 
 
 def test_union_bound_term_structure():
@@ -110,11 +108,11 @@ def test_union_bound_term_structure():
         + 8 * qfunc(sqrt(n * snr * 3 / m))
         + 9 * qfunc(sqrt(n * snr * 4 / m))
     )
-    assert union_bound_awgn(m, n, snr) == pytest.approx(by_hand, rel=1e-14)
+    assert block_error_bounds(m, n, "awgn", 0.0, snr)[0] == pytest.approx(by_hand, rel=1e-14)
 
 
 def test_bound_can_exceed_one_and_clamp():
-    ub = union_bound_awgn(8, 1, 1e-3)
+    ub = block_error_bounds(8, 1, "awgn", 0.0, 1e-3)[0]
     assert ub > 1.0
     assert clamp(ub) == 1.0
 
@@ -153,7 +151,7 @@ def test_rayleigh_against_closed_form_oracle(order):
             for snr_db in (-30.0, 0.0, 20.0, 60.0):
                 snr = 10.0 ** (snr_db / 10.0)
                 oracle = _normal_exceeds_chi(order, 2.0 * m / (snr * l))
-                got = pairwise_rician(l, m, order, 0.0, snr)
+                got = rician_p2(l, m, order, 0.0, snr)
                 assert got == pytest.approx(oracle, rel=1e-9, abs=0), (m, l, snr_db)
 
 
@@ -166,8 +164,9 @@ def test_single_antenna_rayleigh_closed_form():
     c = 2.0 * m / (snr * 2)
     assert c == pytest.approx(0.2)
     expected = 0.5 * (1.0 - 1.0 / sqrt(1.0 + c))
-    assert pairwise_rician(2, m, 1, 0.0, snr) == pytest.approx(expected, rel=1e-12)
-    assert nn_rayleigh(m, 1, snr) == pytest.approx(expected, rel=1e-12)
+    assert rician_p2(2, m, 1, 0.0, snr) == pytest.approx(expected, rel=1e-12)
+    nn = block_error_bounds(m, 1, "rayleigh", 0.0, snr)[1]
+    assert nn == pytest.approx(expected, rel=1e-12)
     # direct sampling of the defining probability at the same point
     rng = np.random.default_rng(14)
     size = 1_000_000
@@ -179,8 +178,7 @@ def test_single_antenna_rayleigh_closed_form():
 
 def test_rayleigh_bounds_monotone_in_snr():
     snrs = [10 ** (db / 10) for db in np.arange(-5.0, 20.0, 2.5)]
-    ub = [union_bound_rayleigh(4, 2, s) for s in snrs]
-    nn = [nn_rayleigh(4, 2, s) for s in snrs]
+    ub, nn = zip(*(block_error_bounds(4, 2, "rayleigh", 0.0, s) for s in snrs))
     assert all(a > b for a, b in zip(ub, ub[1:]))
     assert all(a > b for a, b in zip(nn, nn[1:]))
 
@@ -188,7 +186,7 @@ def test_rayleigh_bounds_monotone_in_snr():
 def test_pairwise_monte_carlo_cross_check():
     # Pr[sqrt(scaled noncentral chi-square) < sqrt(c) Z] by direct sampling
     l, m, n, k, snr = 2, 4, 2, 1.0, 5.0
-    analytic = pairwise_rician(l, m, n, k, snr)
+    analytic = rician_p2(l, m, n, k, snr)
     rng = np.random.default_rng(11)
     size = 1_000_000
     chi = rng.noncentral_chisquare(2 * n, 2 * n * k, size=size)
@@ -204,37 +202,34 @@ def test_pairwise_monte_carlo_cross_check():
 def test_rician_k0_equals_rayleigh(m, n):
     for snr_db in np.linspace(0, 19, 20):
         snr = 10 ** (snr_db / 10)
-        ub_ric = union_bound_rician(m, n, 0.0, snr)
-        ub_ray = union_bound_rayleigh(m, n, snr)
+        ub_ric, nn_ric = block_error_bounds(m, n, "rician", 0.0, snr)
+        ub_ray, nn_ray = block_error_bounds(m, n, "rayleigh", 0.0, snr)
         assert abs(ub_ric - ub_ray) <= 1e-12 * max(ub_ray, 1e-300)
-        nn_ric = nn_rician(m, n, 0.0, snr)
-        nn_ray = nn_rayleigh(m, n, snr)
         assert abs(nn_ric - nn_ray) <= 1e-12 * max(nn_ray, 1e-300)
 
 
 def test_stronger_los_improves_error_probability():
     for snr_db in (0.0, 5.0, 10.0):
         snr = 10 ** (snr_db / 10)
-        values = [union_bound_rician(4, 2, k, snr) for k in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        values = [block_error_bounds(4, 2, "rician", k, snr)[0] for k in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_two_tone_rician_union_equals_nn():
-    assert union_bound_rician(2, 3, 1.5, 4.0) == pytest.approx(
-        nn_rician(2, 3, 1.5, 4.0), rel=1e-15
-    )
+    ub, nn = block_error_bounds(2, 3, "rician", 1.5, 4.0)
+    assert ub == pytest.approx(nn, rel=1e-15)
 
 
 def test_high_snr_rician_vanishes():
-    assert pairwise_rician(2, 4, 2, 1.0, 1e9) <= 1e-9
+    assert rician_p2(2, 4, 2, 1.0, 1e9) <= 1e-9
 
 
 def test_union_bound_invariant_under_halving_the_rule(monkeypatch):
-    fine = [union_bound_rician(4, 4, k, 10.0) for k in (0.5, 1.0, 4.0)]
+    fine = [block_error_bounds(4, 4, "rician", k, 10.0)[0] for k in (0.5, 1.0, 4.0)]
     # evaluate on the nested coarse rule alone: every other node, double weight
     monkeypatch.setattr(bnd, "_SIN2", bnd._SIN2[::2])
     monkeypatch.setattr(bnd, "_WEIGHTS", 2.0 * bnd._WEIGHTS[::2])
-    coarse = [union_bound_rician(4, 4, k, 10.0) for k in (0.5, 1.0, 4.0)]
+    coarse = [block_error_bounds(4, 4, "rician", k, 10.0)[0] for k in (0.5, 1.0, 4.0)]
     for a, b in zip(fine, coarse):
         assert abs(a - b) < 1e-10
 
@@ -249,7 +244,7 @@ def _disagreeing_rule(monkeypatch):
 def test_rule_disagreement_raises_with_diagnostics(monkeypatch):
     _disagreeing_rule(monkeypatch)
     with pytest.raises(NumericError) as info:
-        pairwise_rician(2, 4, 4, 6.0, 2.0)
+        pairwise_errors(4, 4, "rician", 6.0, 2.0)
     details = info.value.details
     assert details["l"] == 2
     assert details["fine"] > 0.0 and details["coarse"] > 0.0
@@ -258,8 +253,8 @@ def test_rule_disagreement_raises_with_diagnostics(monkeypatch):
 
 def test_large_order_path_is_sane():
     # N K = 40: a strong line-of-sight term at four antennas
-    lo_snr = pairwise_rician(2, 4, 4, 10.0, 0.5)
-    hi_snr = pairwise_rician(2, 4, 4, 10.0, 50.0)
+    lo_snr = rician_p2(2, 4, 4, 10.0, 0.5)
+    hi_snr = rician_p2(2, 4, 4, 10.0, 50.0)
     assert 0.0 < hi_snr < lo_snr < 0.5
     # cross-check the value by Monte Carlo
     rng = np.random.default_rng(12)
@@ -276,27 +271,42 @@ def test_rician_union_bound_weights():
     # weighted sum of pairwise terms with the derangement-binomial counts
     m, n, k, snr = 4, 2, 1.0, 3.0
     total = sum(
-        subfactorial(l) * comb(m, l) * pairwise_rician(l, m, n, k, snr)
+        subfactorial(l) * comb(m, l) * rician_p2(l, m, n, k, snr)
         for l in range(2, m + 1)
     )
-    assert union_bound_rician(m, n, k, snr) == pytest.approx(total, rel=1e-14)
+    assert block_error_bounds(m, n, "rician", k, snr)[0] == pytest.approx(total, rel=1e-14)
 
 
 def test_validation():
     with pytest.raises(ValidationError):
-        union_bound_awgn(1, 1, 1.0)
+        block_error_bounds(1, 1, "awgn", 0.0, 1.0)
     with pytest.raises(ValidationError):
-        union_bound_awgn(4, 0, 1.0)
+        block_error_bounds(4, 0, "awgn", 0.0, 1.0)
     with pytest.raises(ValidationError):
-        union_bound_awgn(4, 1, 0.0)
+        block_error_bounds(4, 1, "awgn", 0.0, 0.0)
     with pytest.raises(ValidationError):
-        pairwise_rician(1, 4, 1, 0.0, 1.0)
+        pairwise_errors(4, 1, "rician", -1.0, 1.0)
     with pytest.raises(ValidationError):
-        pairwise_rician(5, 4, 1, 0.0, 1.0)
-    with pytest.raises(ValidationError):
-        pairwise_rician(2, 4, 1, -1.0, 1.0)
-    with pytest.raises(ValidationError):
-        union_bound_rician(4, 1, float("inf"), 1.0)
+        block_error_bounds(4, 1, "rician", float("inf"), 1.0)
+    # K is not used off Rician, but a malformed one is refused there too
+    for channel in ("awgn", "rayleigh"):
+        for k in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValidationError, match="Rician factor"):
+                block_error_bounds(4, 1, channel, k, 1.0)
+    with pytest.raises(ValidationError, match="channel kind"):
+        pairwise_errors(4, 1, "urban", 0.0, 1.0)
+
+
+@pytest.mark.parametrize("channel,k", [("rayleigh", 0.0), ("rician", 0.5), ("rician", 1e308)])
+def test_nn_is_the_lone_l2_craig_term(channel, k):
+    # the l = 2 row of a call over every l equals a call for l = 2 alone, so
+    # the NN term taken from the union bound's array is the lone-term value
+    for m in (2, 3, 8, 20):
+        for n in (1, 4, 32):
+            for snr_db in range(-20, 61, 10):
+                snr = 10.0 ** (snr_db / 10.0)
+                alone = bnd._craig_pairwise(np.array([2.0]), m, n, k, snr)[0]
+                assert block_error_bounds(m, n, channel, k, snr)[1] == (m * (m - 1) / 2.0) * alone
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 9, 17, 30, 33, 45])
@@ -340,7 +350,7 @@ def _rician_mgf_oracle(l, m, n, k, snr):
 def test_pairwise_rician_against_mgf_quadrature(l, m, n, k, snr):
     # high SNR, large N and large K
     oracle = _rician_mgf_oracle(l, m, n, k, snr)
-    assert pairwise_rician(l, m, n, k, snr) == pytest.approx(oracle, rel=1e-9, abs=0)
+    assert rician_p2(l, m, n, k, snr) == pytest.approx(oracle, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("n", [1, 4, 32])
@@ -353,7 +363,7 @@ def test_pairwise_rician_grid_against_quadrature(m, n):
             snr = 10.0 ** (snr_db / 10.0)
             for l in (2, m):
                 oracle = _rician_mgf_oracle(l, m, n, k, snr)
-                got = pairwise_rician(l, m, n, k, snr)
+                got = rician_p2(l, m, n, k, snr)
                 assert got == pytest.approx(oracle, rel=1e-9, abs=0), (k, snr_db, l)
 
 
@@ -367,7 +377,7 @@ def test_largest_rician_factor_is_the_awgn_limit(n, snr_db):
         for l in (2, m):
             oracle = qfunc(sqrt(n * snr * l / m))
             if oracle > 1e-300:
-                got = pairwise_rician(l, m, n, 1e308, snr)
+                got = rician_p2(l, m, n, 1e308, snr)
                 assert got == pytest.approx(oracle, rel=1e-9, abs=0), (m, l)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from permrad.channel import ChannelParams, draw_fading_batch, n0_from_snr_db
+from permrad.channel import CHANNEL_KINDS, check_channel, draw_fading_batch, n0_from_snr_db
 from permrad.errors import ValidationError
 from permrad.waveform import ComplexSignal, WaveformParams, synthesize
 
@@ -29,14 +29,14 @@ def snr_db_from_n0(energy: float, n0: float) -> float:
     return 10.0 * log10(energy / n0)
 
 
-def draw_fading(params: ChannelParams, rng: np.random.Generator) -> FadingRealization:
+def draw_fading(kind: str, n: int, k: float, rng: np.random.Generator) -> FadingRealization:
     """Draw one fading realization."""
-    return FadingRealization.from_vector(draw_fading_batch(params, rng, 1)[0])
+    return FadingRealization.from_vector(draw_fading_batch(kind, n, k, rng, 1)[0])
 
 
-def fading_gains(params: ChannelParams, rng: np.random.Generator, size: int) -> np.ndarray:
+def fading_gains(kind: str, n: int, k: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Squared norms |h|^2 of ``size`` independent draws."""
-    h = draw_fading_batch(params, rng, size)
+    h = draw_fading_batch(kind, n, k, rng, size)
     return np.sum(np.abs(h) ** 2, axis=1)
 
 
@@ -82,34 +82,30 @@ def test_gain_cache_matches_recomputed_norm():
 def test_pure_los_limit():
     # scatter amplitude scales as 1/sqrt(k); k = 1e14 pushes the gain residual
     # an order of magnitude below the 1e-6 tolerance
-    params = ChannelParams(n=4, k=1e14, kind="rician")
     rng = np.random.default_rng(1)
     for _ in range(20):
-        real = draw_fading(params, rng)
+        real = draw_fading("rician", 4, 1e14, rng)
         assert abs(real.gain - 4.0) <= 1e-6
 
 
 def test_awgn_mode_gain_exact():
-    params = ChannelParams(n=3, k=0.0, kind="awgn")
     rng = np.random.default_rng(2)
-    real = draw_fading(params, rng)
+    real = draw_fading("awgn", 3, 0.0, rng)
     assert real.gain == 3.0
     assert np.all(real.h == 1.0)
 
 
 def test_rayleigh_mean_gain():
-    params = ChannelParams(n=2, k=0.0, kind="rayleigh")
     rng = np.random.default_rng(3)
-    gains = fading_gains(params, rng, 1_000_000)
+    gains = fading_gains("rayleigh", 2, 0.0, rng, 1_000_000)
     assert gains.mean() == pytest.approx(2.0, rel=0.01)
 
 
 @pytest.mark.parametrize("n,k", [(2, 0.0), (4, 1.0), (4, 4.0)])
 def test_scaled_gain_distribution(n, k):
     # 2(k+1)|h|^2 follows a noncentral chi-square with 2n dof, noncentrality 2nk
-    params = ChannelParams(n=n, k=k, kind="rician")
     rng = np.random.default_rng(10 + n + int(k))
-    gains = fading_gains(params, rng, 100_000)
+    gains = fading_gains("rician", n, k, rng, 100_000)
     scaled = 2.0 * (k + 1.0) * gains
     if k == 0:
         result = stats.kstest(scaled, stats.chi2(df=2 * n).cdf)
@@ -120,10 +116,9 @@ def test_scaled_gain_distribution(n, k):
 
 @pytest.mark.parametrize("n,k", [(1, 0.0), (2, 0.5), (4, 1.0), (3, 6.0)])
 def test_gain_moments_three_sigma(n, k):
-    params = ChannelParams(n=n, k=k, kind="rician")
     rng = np.random.default_rng(5)
     size = 200_000
-    gains = fading_gains(params, rng, size)
+    gains = fading_gains("rician", n, k, rng, size)
     mean = n
     var = n * (1.0 + 2.0 * k) / (k + 1.0) ** 2
     assert abs(gains.mean() - mean) <= 3.0 * np.sqrt(var / size)
@@ -172,22 +167,25 @@ def test_matched_filter_statistics():
 
 
 def test_awgn_batch_draw_consumes_no_randomness():
-    params = ChannelParams(n=2, k=0.0, kind="awgn")
     rng = np.random.default_rng(9)
     before = rng.bit_generator.state["state"]["state"]
-    draw_fading_batch(params, rng, 100)
+    draw_fading_batch("awgn", 2, 0.0, rng, 100)
     assert rng.bit_generator.state["state"]["state"] == before
 
 
 def test_validation():
-    with pytest.raises(ValidationError):
-        ChannelParams(n=0, k=0.0)
-    with pytest.raises(ValidationError):
-        ChannelParams(n=1, k=-0.5)
-    with pytest.raises(ValidationError, match="rayleigh"):
-        ChannelParams(n=1, k=2.0, kind="rayleigh")
-    with pytest.raises(ValidationError):
-        ChannelParams(n=1, k=0.0, kind="urban")
+    with pytest.raises(ValidationError, match="antenna count"):
+        check_channel("rician", 0, 0.0)
+    with pytest.raises(ValidationError, match="Rician factor"):
+        check_channel("rician", 1, -0.5)
+    with pytest.raises(ValidationError, match="channel kind"):
+        check_channel("urban", 1, 0.0)
+    for kind in CHANNEL_KINDS:
+        for k in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValidationError, match="Rician factor"):
+                check_channel(kind, 1, k)
+        # the factor the channel draws with: K = 0 unless Rician
+        assert check_channel(kind, 1, 2.0) == (2.0 if kind == "rician" else 0.0)
 
 
 def test_snr_helpers_round_trip():

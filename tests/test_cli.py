@@ -270,6 +270,12 @@ def test_simulate_config_bad_value_exits_one(capsys, tmp_path, line):
         # 10 ** -400 underflows to 0, and 10 ** 400 overflows
         ["bounds", "--m", "4", "--n", "1", "--snr-db=-4000"],
         ["crlb", "--m", "2", "--snr-db", "4000"],
+        # a malformed Rician factor is refused on every channel, as simulate does
+        ["bounds", "--m", "4", "--n", "1", "--channel", "awgn", "--rician-k", "nan",
+         "--snr-db", "0"],
+        ["bounds", "--m", "4", "--n", "1", "--channel", "rayleigh", "--rician-k", "inf",
+         "--snr-db", "0"],
+        ["bounds", "--m", "4", "--n", "1", "--rician-k", "-1", "--snr-db", "0"],
     ],
 )
 def test_out_of_range_value_exits_one(capsys, argv):
@@ -514,6 +520,17 @@ def test_simulate_echoes_the_rician_factor_it_draws_with(capsys):
         assert out == want
         assert "# rician_k=0.0" in out.splitlines()
         assert all(row.split(",")[9] == "0.0" for row in _data_lines(out)[1:])
+
+
+def test_bounds_echoes_the_rician_factor_it_draws_with(capsys):
+    # K is the Rician factor: 0 on a Rayleigh or AWGN channel, as in simulate
+    for channel in ("rayleigh", "awgn"):
+        base = ["bounds", "--m", "4", "--n", "2", "--channel", channel, "--snr-db", "0,6"]
+        _, out, _ = _run(capsys, base + ["--rician-k", "4"])
+        _, want, _ = _run(capsys, base + ["--rician-k", "0"])
+        assert out == want
+        assert "# rician_k=0.0" in out.splitlines()
+        assert all(row.split(",")[6] == "0.0" for row in _data_lines(out)[1:])
 
 
 @pytest.mark.parametrize("receiver", ["hungarian", "exhaustive"])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permrad import simkit
-from permrad.channel import ChannelParams, draw_fading_batch
+from permrad.channel import draw_fading_batch
 from permrad.errors import NumericError, ValidationError
 from permrad.lehmer import rank_to_permutation
 from permrad.receiver import exhaustive_detect, hungarian_detect
@@ -254,8 +254,7 @@ def _sampled_case(m, n, channel, geometry, seed, size):
     n0 = wf.energy / 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
     perms = _random_perms(rng, size, m)
-    channel_params = ChannelParams(n=n, k=0.0 if channel == "rayleigh" else 1.5, kind=channel)
-    h = draw_fading_batch(channel_params, rng, size)
+    h = draw_fading_batch(channel, n, 0.0 if channel == "rayleigh" else 1.5, rng, size)
     return wf, perms, h, n0
 
 
@@ -377,7 +376,7 @@ def _reference_run_block(cfg, block_idx, size, symbols=False):
         perms = _mask_ranks_to_permutations(rng.integers(0, factorial(cfg.m), size=size), cfg.m)
     else:
         perms = _identity_perms(size, cfg.m)
-    h = draw_fading_batch(cfg.channel_params(), rng, size)
+    h = draw_fading_batch(cfg.channel, cfg.n, cfg.k, rng, size)
     gains = np.sum(np.abs(h) ** 2, axis=1)
     noise = rng.standard_normal((size, cfg.m, cfg.m))
     return [
@@ -564,7 +563,7 @@ def test_overflowed_scales_raise_rather_than_count_as_correct(monkeypatch):
     for h, m, snr_db, root_gain in ((np.inf, 2, 0.0, np.inf), (1e200, 2, 0.0, np.inf),
                                     (1.3e154, 1, 3082.0, 1.3e154)):
         fading = np.array([[1.0], [h]], dtype=complex)
-        monkeypatch.setattr(simkit, "draw_fading_batch", lambda params, rng, size: fading)
+        monkeypatch.setattr(simkit, "draw_fading_batch", lambda kind, n, k, rng, size: fading)
         cfg = SimConfig(m=m, n=1, snr_db=(0.0, snr_db), channel="rayleigh")
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="shift") as info:
             _run_block(cfg, 0, 2, (0, 1))

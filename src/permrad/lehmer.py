@@ -39,8 +39,11 @@ def validate_permutation(perm: Sequence[int]) -> None:
         raise ValidationError("a permutation needs at least one entry")
     seen = [False] * m
     for x in perm:
-        ix = int(x)
-        if ix != x or not 0 <= ix < m:
+        try:
+            ix = int(x)
+        except (TypeError, ValueError, OverflowError):
+            ix = None  # NaN, infinity, text or None
+        if ix is None or ix != x or not 0 <= ix < m:
             raise ValidationError(f"entry {x!r} is not a tone index in [0, {m - 1}]")
         if seen[ix]:
             raise ValidationError(f"tone index {ix} repeats; entries must be distinct")

@@ -5,10 +5,14 @@ over pulse pairs of single-pulse terms, each a shifted copy of the
 rectangular pulse's closed-form ambiguity (t - |tau|) sinc(omega (t -
 |tau|) / 2) times a phase factor that also carries the pair's inter-pulse
 phase.  A pair's term is nonzero only within one pulse width of its lag,
-so each delay sees at most two lags and O(M) terms.  Over a delay axis
-times a Doppler axis the phase factor splits, per lag, into a delay
-table, a Doppler table and one factor per cell, so the sinc's sine is the
-only transcendental evaluated per (cell, pair).
+so each delay sees at most two lags and O(M) terms.  Writing the sinc's
+sine as a difference of two exponentials splits every term into a delay
+part and a Doppler part, so over a delay axis times a Doppler axis each
+cell's pair sum is two contractions of a (delay, pair) table with a
+(Doppler, pair) table, done with np.einsum so that a cell's value does not
+depend on the blocking, plus one phasor per cell: no transcendental is
+evaluated per (cell, pair).  Near a pair's ridge, where the Doppler table's
+1 / h would lose precision, that pair's term is evaluated directly.
 Estimation accuracy is characterized by the 2x2 Fisher information in
 (delay, Doppler) and the bounds from its inverse.
 """
@@ -26,11 +30,18 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .waveform import WaveformParams, tone_frequencies
 
-# elements per (delays, Doppler, pairs) block and per phase table of
-# complex_af; it holds a few real temporaries of that size at once, so this
-# bounds the kernel's working memory (about 1 MB) beyond its output,
-# whatever the axis lengths
+# elements per block of complex_af's delay and Doppler axes and per table;
+# it holds a few real temporaries of that size at once, so this bounds the
+# kernel's working memory beyond its output, whatever the axis lengths
 _AF_ELEMS = 1 << 13
+# below this |h| t, with h = (omega + w_m - w_n) / 2, a pair's term is
+# added directly, not through the Doppler tables' 1 / h
+_AF_RIDGE = 2.0**-4
+# cos(a - shift) over these shifts gives cos a and sin a
+_COS_SIN = np.array([0.0, 0.5 * np.pi])[:, None]
+# the signs of a pair's (U, W) Doppler tables on lag d and on lag d - 1
+_NEAR = np.array([1.0, -1.0])[:, None, None]
+_FAR = np.array([-1.0, 1.0])[:, None, None]
 
 
 def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
@@ -42,31 +53,43 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     regardless of params.energy.
 
     The surface is a sum over pulse pairs (m, n) of the single-pulse
-    ambiguity at delay x = tau + d t, with lag d = n - m, and Doppler
-    omega + w_m - w_n: (t - |x|) sinc((omega + w_m - w_n) (t - |x|) / 2)
-    times exp(j phase), phase = (omega + w_m - w_n) (t + x) / 2 + omega m t
-    + w_n x.  A pair's term vanishes unless |x| < t, so each lag is
-    evaluated only on the delays inside its support: at most two lags,
-    O(M) pulse terms, per cell.  For each lag the phase splits into
-      - a delay table over (delay, pair): (w_m - w_n) (t + x) / 2 + w_n x;
-      - a Doppler table over (Doppler, pair): omega (m + (d + 1) / 2) t,
-        built from one table of omega m t per Doppler block;
-      - the cell's own omega tau / 2, applied once after all lags,
-    so the only transcendental per (cell, pair) is the sine of the sinc.
-    With w_n = 2 pi (f0 + perm[n] df), 2 pi f0 tau is common to a cell and
-    joins its factor, and 2 pi f0 d t enters the Doppler table with f0 t
-    reduced modulo 1; so |A| loses no precision to a large f0.
+    ambiguity at delay x = tau + (n - m) t and Doppler omega + w_m - w_n,
+    (scale / h) sin(u h) exp(j phase), with u = t - |x|,
+    h = (omega + w_m - w_n) / 2, phase = h (t + x) + omega m t + w_n x and
+    scale = 1 / (M t), times the cell factor exp(j tau (omega / 2 + 2 pi f0))
+    applied to every term.  A pair's term vanishes unless |x| < t, so a
+    delay whose x' = tau + d t lies in [0, t) (its slot d) sees only lag d,
+    with u = t - x', and lag d - 1, with u = x'.
 
-    The Doppler axis and each lag's delays are taken in blocks of at most
-    _AF_ELEMS (delay, Doppler, pair) terms, and a cell's value depends on
-    that cell alone, however the grid is blocked: each cell's pair sum runs
-    along the contiguous last axis, and complex products are formed from
-    real ones (numpy's complex multiply rounds a lone element differently
-    from an array of them).
+    Writing sin(u h) = (exp(j u h) - exp(-j u h)) / 2j and splitting
+    u h = u omega / 2 + u (w_m - w_n) / 2 turns a cell's sum into
+    U + exp(j omega (x' - t / 2)) W, where U and W each sum, over the pairs
+    of both lags, a (delay, pair) table times a (Doppler, pair) table:
+      - U's delay table is exp(j (a +- u (w_m - w_n) / 2)), a being the
+        phase's delay part, times the cell factor's carrier part; W's is
+        U's turned by exp(-+ j u (w_m - w_n));
+      - the Doppler tables are +-(scale / 2h) exp(j omega m t), turned by
+        exp(j omega t / 2) or exp(j omega t).
+    So U and W are two contractions over pairs, done with np.einsum; the one
+    transcendental left per cell is exp(j omega (x' - t / 2)), and none is
+    evaluated per (cell, pair).  Each turned table is derived from the one
+    it turns, so the rounding that U and W share cancels where they cancel.
+    Where |h| t < _AF_RIDGE the Doppler tables' 1 / h would lose precision:
+    their entry is zero there, and the pair's term is added directly by the
+    sinc formula, or as scale u below |h| t = 2^-30, where the sinc is 1 to
+    double precision.  f0 enters only the cell factor, with f0 t reduced
+    modulo 1, so |A| loses no precision to a large f0.
+
+    The Doppler axis and the delays are taken in blocks of about _AF_ELEMS
+    elements, and a cell's value depends on that cell alone, however the
+    grid is blocked: np.einsum sums each cell's pairs in one fixed order
+    (a BLAS product's rounding would depend on the cell's place in its
+    block), and complex products are formed from real ones (numpy's complex
+    multiply rounds a lone element differently from an array of them).
     """
     # the tones' offsets from f0 (tone_frequencies also checks perm)
     w = 2.0 * np.pi * tone_frequencies(perm, replace(params, f0=0.0))
-    tones = np.asarray(perm, dtype=float)
+    tone = np.asarray(perm, dtype=np.intp)
     t = params.t
     m_count = params.m
     scale = 1.0 / (m_count * t)  # the unit-energy amplitude squared
@@ -76,75 +99,198 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     tau_f = tau_a.ravel()
     omega_f = omega_a.ravel()
     acc = np.zeros((tau_f.size, omega_f.size), dtype=complex)
-    acc_re, acc_im = acc.real, acc.imag
-    lags = []
-    for lag in range(1 - m_count, m_count):
-        x = tau_f + lag * t
-        rows = np.flatnonzero((x > -t) & (x < t))
-        if rows.size:
-            lags.append((lag, rows, max(0, -lag), min(m_count, m_count - lag)))
+    # w_m - w_n over the tone differences k = perm[m] - perm[n] (entry
+    # k + M - 1), from the tone indices, so a large f0 does not absorb it
+    dw_k = 2.0 * np.pi * params.delta_f * np.arange(1.0 - m_count, m_count)
     # only cells within the waveform's duration can be nonzero, and
-    # WaveformParams keeps the carrier phase over that span finite
+    # WaveformParams keeps the carrier phase over that span finite; the
+    # rows go in slot order, each with its x' and its slot's pair counts
     support = np.flatnonzero(np.abs(tau_f) < m_count * t)
+    slot_of = (-np.floor(tau_f[support] / t)).astype(np.intp)
+    order = np.argsort(slot_of, kind="stable")
+    rows, row_slot = support[order], slot_of[order]
+    x_rows = tau_f[rows] + row_slot * t
+    lag_pairs = np.maximum(m_count - np.abs(np.arange(-m_count, m_count + 1)), 0)
+    near_pairs = lag_pairs[row_slot + m_count]
+    row_pairs = near_pairs + lag_pairs[row_slot + m_count - 1]
+    # the cell factor's carrier part, exp(j rho) with rho = 2 pi f0 x'
+    # - 2 pi d f0 t, over the 2j of the sine
+    rho = (2.0 * np.pi * params.f0) * x_rows - 2.0 * np.pi * ((row_slot * carrier_turns) % 1.0)
+    carrier = np.stack((np.sin(rho), -np.cos(rho)))
+    pulse_of_tone = np.empty(m_count, dtype=np.intp)
+    pulse_of_tone[tone] = np.arange(m_count)
+
+    def delay_tables(c_lo, c_hi, e_start, is_near, a1, a0, signed, row_start):
+        # U's and W's (delay, pair) tables for the rows c_lo:c_hi, in their
+        # real 2x2 forms, over (U/W, re/im of the sum, row-major (re/im of
+        # the Doppler table, pair)); signed is +-(w_m - w_n) / 2
+        x, c_q = x_rows[c_lo:c_hi], row_pairs[c_lo:c_hi]
+        e_row = np.repeat(np.arange(x.size), c_q)
+        e_pair = _ranges(row_start, c_q)
+        xe = x[e_row]
+        # u (w_m - w_n) / 2, added to the delay phase a1 x' + a0 on lag d
+        # and taken from it on lag d - 1
+        spread = np.where(is_near[e_pair], t - xe, xe) * signed[e_pair]
+        angle = np.stack((a1[e_pair] * xe + a0[e_pair] + spread, -2.0 * spread))
+        (e_re, e_im), (z_re, z_im) = np.cos(angle[:, None] - _COS_SIN)
+        k_re, k_im = carrier[:, c_lo:c_hi][:, e_row]
+        u_re, u_im = e_re * k_re - e_im * k_im, e_re * k_im + e_im * k_re
+        uw = np.array([[u_re, u_im], [u_re * z_re - u_im * z_im, u_re * z_im + u_im * z_re]])
+        left = np.empty((2, 2, 2 * e_row.size))
+        pos = _ranges(2 * e_start, c_q)
+        left[:, :, pos] = uw
+        pos += c_q[e_row]
+        left[:, 0, pos] = -uw[:, 1]
+        left[:, 1, pos] = uw[:, 0]
+        return left
+
+    def doppler_table(om, phasor, gain_k, ki, m, n_near):
+        # over (U/W, Doppler, re/im, pair), written through its transpose:
+        # U takes g exp(j omega (m + 1) t) on lag d and -g exp(j omega m t)
+        # on lag d - 1, W takes -g exp(j omega (m + 1 / 2) t) and
+        # g exp(j omega (m + 1 / 2) t), with g = scale / 2h
+        right = np.empty((2, om.size, 2, ki.size))
+        right_t = right.transpose(0, 2, 3, 1)
+        for pairs, tables, sign in ((slice(0, n_near), phasor[:2], _NEAR),
+                                    (slice(n_near, ki.size), phasor[:0:-1], _FAR)):
+            if pairs.start < pairs.stop:
+                g = gain_k[ki[pairs]] * sign
+                m0 = m[pairs.start]
+                np.multiply(tables[:, :, m0:m0 + g.shape[1]], g[:, None],
+                            out=right_t[:, :, pairs])
+        return right.reshape(2, om.size, 2 * ki.size)
+
+    def add_ridge(om, o_start, ridge_k):
+        # each ridge entry (k, Doppler) with each pair (m, n) of tone
+        # difference k, over the rows of slot n - m (u = t - x') and of slot
+        # n - m + 1 (u = x'): the term, times the cell factor, is added to
+        # the cell directly
+        e_k, e_o = np.nonzero(ridge_k)
+        n_pairs = m_count - np.abs(e_k - (m_count - 1))
+        v = _ranges(np.maximum(0, e_k - (m_count - 1)), n_pairs)
+        p_e = np.repeat(np.arange(e_k.size), n_pairs)
+        m, n = pulse_of_tone[v], pulse_of_tone[v - e_k[p_e] + (m_count - 1)]
+        # each pair on slot n - m, then on slot n - m + 1
+        slot = np.stack((n - m, n - m + 1), axis=1).ravel()
+        first = np.searchsorted(row_slot, slot)
+        count = np.searchsorted(row_slot, slot, side="right") - first
+        for g_lo, g_hi in _runs((np.cumsum(count) - count) // _AF_ELEMS):
+            n_rows = count[g_lo:g_hi]
+            which = np.repeat(np.arange(g_lo, g_hi), n_rows)
+            row = _ranges(first[g_lo:g_hi], n_rows)
+            pe, far = which // 2, which % 2
+            mm, nn, ek, col = m[pe], n[pe], e_k[p_e[pe]], e_o[p_e[pe]]
+            xr = x_rows[row]
+            u = np.where(far, xr, t - xr)
+            half = 0.5 * (dw_k[ek] + om[col])
+            steep = np.abs(half) * t >= 2.0**-30
+            amp = np.sin(u * half)
+            amp *= np.divide(scale, half, out=np.zeros(half.shape), where=steep)
+            amp += u * np.where(steep, 0.0, scale)
+            # the delay part of the phase at x = x' - far t, and its Doppler
+            # part with the cell factor's omega tau / 2 (the carrier part is
+            # the row's, from the table)
+            a1 = 0.5 * (w[mm] + w[nn])
+            lag = nn - mm
+            phase = (a1 * (xr - far * t) + 0.5 * dw_k[ek] * t + 2.0 * np.pi * lag * carrier_turns
+                     + om[col] * (t * mm + 0.5 * t * (1 - far) + 0.5 * xr))
+            p_re, p_im = np.cos(phase - _COS_SIN)
+            # times the carrier exp(j rho) = j (exp(j rho) / j)
+            k_re, k_im = carrier[:, row]
+            term = np.empty(row.size, dtype=complex)
+            np.multiply(amp, -p_re * k_im - p_im * k_re, out=term.real)
+            np.multiply(amp, p_re * k_re - p_im * k_im, out=term.imag)
+            np.add.at(acc, (rows[row], o_start + col), term)
+
+    def slot_rows(c_lo, c_hi, om, cols, phasor, gain_k, right_cache):
+        # the cells of rows c_lo:c_hi, whole slots or part of one
+        x = x_rows[c_lo:c_hi]
+        c_q, c_near = row_pairs[c_lo:c_hi], near_pairs[c_lo:c_hi]
+        s_first, s_stop = np.array(list(_runs(row_slot[c_lo:c_hi]))).T
+        slots, s_count = row_slot[c_lo + s_first], s_stop - s_first
+        # each slot's pairs: lag d's (m, m + d), then lag d - 1's
+        q_s, p_s = c_q[s_first], c_near[s_first]
+        s_start = np.cumsum(q_s) - q_s
+        j = _ranges(np.zeros_like(q_s), q_s)
+        is_near = j < np.repeat(p_s, q_s)
+        lag = np.repeat(slots, q_s) - ~is_near  # d or d - 1
+        m = np.maximum(0, -lag) + np.where(is_near, j, j - np.repeat(p_s, q_s))
+        ki = tone[m] - tone[m + lag] + (m_count - 1)
+        hdw = 0.5 * dw_k[ki]
+        # the phase's delay part (w_m - w_n) (t + x) / 2 + w_n x, with the
+        # carrier's 2 pi (n - m) f0 t, is a1 x' + a0, as x = x' on lag d
+        # and x' - t on lag d - 1
+        a1 = 0.5 * (w[m] + w[m + lag])
+        a0 = hdw * t + 2.0 * np.pi * lag * carrier_turns - np.where(is_near, 0.0, t) * a1
+        e_start = np.cumsum(c_q) - c_q
+        left = delay_tables(c_lo, c_hi, e_start, is_near, a1, a0, np.where(is_near, hdw, -hdw),
+                            np.repeat(s_start, s_count))
+        sums = np.empty((2, 2, x.size, om.size))
+        for slot, r0, r_n, q, pn, b0 in zip(slots.tolist(), s_first.tolist(), s_count.tolist(),
+                                            q_s.tolist(), p_s.tolist(), s_start.tolist()):
+            if right_cache[0] != slot:
+                right_cache[:] = None, None  # freed before the next is built
+                right_cache[:] = slot, doppler_table(om, phasor, gain_k, ki[b0:b0 + q], m[b0:b0 + q],
+                                                     pn)
+            lo = 2 * e_start[r0]
+            sums[:, :, r0:r0 + r_n] = np.einsum(
+                "sarq,soq->saro", left[:, :, lo:lo + 2 * q * r_n].reshape(2, 2, r_n, 2 * q),
+                right_cache[1])
+        # the cells: U + exp(j omega (x' - t / 2)) W
+        (u_re, u_im), (w_re, w_im) = sums
+        cell = (x - 0.5 * t)[:, None] * om
+        c, s = np.cos(cell), np.sin(cell)
+        c_rows = rows[c_lo:c_hi]
+        acc.real[c_rows, cols] = u_re + (c * w_re - s * w_im)
+        acc.imag[c_rows, cols] = u_im + (s * w_re + c * w_im)
+
     o_step = max(1, _AF_ELEMS // m_count)
     for o_start in range(0, omega_f.size, o_step):
         cols = slice(o_start, o_start + o_step)
-        om = omega_f[cols, None]
-        pulse_angle = om * (np.arange(m_count) * t)
-        pulse_cos, pulse_sin = np.cos(pulse_angle), np.sin(pulse_angle)
-        for lag, rows, lo, hi in lags:
-            # the pairs (m, m + lag) for lo <= m < hi; w_m - w_n from the
-            # tone indices, so a large f0 does not absorb it
-            dw = 2.0 * np.pi * params.delta_f * (tones[lo:hi] - tones[lo + lag:hi + lag])
-            half = 0.5 * (om + dw)
-            # below this |half| t the sinc is 1 to double precision, and
-            # the amplitude is t - |x| itself
-            steep = np.abs(half) * t >= 2.0**-30
-            flat = np.nonzero(~steep)
-            # the Doppler table over (Doppler, pair), divided by half for
-            # the sine and scaled to unit energy
-            gain = np.divide(scale, half, out=np.full(half.shape, scale), where=steep)
-            lag_angle = om * (0.5 * (lag + 1) * t) + 2.0 * np.pi * lag * carrier_turns
-            lag_cos, lag_sin = np.cos(lag_angle), np.sin(lag_angle)
-            p_cos, p_sin = pulse_cos[:, lo:hi], pulse_sin[:, lo:hi]
-            dop_re = (p_cos * lag_cos - p_sin * lag_sin) * gain
-            dop_im = (p_cos * lag_sin + p_sin * lag_cos) * gain
-            r_step = max(1, _AF_ELEMS // half.size)
-            for r_start in range(0, rows.size, r_step):
-                sel = rows[r_start:r_start + r_step]
-                x = tau_f[sel, None] + lag * t
-                u = t - np.abs(x)
-                # the delay table over (delay, pair)
-                angle = (0.5 * dw) * (t + x) + w[lo + lag:hi + lag] * x
-                del_re = np.cos(angle)[:, None, :]
-                del_im = np.sin(angle)[:, None, :]
-                amp = np.sin(u[:, :, None] * half)
-                if flat[0].size:
-                    amp[:, flat[0], flat[1]] = u
-                # amp (del_re + j del_im) (dop_re + j dop_im), summed over pairs
-                a = amp * dop_re
-                amp *= dop_im
-                re = a * del_re
-                re -= amp * del_im
-                a *= del_im
-                amp *= del_re
-                a += amp
-                acc_re[sel, cols] += re.sum(axis=2)
-                acc_im[sel, cols] += a.sum(axis=2)
-        # the cell factor exp(j tau (omega / 2 + 2 pi f0))
-        rate = 0.5 * om[:, 0] + 2.0 * np.pi * params.f0
-        c_step = max(1, _AF_ELEMS // rate.size)
-        for r_start in range(0, support.size, c_step):
-            sel = support[r_start:r_start + c_step]
-            angle = tau_f[sel, None] * rate
-            c, s = np.cos(angle), np.sin(angle)
-            re, im = acc_re[sel, cols], acc_im[sel, cols]
-            acc_re[sel, cols] = re * c - im * s
-            acc_im[sel, cols] = re * s + im * c
+        om = omega_f[cols]
+        # tables over (..., Doppler), the long axis last: the phasors
+        # exp(j omega (m + 1) t), exp(j omega (m + 1 / 2) t) and
+        # exp(j omega m t), m = 0..M - 1, as (re, im), the first two turned
+        # from the last so that their rounding moves together; and the gain
+        # scale / (2 h) over the tone differences, zero on the ridge
+        phasor = np.empty((3, 2, m_count, om.size))
+        pulse = phasor[2]
+        pulse_angle = (t * np.arange(m_count))[:, None] * om
+        np.cos(pulse_angle, out=pulse[0])
+        np.sin(pulse_angle, out=pulse[1])
+        del pulse_angle
+        turn_angle = np.array([[t], [0.5 * t]]) * om
+        turn_cos, turn_sin = np.cos(turn_angle)[:, None], np.sin(turn_angle)[:, None]
+        np.subtract(pulse[0] * turn_cos, pulse[1] * turn_sin, out=phasor[:2, 0])
+        np.add(pulse[0] * turn_sin, pulse[1] * turn_cos, out=phasor[:2, 1])
+        half_k = dw_k[:, None] + om
+        half_k *= 0.5
+        ridge_k = np.abs(half_k) * t < _AF_RIDGE
+        gain_k = np.divide(0.5 * scale, half_k, out=np.zeros(half_k.shape), where=~ridge_k)
+        del half_k  # the rows' work below sets the kernel's peak memory
+        # rows go in chunks of about _AF_ELEMS elements of their tables
+        cost = 2 * (om.size + row_pairs)
+        right_cache = [None, None]
+        for c_lo, c_hi in _runs((np.cumsum(cost) - cost) // _AF_ELEMS):
+            slot_rows(c_lo, c_hi, om, cols, phasor, gain_k, right_cache)
+        add_ridge(om, o_start, ridge_k)
     acc = acc.reshape(tau_a.shape + omega_a.shape)
     if acc.ndim == 0:
         return complex(acc)
     return acc
+
+
+def _ranges(starts, counts):
+    """range(s, s + c) over paired starts and counts, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _runs(labels):
+    """(start, stop) of each run of equal values in a 1-d label array."""
+    cuts = (np.flatnonzero(np.diff(labels)) + 1).tolist()
+    bounds = [0, *cuts, labels.size] if labels.size else []
+    return zip(bounds[:-1], bounds[1:])
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,16 @@ def test_malformed_permutations_rejected():
         validate_permutation([])
 
 
+@pytest.mark.parametrize("entry", [float("nan"), "a", float("inf"), float("-inf"), None])
+def test_non_numeric_entries_are_validation_errors(entry):
+    # int() of these raises ValueError, OverflowError or TypeError; each
+    # must reach the caller as the one ValidationError for a bad entry
+    with pytest.raises(ValidationError, match="is not a tone index"):
+        validate_permutation([entry, 0])
+    with pytest.raises(ValidationError, match="is not a tone index"):
+        permutation_to_rank([1, entry, 0])
+
+
 def test_block_size_limits():
     with pytest.raises(ValidationError):
         rank_to_permutation(0, 21)

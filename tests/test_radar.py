@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+from dataclasses import replace
 from itertools import permutations
 from math import ceil, cos, floor, pi
 
@@ -155,11 +156,19 @@ def _difference_pulse_af(tau, omega, t):
 
 
 def _exp_diff_over_jw(x, y, w, t):
-    """(exp(jwx) - exp(jwy)) / (jw), by a 4-term series where |w| t < 1e-6."""
+    """(exp(jwx) - exp(jwy)) / (jw), by a 4-term series where |w| t < 1e-6.
+
+    Above it, as exp(jwy) (exp(j theta) - 1) / (jw) with theta = w (x - y)
+    and exp(j theta) - 1 = -2 sin(theta / 2)^2 + j sin(theta), which keeps
+    its relative precision however small theta is: the difference of the
+    two exponentials would lose about ten digits just above the series."""
     x, y, w = np.broadcast_arrays(x, y, w)
     small = np.abs(w) * t < 1e-6
     safe_w = np.where(small, 1.0, w)
-    out = (np.exp(1j * safe_w * x) - np.exp(1j * safe_w * y)) / (1j * safe_w)
+    theta = safe_w * (x - y)
+    out = np.exp(1j * safe_w * y) * (
+        (-2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)) / (1j * safe_w)
+    )
     x, y, jw = x[small], y[small], 1j * w[small]
     out[small] = (
         (x - y)
@@ -171,9 +180,15 @@ def _exp_diff_over_jw(x, y, w, t):
 
 
 def _pair_loop_af(perm, params, tau, omega):
-    """Reference: the plain double sum over all M^2 pulse pairs, on every cell."""
-    w = 2.0 * np.pi * tone_frequencies(perm, params)
+    """Reference: the plain double sum over all M^2 pulse pairs, on every cell.
+
+    The tones are taken as offsets from f0, whose phase enters as the
+    cell's factor exp(j 2 pi f0 tau) and, per pair, 2 pi f0 t (n - m) with
+    f0 t reduced modulo 1; so a large f0 costs |A| no precision here either.
+    """
+    w = 2.0 * np.pi * tone_frequencies(perm, replace(params, f0=0.0))
     t = params.t
+    carrier_turns = (params.f0 * t) % 1.0
     tau_a, omega_a = np.broadcast_arrays(
         np.asarray(tau, dtype=float), np.asarray(omega, dtype=float)
     )
@@ -181,9 +196,10 @@ def _pair_loop_af(perm, params, tau, omega):
     for m in range(params.m):
         for n in range(params.m):
             ap = _difference_pulse_af(tau_a + (n - m) * t, omega_a - w[n] + w[m], t)
-            phase = np.exp(1j * (omega_a * m * t - w[n] * ((m - n) * t - tau_a)))
+            phase = np.exp(1j * (omega_a * m * t - w[n] * ((m - n) * t - tau_a)
+                                 + 2.0 * np.pi * ((n - m) * carrier_turns % 1.0)))
             acc = acc + ap * phase
-    return acc / (params.m * t)
+    return acc * np.exp(2j * np.pi * params.f0 * tau_a) / (params.m * t)
 
 
 def af_numeric_oracle(perm, params, tau, omega, samples_per_pulse=20_000):
@@ -298,6 +314,59 @@ def test_complex_af_cell_does_not_depend_on_its_neighbours(monkeypatch):
     for elems in (1, 45, 333):
         monkeypatch.setattr(radar, "_AF_ELEMS", elems)
         assert np.array_equal(complex_af(perm, params, taus, omegas), grid)
+
+
+@pytest.mark.parametrize("f0", [0.0, 1e6])
+@pytest.mark.parametrize("t", [1.0, 0.37])
+@pytest.mark.parametrize("df_t", [1.0, 3.0])
+@pytest.mark.parametrize("order", ["ascending", "descending", "random"])
+def test_complex_af_on_and_beside_each_ridge(order, df_t, t, f0):
+    # on a pair's ridge omega = -(w_m - w_n) the kernel sums the pair by the
+    # sinc, not through its Doppler table's 1 / h; the cells sit on every
+    # ridge and off it by 1e-12 to 0.2 over t, across the switch at 1/8
+    m = 6
+    params = WaveformParams(m=m, t=t, delta_f=df_t / t, f0=f0)
+    perm = _tone_order(m, order)
+    ridges = -(2.0 * pi * params.delta_f) * np.arange(1 - m, m)
+    offsets = np.array([0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e-3, -1e-3, 0.1, -0.1, 0.2, -0.2]) / t
+    omegas = (ridges[:, None] + offsets).ravel()
+    taus = t * np.r_[np.linspace(-m, m, 4 * m + 1), np.linspace(-m + 0.13, m - 0.29, 17)]
+    got = complex_af(perm, params, taus, omegas)
+    want = _pair_loop_af(perm, params, *_cells(taus, omegas))
+    if f0 == 0.0:
+        assert np.max(np.abs(got - want)) <= 1e-13
+    else:
+        # 2 pi f0 tau reaches 4e7 rad, so the phase of A carries that
+        # angle's rounding, about 1e-9 rad, in the kernel and the reference
+        # alike; |A| must not
+        assert np.max(np.abs(np.abs(got) - np.abs(want))) <= 1e-13
+    for j in range(0, omegas.size, offsets.size):
+        assert np.array_equal(complex_af(perm, params, taus, omegas[j]), got[:, j])
+
+
+@pytest.mark.parametrize("m", [8, 20])
+def test_complex_af_memory_on_the_default_grid(m):
+    # beyond its output the kernel holds its Doppler tables and one block
+    # of delays at a time
+    taus, omegas = _default_axes(m)
+    tracemalloc.start()
+    try:
+        got = complex_af(_tone_order(m, "random"), _params(m=m), taus, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * got.nbytes + 2**19
+
+
+@pytest.mark.parametrize("entry", [float("nan"), "a", float("inf"), float("-inf"), None])
+def test_radar_refuses_non_numeric_tone_entries(entry):
+    params = _params(m=2)
+    for call in (lambda perm: complex_af(perm, params, 0.0, 0.0),
+                 lambda perm: af_grid(perm, params, [0.0], [0.0]),
+                 lambda perm: crlb_full(perm, params, n0=1.0, b=1e6),
+                 lambda perm: weighted_tone_sum(perm, params)):
+        with pytest.raises(ValidationError, match="is not a tone index"):
+            call([entry, 0])
 
 
 def test_complex_af_memory_stays_within_its_blocks():

@@ -2,30 +2,24 @@
 
 from .bounds import block_error_bounds, pairwise_errors, qfunc, subfactorial
 from .channel import check_channel, n0_from_snr_db
-from .errors import CapabilityError, NumericError, PermradError, ValidationError
+from .errors import NumericError, PermradError, ValidationError
 from .lehmer import bits_per_block, permutation_to_rank, rank_to_permutation
 from .radar import (
-    AFGrid,
     FisherMatrix,
     af_grid,
     complex_af,
-    crlb_full,
+    crlb_from_fisher,
     crlb_simplified,
     fisher_matrix,
-    ridge_covariance,
-    zero_delay_cut,
-    zero_doppler_cut,
 )
-from .receiver import exhaustive_detect, hungarian_detect
+from .receiver import hungarian_detect
 from .simkit import BlerPoint, SimConfig, run_bler_sweep, wilson_interval
 from .waveform import ComplexSignal, WaveformParams, synthesize, tone_frequencies
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AFGrid",
     "BlerPoint",
-    "CapabilityError",
     "ComplexSignal",
     "FisherMatrix",
     "NumericError",
@@ -38,9 +32,8 @@ __all__ = [
     "block_error_bounds",
     "check_channel",
     "complex_af",
-    "crlb_full",
+    "crlb_from_fisher",
     "crlb_simplified",
-    "exhaustive_detect",
     "fisher_matrix",
     "hungarian_detect",
     "n0_from_snr_db",
@@ -48,12 +41,9 @@ __all__ = [
     "permutation_to_rank",
     "qfunc",
     "rank_to_permutation",
-    "ridge_covariance",
     "run_bler_sweep",
     "subfactorial",
     "synthesize",
     "tone_frequencies",
     "wilson_interval",
-    "zero_delay_cut",
-    "zero_doppler_cut",
 ]

@@ -20,14 +20,14 @@ import numpy as np
 from . import bounds as bnd
 from . import radar, simkit
 from .channel import CHANNEL_KINDS, check_channel, n0_from_snr_db, snr_from_db
-from .errors import CapabilityError, NumericError, PermradError, ValidationError
+from .errors import NumericError, PermradError, ValidationError
 from .lehmer import (
     bits_per_block,
     permutation_to_rank,
     rank_to_permutation,
     symbol_capacity,
 )
-from .receiver import exhaustive_detect, hungarian_detect
+from .receiver import hungarian_detect
 from .waveform import WaveformParams, synthesize
 
 # key aliases accepted in simulate config files
@@ -129,7 +129,6 @@ def _waveform_arguments(p: _Parser) -> None:
 
 def _detect_arguments(p: _Parser) -> None:
     p.add_argument("--matrix", required=True, help="CSV file with the square matrix ('#' comments ok)")
-    p.add_argument("--receiver", choices=simkit.RECEIVERS, default="hungarian")
     p.set_defaults(handler=_cmd_detect)
 
 
@@ -157,7 +156,8 @@ def _simulate_arguments(p: _Parser) -> None:
     p.add_argument("--target-errors", type=int, default=None,
                    help="stop a point early once this many errors are seen")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--receiver", choices=simkit.RECEIVERS, default="hungarian")
+    p.add_argument("--receiver", choices=simkit.RECEIVERS, default="hungarian",
+                   help="labels the output: both receivers print the same counts")
     p.add_argument("--mode", choices=simkit.MODES, default="statistic",
                    help="labels the output: both modes print the same counts")
     p.add_argument("--workers", type=int, default=1)
@@ -321,14 +321,12 @@ def _cmd_detect(args) -> int:
             matrix = np.atleast_2d(np.loadtxt(args.matrix, delimiter=",", comments="#"))
     except (ValueError, UserWarning) as exc:
         raise ValidationError(f"{args.matrix}: not a numeric matrix: {exc}") from exc
-    detect = hungarian_detect if args.receiver == "hungarian" else exhaustive_detect
-    perm = detect(matrix)
+    perm = hungarian_detect(matrix)
     rank = permutation_to_rank(perm)
     header = [
         ("command", "detect"),
         ("matrix", args.matrix),
         ("m", matrix.shape[0]),
-        ("receiver", args.receiver),
     ]
     with _open_out(args.out) as fh:
         _write(fh, header, [" ".join(str(x) for x in perm), str(rank)])
@@ -430,7 +428,7 @@ def _cmd_af(args) -> int:
     np.empty((args.tau_steps, args.doppler_steps))
     tau_axis = np.linspace(tau_min, tau_max, args.tau_steps)
     omega_axis = 2.0 * pi * np.linspace(dop_min, dop_max, args.doppler_steps)
-    grid = radar.af_grid(perm, params, tau_axis, omega_axis, workers=args.workers)
+    magnitudes = radar.af_grid(perm, params, tau_axis, omega_axis, workers=args.workers)
     header = [
         ("command", "af"),
         ("m", params.m),
@@ -447,12 +445,12 @@ def _cmd_af(args) -> int:
         ("omega_rad_s", "2*pi*doppler_hz"),
         ("workers", args.workers),
     ]
-    omegas = [_fmt(float(om)) for om in grid.omega]
+    omegas = [_fmt(float(om)) for om in omega_axis]
 
     def lines():
         # one joined tau-row at a time; each axis value is formatted once
         yield "tau,omega_rad_s,magnitude"
-        for tau, mags in zip(grid.tau, grid.values.tolist()):
+        for tau, mags in zip(tau_axis, magnitudes.tolist()):
             tau_s = _fmt(float(tau))
             yield "\n".join(f"{tau_s},{om},{mag!r}" for om, mag in zip(omegas, mags))
 
@@ -497,7 +495,7 @@ def _cmd_crlb(args) -> int:
             if not all(0.0 < x < inf for x in (*full, *simple) if not isnan(x)):
                 raise NumericError(
                     f"a bound at snr {snr_db} dB underflows to 0 or overflows",
-                    j11=fim.j11, j12=fim.j12, j22=fim.j22, crlb_full=full, crlb_simplified=simple,
+                    j11=fim.j11, j12=fim.j12, j22=fim.j22, full=full, simplified=simple,
                 )
             for variant, (tau, omega) in (("full", full), ("simplified", simple)):
                 lines.append(f"{_fmt(snr_db)},{_fmt(n0)},{_fmt(tau)},{_fmt(omega)},{variant}")
@@ -558,7 +556,7 @@ def main(argv=None) -> int:
         if exc.details:
             sys.stderr.write(f"details: {exc.details}\n")
         return 2
-    except (ValidationError, CapabilityError, PermradError) as exc:
+    except PermradError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except OSError as exc:

@@ -9,10 +9,6 @@ class ValidationError(PermradError, ValueError):
     """Malformed or out-of-range input."""
 
 
-class CapabilityError(PermradError):
-    """Request exceeds the scale this implementation supports."""
-
-
 class NumericError(PermradError, ArithmeticError):
     """A numerical procedure failed to produce a trustworthy result.
 

@@ -293,23 +293,14 @@ def _runs(labels):
     return zip(bounds[:-1], bounds[1:])
 
 
-@dataclass(frozen=True)
-class AFGrid:
-    """Sampled ambiguity magnitude over a delay-Doppler grid."""
-
-    tau: np.ndarray       # delays, seconds
-    omega: np.ndarray     # Doppler, rad/s
-    values: np.ndarray    # |A|, shape (len(tau), len(omega))
-
-
 def af_grid(
     perm: Sequence[int],
     params: WaveformParams,
     tau_axis: np.ndarray,
     omega_axis: np.ndarray,
     workers: int = 1,
-) -> AFGrid:
-    """Evaluate |A| over the outer product of the two axes."""
+) -> np.ndarray:
+    """|A| over the outer product of the two axes, shape (len(tau), len(omega))."""
     tau_axis = np.asarray(tau_axis, dtype=float)
     omega_axis = np.asarray(omega_axis, dtype=float)
     # no more processes than delay rows, or than cores
@@ -322,59 +313,13 @@ def af_grid(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_af_grid_chunk, args))
-        values = np.vstack(parts)
-    else:
-        values = _af_grid_chunk((list(perm), params, tau_axis, omega_axis))
-    return AFGrid(tau=tau_axis, omega=omega_axis, values=values)
+        return np.vstack(parts)
+    return _af_grid_chunk((list(perm), params, tau_axis, omega_axis))
 
 
 def _af_grid_chunk(args) -> np.ndarray:
     perm, params, tau_axis, omega_axis = args
     return np.abs(complex_af(perm, params, tau_axis, omega_axis))
-
-
-def zero_doppler_cut(perm: Sequence[int], params: WaveformParams, tau_axis) -> np.ndarray:
-    """|A(tau, 0)|: the autocorrelation magnitude along the delay axis."""
-    return np.abs(complex_af(perm, params, tau_axis, 0.0))
-
-
-def zero_delay_cut(perm: Sequence[int], params: WaveformParams, omega_axis) -> np.ndarray:
-    """|A(0, omega)|: the spectrum of |s|^2 along the Doppler axis.
-
-    The constant-modulus envelope makes this cut permutation independent.
-    """
-    return np.abs(complex_af(perm, params, 0.0, omega_axis))
-
-
-def ridge_covariance(
-    perm: Sequence[int],
-    params: WaveformParams,
-    tau_axis: np.ndarray,
-    omega_axis: np.ndarray,
-    threshold: float = 0.7,
-) -> float:
-    """Signed covariance of high-ambiguity cells in matched-filter offset axes.
-
-    Axes here are the delay and Doppler offsets of a target relative to the
-    filter hypothesis: a target with excess delay tau and excess Doppler
-    omega produces the response |A(tau, -omega)| of the autocorrelation
-    surface.  An up-sweeping tone order tilts the ridge into quadrants
-    I/III (positive covariance), a down-sweep into II/IV (negative).
-    """
-    tau_axis = np.asarray(tau_axis, dtype=float)
-    omega_axis = np.asarray(omega_axis, dtype=float)
-    response = np.abs(complex_af(perm, params, tau_axis, -omega_axis))
-    mask = response > threshold
-    if not np.any(mask):
-        raise NumericError(
-            f"no grid cells above threshold {threshold}",
-            threshold=threshold,
-            grid_max=float(response.max()),
-        )
-    rows, cols = np.nonzero(mask)
-    tc = tau_axis[rows]
-    wc = omega_axis[cols]
-    return float(np.mean((tc - tc.mean()) * (wc - wc.mean())))
 
 
 @dataclass(frozen=True)
@@ -385,9 +330,6 @@ class FisherMatrix:
     j12: float
     j22: float
     c: float  # energy-to-noise constant (2/n0) / (1 + n0)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.j11, self.j12], [self.j12, self.j22]])
 
 
 def snr_constant(n0: float) -> float:
@@ -433,17 +375,8 @@ def fisher_matrix(
     return FisherMatrix(j11=j11, j12=j12, j22=j22, c=c)
 
 
-def crlb_full(
-    perm: Sequence[int], params: WaveformParams, n0: float, b: float
-) -> tuple[float, float]:
-    """(delay, Doppler) estimation-variance bounds from the inverted matrix.
-
-    Computed by exact 2x2 inversion of the assembled Fisher matrix.
-    """
-    return crlb_from_fisher(fisher_matrix(perm, params, n0, b))
-
-
 def crlb_from_fisher(fim: FisherMatrix) -> tuple[float, float]:
+    """(delay, Doppler) estimation-variance bounds, by exact 2x2 inversion."""
     det = fim.j11 * fim.j22 - fim.j12 * fim.j12
     if not (det > 0 and fim.j11 > 0):
         raise NumericError(

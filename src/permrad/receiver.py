@@ -1,65 +1,19 @@
-"""Coherent detection of the transmitted tone permutation.
+"""Detection of the transmitted tone permutation.
 
-The receiver correlates the channel-combined signal in every pulse slot
-against every candidate tone, collects the real parts into an M x M
-matrix, and picks the permutation maximizing the sum of selected
-entries.  That argmax is an assignment problem: ``hungarian_detect``
-solves it in O(M^3) worst case, ``exhaustive_detect`` is the O(M!)
-reference oracle.
+Entry [n, k] of an M x M statistic matrix is the receiver's correlation of
+pulse slot n with tone k.  The decision is the permutation whose selected
+entries have the largest sum: an assignment problem, which
+``hungarian_detect`` solves in O(M^3) worst case.  The tests check it
+against a brute-force search over all M! permutations.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain, permutations
-from math import factorial, isfinite
+from math import isfinite
 
 import numpy as np
 
-from .errors import CapabilityError, ValidationError
-
-MAX_EXHAUSTIVE_M = 10
-
-
-@lru_cache(maxsize=None)
-def permutation_table(m: int) -> np.ndarray:
-    """All permutations of 0..m-1 in lexicographic order, shape (m!, m).
-
-    Row index equals the Lehmer rank of that row.  The rows stream into one
-    int8 table, with no list of m! tuples in between.
-    """
-    if m > MAX_EXHAUSTIVE_M:
-        raise CapabilityError(
-            f"permutation table for m={m} would have {m}! rows; limit is {MAX_EXHAUSTIVE_M}"
-        )
-    rows = factorial(m)
-    flat = np.fromiter(chain.from_iterable(permutations(range(m))), np.int8, count=rows * m)
-    return flat.reshape(rows, m)
-
-
-def exhaustive_detect(r: np.ndarray) -> list[int]:
-    """Argmax over all M! permutations; the brute-force reference detector."""
-    r = _checked_square(r)
-    m = r.shape[0]
-    if m > MAX_EXHAUSTIVE_M:
-        raise CapabilityError(
-            f"exhaustive search over {m}! permutations is not supported (m > {MAX_EXHAUSTIVE_M})"
-        )
-    table = permutation_table(m)
-    best_idx = -1
-    best = -np.inf
-    rows = np.arange(m)
-    # chunked so the (chunk, m!, m) gather stays within a modest memory budget
-    chunk = max(1, int(5_000_000 // m))
-    for lo in range(0, table.shape[0], chunk):
-        part = table[lo : lo + chunk]
-        scores = r[rows, part].sum(axis=1)
-        i = int(np.argmax(scores))
-        # strict > keeps the earliest (lexicographically smallest) maximizer
-        if scores[i] > best:
-            best = float(scores[i])
-            best_idx = lo + i
-    return [int(x) for x in table[best_idx]]
+from .errors import ValidationError
 
 
 def hungarian_detect(r: np.ndarray) -> list[int]:
@@ -99,7 +53,7 @@ def _checked_square(r: np.ndarray) -> np.ndarray:
         raise ValidationError(f"correlation matrix must be square, got shape {r.shape}")
     if not np.all(np.isfinite(r)):
         raise ValidationError("correlation matrix contains non-finite entries")
-    # the detectors form shifted costs and sums of up to m entries; past
+    # the detector forms shifted costs and sums of up to m entries; past
     # this bound they overflow to inf
     if not isfinite(2.0 * r.shape[0] * float(np.abs(r).max())):
         raise ValidationError("correlation matrix entries too large: sums would overflow a double")

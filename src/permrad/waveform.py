@@ -110,10 +110,6 @@ class ComplexSignal:
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.samples.size) / self.sample_rate
 
-    def energy(self) -> float:
-        """Discrete energy sum(|s|^2) * dt."""
-        return float(np.sum(np.abs(self.samples) ** 2)) / self.sample_rate
-
 
 def tone_frequencies(perm: Sequence[int], params: WaveformParams) -> np.ndarray:
     """Per-pulse tone frequencies f0 + perm[m] * delta_f in Hz."""

@@ -18,7 +18,7 @@ from permrad.cli import _COMMANDS, _fmt, build_parser, main
 from permrad.radar import af_grid
 from permrad.waveform import WaveformParams
 from test_bounds import _disagreeing_rule, _rician_mgf_oracle
-from test_receiver import OVERFLOWING
+from test_receiver import OVERFLOWING, brute_force_detect
 
 
 def _run(capsys, argv):
@@ -57,7 +57,8 @@ def test_encode_out_of_range_exit_code(capsys):
     assert "error" in err
 
 
-def _check_golden_detect(capsys, tmp_path, flags):
+def _golden_detect_runs(capsys, tmp_path):
+    """Run detect on the golden matrix at scales 1 and 1e-12; yield (matrix, data lines)."""
     path = tmp_path / "matrix.csv"
     rows = ["-4,-3,-2,-6", "-2,1,0,-4", "4,-2,5,-3", "5,4,-4,3"]
     for scale in ("", "e-12"):  # the answer does not depend on the matrix's units
@@ -65,18 +66,23 @@ def _check_golden_detect(capsys, tmp_path, flags):
             "# reference correlation matrix\n"
             + "".join(",".join(x + scale for x in row.split(",")) + "\n" for row in rows)
         )
-        rc, out, _ = _run(capsys, ["detect", "--matrix", str(path), *flags])
+        rc, out, _ = _run(capsys, ["detect", "--matrix", str(path)])
         assert rc == 0
-        # the permutation and its Lehmer rank
-        assert _data_lines(out) == ["2 1 0 3", "14"], scale
+        yield np.loadtxt(path, delimiter=","), _data_lines(out)
 
 
 def test_detect_golden_matrix(capsys, tmp_path):
-    _check_golden_detect(capsys, tmp_path, [])  # the default Hungarian receiver
+    for r, lines in _golden_detect_runs(capsys, tmp_path):
+        # the permutation and its Lehmer rank
+        assert lines == ["2 1 0 3", "14"], r[0, 0]
 
 
 def test_detect_with_oracle_receiver(capsys, tmp_path):
-    _check_golden_detect(capsys, tmp_path, ["--receiver", "exhaustive"])
+    # detect's single receiver agrees with the brute-force oracle at both scales
+    for r, lines in _golden_detect_runs(capsys, tmp_path):
+        oracle = brute_force_detect(r)
+        assert oracle == [2, 1, 0, 3], r[0, 0]
+        assert lines[0] == " ".join(map(str, oracle)), r[0, 0]
 
 
 def test_waveform_csv_energy(capsys):
@@ -418,12 +424,12 @@ def test_af_data_lines_format_grid_values_byte_for_byte(capsys):
     )
     assert rc == 0
     params = WaveformParams(m=5, t=0.5, delta_f=2.0, f0=3.0)
-    grid = af_grid(perm, params, np.linspace(-2.5, 2.5, 23),
-                   2.0 * pi * np.linspace(-4.0, 4.0, 17))
+    taus, omegas = np.linspace(-2.5, 2.5, 23), 2.0 * pi * np.linspace(-4.0, 4.0, 17)
+    grid = af_grid(perm, params, taus, omegas)
     expected = [
-        f"{_fmt(float(tau))},{_fmt(float(om))},{_fmt(float(grid.values[i, j]))}"
-        for i, tau in enumerate(grid.tau)
-        for j, om in enumerate(grid.omega)
+        f"{_fmt(float(tau))},{_fmt(float(om))},{_fmt(float(grid[i, j]))}"
+        for i, tau in enumerate(taus)
+        for j, om in enumerate(omegas)
     ]
     assert _data_lines(out) == ["tau,omega_rad_s,magnitude", *expected]
     assert out.endswith("\n") and not out.endswith("\n\n")
@@ -533,14 +539,27 @@ def test_bounds_echoes_the_rician_factor_it_draws_with(capsys):
         assert all(row.split(",")[6] == "0.0" for row in _data_lines(out)[1:])
 
 
-@pytest.mark.parametrize("receiver", ["hungarian", "exhaustive"])
-def test_detect_refuses_overflowing_matrix(capsys, tmp_path, receiver):
+def test_detect_refuses_overflowing_matrix(capsys, tmp_path):
     path = tmp_path / "overflow.csv"
     path.write_text(_OVERFLOWING_CSV)
-    rc, out, err = _run(capsys, ["detect", "--matrix", str(path), "--receiver", receiver])
+    rc, out, err = _run(capsys, ["detect", "--matrix", str(path)])
     assert rc == 1
     assert out == ""
     assert err.count("error:") == 1 and "overflow" in err
+
+
+@pytest.mark.parametrize("receiver", ["hungarian", "exhaustive"])
+def test_detect_retired_receiver_flag_exits_1(capsys, tmp_path, receiver):
+    # detect has one detector; the brute-force search is a test oracle
+    path = tmp_path / "golden.csv"
+    path.write_text(_MATRICES["golden.csv"])
+    with pytest.raises(SystemExit) as info:
+        main(["detect", "--matrix", str(path), "--receiver", receiver])
+    assert info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -700,7 +719,7 @@ _FLAGS = {
         "--energy": _ENERGY, "--bt": (["100", "1e4"], ["0", "-1", "inf", "nan", "x"]),
         "--snr-db": _SNR,
     },
-    "detect": {"--matrix": None, "--receiver": (["hungarian", "exhaustive"], ["genie"])},
+    "detect": {"--matrix": None},
     "simulate": {
         "--m": _M, "--n": _N, "--channel": _CHANNEL, "--rician-k": _K, "--snr-db": _SNR,
         "--trials": (["1", "57", "200"], ["0", "-5", "1e2", "x"]),

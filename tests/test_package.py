@@ -1,14 +1,19 @@
-"""The package's public names: ``permrad.__all__`` and what it re-exports."""
+"""The package's public names: ``permrad.__all__``, what it re-exports, and
+that every public name in the sources is reached from the sources."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
 import permrad
 
 # retired names, each replaced by one entry point: the per-channel bounds by
-# block_error_bounds and pairwise_errors, ChannelParams by check_channel, and
-# the detectors' objective and statistic helpers by test-side oracles
+# block_error_bounds and pairwise_errors, ChannelParams by check_channel, the
+# detectors' objective and statistic helpers and the brute-force detector by
+# test-side oracles, the radar cuts by complex_af, crlb_full by
+# crlb_from_fisher, and AFGrid by af_grid's array
 RETIRED = (
     "ChannelParams",
     "union_bound_awgn",
@@ -20,6 +25,15 @@ RETIRED = (
     "pairwise_rician",
     "assignment_score",
     "statistic_matrices",
+    "exhaustive_detect",
+    "permutation_table",
+    "MAX_EXHAUSTIVE_M",
+    "CapabilityError",
+    "zero_doppler_cut",
+    "zero_delay_cut",
+    "ridge_covariance",
+    "crlb_full",
+    "AFGrid",
 )
 
 
@@ -45,3 +59,42 @@ def test_retired_names_are_gone(name):
     assert not hasattr(permrad, name)
     submodules = [value for value in vars(permrad).values() if inspect.ismodule(value)]
     assert submodules and not any(hasattr(module, name) for module in submodules)
+
+
+def _public_definitions(tree):
+    """(name, node) of each public top-level def, class and UPPER constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+        else:
+            names = []
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node
+
+
+def _loaded_names(node):
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def test_every_public_name_in_the_sources_is_reached_from_the_sources():
+    # a name only tests reach belongs in the tests; the re-exports in
+    # __init__ do not count as a use
+    sources = Path(permrad.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(sources.glob("*.py")) if path.name != "__init__.py"}
+    statements = [(stmt, _loaded_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    unreached = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, node in _public_definitions(tree)
+        if not any(name in loaded for stmt, loaded in statements if stmt is not node)
+    ]
+    assert unreached == []

@@ -17,14 +17,10 @@ from permrad.radar import (
     af_grid,
     complex_af,
     crlb_from_fisher,
-    crlb_full,
     crlb_simplified,
     fisher_matrix,
-    ridge_covariance,
     snr_constant,
     weighted_tone_sum,
-    zero_delay_cut,
-    zero_doppler_cut,
 )
 from permrad.waveform import WaveformParams, tone_frequencies
 
@@ -239,6 +235,28 @@ def af_numeric_oracle(perm, params, tau, omega, samples_per_pulse=20_000):
     return total
 
 
+def ridge_covariance(perm, params, tau_axis, omega_axis, threshold=0.7):
+    """Signed covariance of high-ambiguity cells in matched-filter offset axes.
+
+    Axes here are the delay and Doppler offsets of a target relative to the
+    filter hypothesis: a target with excess delay tau and excess Doppler
+    omega produces the response |A(tau, -omega)| of the autocorrelation
+    surface.  An up-sweeping tone order tilts the ridge into quadrants
+    I/III (positive covariance), a down-sweep into II/IV (negative).
+    """
+    tau_axis = np.asarray(tau_axis, dtype=float)
+    omega_axis = np.asarray(omega_axis, dtype=float)
+    response = np.abs(complex_af(perm, params, tau_axis, -omega_axis))
+    mask = response > threshold
+    if not np.any(mask):
+        raise NumericError(f"no grid cells above threshold {threshold}",
+                           grid_max=float(response.max()))
+    rows, cols = np.nonzero(mask)
+    tc = tau_axis[rows]
+    wc = omega_axis[cols]
+    return float(np.mean((tc - tc.mean()) * (wc - wc.mean())))
+
+
 def _tone_order(m, order):
     if order == "ascending":
         return list(range(m))
@@ -309,7 +327,7 @@ def test_complex_af_cell_does_not_depend_on_its_neighbours(monkeypatch):
     assert np.array_equal(complex_af(perm, params, taus[5:9], omegas[::-3]), grid[5:9, ::-3])
     for i, j in ((20, 20), (3, 17), (39, 0), (25, 33)):
         assert complex_af(perm, params, taus[i], omegas[j]) == grid[i, j]
-    split = af_grid(perm, params, taus, omegas, workers=2).values
+    split = af_grid(perm, params, taus, omegas, workers=2)
     assert np.array_equal(split, np.abs(grid))
     for elems in (1, 45, 333):
         monkeypatch.setattr(radar, "_AF_ELEMS", elems)
@@ -363,7 +381,7 @@ def test_radar_refuses_non_numeric_tone_entries(entry):
     params = _params(m=2)
     for call in (lambda perm: complex_af(perm, params, 0.0, 0.0),
                  lambda perm: af_grid(perm, params, [0.0], [0.0]),
-                 lambda perm: crlb_full(perm, params, n0=1.0, b=1e6),
+                 lambda perm: crlb_from_fisher(fisher_matrix(perm, params, n0=1.0, b=1e6)),
                  lambda perm: weighted_tone_sum(perm, params)):
         with pytest.raises(ValidationError, match="is not a tone index"):
             call([entry, 0])
@@ -424,7 +442,7 @@ def test_oracle_single_pulse_triangle():
 
 def test_zero_doppler_cut_at_origin():
     params = _params()
-    assert zero_doppler_cut([3, 1, 0, 2], params, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
+    assert abs(complex_af([3, 1, 0, 2], params, 0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_delay_cut_is_sinc_for_any_permutation():
@@ -437,7 +455,7 @@ def test_zero_delay_cut_is_sinc_for_any_permutation():
     rng = np.random.default_rng(1)
     for _ in range(5):
         perm = list(rng.permutation(params.m))
-        cut = zero_delay_cut(perm, params, omega)
+        cut = np.abs(complex_af(perm, params, 0.0, omega))
         assert np.max(np.abs(cut - expected)) <= 1e-6
 
 
@@ -450,7 +468,7 @@ def test_zero_delay_cut_is_sinc_at_any_base_frequency(f0):
         omega = np.linspace(-4.0 * pi, 4.0 * pi, 81)
         expected = np.abs(np.sinc(omega * m * params.t / 2.0 / pi))
         for perm in (list(range(m)), [int(x) for x in np.random.default_rng(m).permutation(m)]):
-            cut = zero_delay_cut(perm, params, omega)
+            cut = np.abs(complex_af(perm, params, 0.0, omega))
             assert np.max(np.abs(cut - expected)) <= 1e-12
 
 
@@ -480,7 +498,7 @@ def test_zero_delay_mainlobe_sharpens_with_m():
     curvatures = []
     for m in (4, 6, 8):
         params = _params(m=m)
-        cut = zero_delay_cut(list(range(m)), params, np.array([-h, 0.0, h]))
+        cut = np.abs(complex_af(list(range(m)), params, 0.0, np.array([-h, 0.0, h])))
         curvatures.append((cut[0] - 2.0 * cut[1] + cut[2]) / h**2)
     assert curvatures[0] > curvatures[1] > curvatures[2]  # increasingly negative
 
@@ -499,14 +517,13 @@ def test_af_magnitude_symmetry():
 
 def test_af_grid_max_at_origin():
     params = _params()
-    grid = af_grid(
-        [0, 1, 2, 3], params, np.linspace(-4, 4, 33), np.linspace(-12.0, 12.0, 33)
-    )
-    assert grid.values.max() == pytest.approx(1.0, abs=1e-9)
-    peak = np.unravel_index(np.argmax(grid.values), grid.values.shape)
-    assert grid.tau[peak[0]] == 0.0
-    assert grid.omega[peak[1]] == 0.0
-    assert np.all(grid.values <= 1.0 + 1e-9)
+    taus, omegas = np.linspace(-4, 4, 33), np.linspace(-12.0, 12.0, 33)
+    grid = af_grid([0, 1, 2, 3], params, taus, omegas)
+    assert grid.max() == pytest.approx(1.0, abs=1e-9)
+    peak = np.unravel_index(np.argmax(grid), grid.shape)
+    assert taus[peak[0]] == 0.0
+    assert omegas[peak[1]] == 0.0
+    assert np.all(grid <= 1.0 + 1e-9)
 
 
 def test_ridge_orientation_follows_sweep_direction():
@@ -526,19 +543,20 @@ def test_ridge_covariance_needs_cells():
 
 
 def test_cuts_and_ridge_response_are_the_grid_bit_for_bit():
-    # one code path: each cut is a column or row of af_grid, and the ridge
-    # covariance is taken over af_grid's response at the negated Doppler
+    # a one-column or one-row grid is that column or row of the full grid,
+    # and the ridge covariance is taken over af_grid's response at the
+    # negated Doppler
     m = 6
     params = _params(m=m, f0=0.5)
     perm = _tone_order(m, "random")
     taus = np.linspace(-m, m, 49)
     omegas = 2.0 * pi * np.linspace(-2.0, 2.0, 33)
     (i0,), (j0,) = np.flatnonzero(taus == 0.0), np.flatnonzero(omegas == 0.0)
-    grid = af_grid(perm, params, taus, omegas).values
-    assert np.array_equal(zero_doppler_cut(perm, params, taus), grid[:, j0])
-    assert np.array_equal(zero_delay_cut(perm, params, omegas), grid[i0, :])
+    grid = af_grid(perm, params, taus, omegas)
+    assert np.array_equal(np.abs(complex_af(perm, params, taus, 0.0)), grid[:, j0])
+    assert np.array_equal(np.abs(complex_af(perm, params, 0.0, omegas)), grid[i0, :])
     threshold = 0.5
-    response = af_grid(perm, params, taus, -omegas).values
+    response = af_grid(perm, params, taus, -omegas)
     rows, cols = np.nonzero(response > threshold)
     tc, wc = taus[rows], omegas[cols]
     want = float(np.mean((tc - tc.mean()) * (wc - wc.mean())))
@@ -593,7 +611,7 @@ def test_crlb_full_matches_numpy_inverse():
         b = 1e8 / t
         fim = fisher_matrix(perm, params, n0, b)
         got = crlb_from_fisher(fim)
-        inv = np.linalg.inv(fim.matrix())
+        inv = np.linalg.inv([[fim.j11, fim.j12], [fim.j12, fim.j22]])
         assert got[0] == pytest.approx(inv[0, 0], rel=1e-10)
         assert got[1] == pytest.approx(inv[1, 1], rel=1e-10)
 
@@ -616,7 +634,7 @@ def crlb_full_expanded(perm, params, n0, b):
 def test_crlb_full_equals_expanded_ratios():
     params = _params(m=4, f0=0.3)
     perm = [2, 0, 3, 1]
-    full = crlb_full(perm, params, n0=0.8, b=1e6)
+    full = crlb_from_fisher(fisher_matrix(perm, params, n0=0.8, b=1e6))
     expanded = crlb_full_expanded(perm, params, n0=0.8, b=1e6)
     assert full[0] == pytest.approx(expanded[0], rel=1e-12)
     assert full[1] == pytest.approx(expanded[1], rel=1e-12)
@@ -634,7 +652,7 @@ def test_crlb_simplified_single_pulse_reduction():
 def test_crlb_with_zero_coupling_reduces_to_simplified():
     # single zero-frequency pulse has no coupling term at all
     params = WaveformParams(m=1, t=2.0, delta_f=0.5, f0=0.0)
-    full = crlb_full([0], params, n0=0.7, b=50.0)
+    full = crlb_from_fisher(fisher_matrix([0], params, n0=0.7, b=50.0))
     simple = crlb_simplified(params, n0=0.7, b=50.0)
     assert full == pytest.approx(simple, rel=1e-14)
 
@@ -642,8 +660,8 @@ def test_crlb_with_zero_coupling_reduces_to_simplified():
 def test_crlb_scales_inversely_with_snr_constant():
     params = _params()
     perm = [0, 1, 2, 3]
-    lo = crlb_full(perm, params, n0=1.0, b=1e6)
-    hi = crlb_full(perm, params, n0=0.1, b=1e6)
+    lo = crlb_from_fisher(fisher_matrix(perm, params, n0=1.0, b=1e6))
+    hi = crlb_from_fisher(fisher_matrix(perm, params, n0=0.1, b=1e6))
     ratio = snr_constant(1.0) / snr_constant(0.1)
     assert hi[0] == pytest.approx(lo[0] * ratio, rel=1e-12)
     assert hi[1] == pytest.approx(lo[1] * ratio, rel=1e-12)
@@ -673,7 +691,7 @@ def test_singular_fisher_reports_entries():
     params = WaveformParams(m=2, t=1.0, delta_f=1.0, f0=1000.0)
     with pytest.warns(UserWarning):
         with pytest.raises(NumericError) as info:
-            crlb_full([0, 1], params, n0=1.0, b=1.0)
+            crlb_from_fisher(fisher_matrix([0, 1], params, n0=1.0, b=1.0))
     assert "j11" in info.value.details
     assert "det" in info.value.details
 
@@ -760,17 +778,17 @@ def test_af_grid_workers_agree_with_serial():
     omegas = np.linspace(-6.0, 6.0, 9)
     serial = af_grid([1, 2, 0], params, taus, omegas, workers=1)
     parallel = af_grid([1, 2, 0], params, taus, omegas, workers=3)
-    assert np.array_equal(serial.values, parallel.values)
+    assert np.array_equal(serial, parallel)
 
 
 def test_af_grid_pool_is_sized_to_the_delay_rows_and_the_cores(pool_sizes, monkeypatch):
     params = _params(m=3)
     taus = np.linspace(-3, 3, 3)
     omegas = np.linspace(-6.0, 6.0, 5)
-    serial = af_grid([1, 2, 0], params, taus, omegas).values
+    serial = af_grid([1, 2, 0], params, taus, omegas)
     for cores in (64, 2, 1):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert np.array_equal(af_grid([1, 2, 0], params, taus, omegas, workers=64).values, serial)
+        assert np.array_equal(af_grid([1, 2, 0], params, taus, omegas, workers=64), serial)
     assert pool_sizes == [3, 2]  # one core runs in this process
 
 
@@ -782,7 +800,7 @@ def test_af_grid_workers_bit_identical_on_default_grid():
     omegas = 2.0 * pi * np.linspace(-2.0, 2.0, 161)
     serial = af_grid(perm, params, taus, omegas, workers=1)
     parallel = af_grid(perm, params, taus, omegas, workers=2)
-    assert np.array_equal(serial.values, parallel.values)
+    assert np.array_equal(serial, parallel)
 
 
 def test_radar_accepts_blocks_beyond_the_codec_limit():
@@ -793,7 +811,7 @@ def test_radar_accepts_blocks_beyond_the_codec_limit():
     taus, omegas = _default_axes(m, steps=21)
     got = complex_af(perm, params, taus, omegas)
     assert np.max(np.abs(got - _pair_loop_af(perm, params, *_cells(taus, omegas)))) <= 1e-13
-    assert crlb_full(perm, params, n0=0.1, b=1e12)[0] > 0
+    assert crlb_from_fisher(fisher_matrix(perm, params, n0=0.1, b=1e12))[0] > 0
 
 
 def test_codec_permutations_accepted():

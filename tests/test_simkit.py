@@ -14,7 +14,7 @@ from permrad import simkit
 from permrad.channel import draw_fading_batch
 from permrad.errors import NumericError, ValidationError
 from permrad.lehmer import rank_to_permutation
-from permrad.receiver import exhaustive_detect, hungarian_detect
+from permrad.receiver import hungarian_detect
 from permrad.simkit import (
     _BLOCK,
     BlerPoint,
@@ -26,7 +26,7 @@ from permrad.simkit import (
     wilson_interval,
 )
 from permrad.waveform import WaveformParams
-from test_receiver import statistic_model
+from test_receiver import brute_force_detect, statistic_model
 
 
 def _bler_sigma(p: float, n: int) -> float:
@@ -193,7 +193,7 @@ def test_block_errors_match_per_trial_detectors(m):
         sent = [list(p) for p in perms]
         assert got.tolist() == [hungarian_detect(r) != p for r, p in zip(r_sent, sent)]
         if m <= 8:
-            assert got.tolist() == [exhaustive_detect(r) != p for r, p in zip(r_sent, sent)]
+            assert got.tolist() == [brute_force_detect(r) != p for r, p in zip(r_sent, sent)]
         flagged += int(got.sum())
     assert 0 < flagged < 5 * size  # both outcomes occur, so the check is not vacuous
 

@@ -3,6 +3,9 @@
 Every subcommand writes CSV (or plain lines) preceded by '#' comment
 lines that echo the fully resolved configuration, including defaulted
 values and the seed, so each output is reproducible from its own header.
+Every distinct warning a subcommand raises goes into that header as a
+'# warning=' line.  Handlers return their header pairs and lines, and
+``main`` is the only writer.
 Exit codes: 0 success, 1 validation/usage error, 2 numeric failure.
 """
 
@@ -12,8 +15,9 @@ import argparse
 import re
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import nullcontext
 from math import inf, isfinite, isnan, pi
+from typing import Iterable
 
 import numpy as np
 
@@ -29,6 +33,9 @@ from .lehmer import (
 )
 from .receiver import hungarian_detect
 from .waveform import WaveformParams, synthesize
+
+# what a command handler returns: its header pairs and its output lines
+_Output = tuple[list[tuple[str, object]], Iterable[str]]
 
 # key aliases accepted in simulate config files
 _CONFIG_ALIASES = {"n_antennas": "n", "snr_db_list": "snr_db"}
@@ -66,37 +73,6 @@ def _int_list(text: str) -> list[int]:
         return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-@contextmanager
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-
-
-@contextmanager
-def _warnings_into(header):
-    """Adds each distinct warning raised inside to ``header``, not stderr."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        yield
-    header.extend(("warning", msg) for msg in dict.fromkeys(str(w.message) for w in caught))
-
-
-def _write(fh, header_pairs, lines):
-    for key, value in header_pairs:
-        fh.write(f"# {key}={value}\n")
-    for line in lines:
-        fh.write(line + "\n")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def _encode_arguments(p: _Parser) -> None:
@@ -232,7 +208,7 @@ def build_parser(command: str | None = None) -> tuple[_Parser, dict[str, _Parser
     return parser, subs
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args) -> _Output:
     cap = symbol_capacity(args.m, bit_mode=args.bit_mode)
     if not 0 <= args.symbol < cap:
         raise ValidationError(
@@ -241,27 +217,21 @@ def _cmd_encode(args) -> int:
         )
     perm = rank_to_permutation(args.symbol, args.m)
     header = [
-        ("command", "encode"),
         ("m", args.m),
         ("symbol", args.symbol),
         ("bit_mode", args.bit_mode),
         ("bits_per_block", bits_per_block(args.m)),
     ]
-    with _open_out(args.out) as fh:
-        _write(fh, header, [" ".join(str(x) for x in perm)])
-    return 0
+    return header, [" ".join(str(x) for x in perm)]
 
 
-def _cmd_decode(args) -> int:
+def _cmd_decode(args) -> _Output:
     rank = permutation_to_rank(args.perm)
     header = [
-        ("command", "decode"),
         ("m", len(args.perm)),
         ("perm", ",".join(str(x) for x in args.perm)),
     ]
-    with _open_out(args.out) as fh:
-        _write(fh, header, [str(rank)])
-    return 0
+    return header, [str(rank)]
 
 
 def _resolve_waveform(args) -> tuple[list[int], WaveformParams]:
@@ -289,32 +259,26 @@ def _resolve_waveform(args) -> tuple[list[int], WaveformParams]:
     return perm, params
 
 
-def _cmd_waveform(args) -> int:
+def _cmd_waveform(args) -> _Output:
     perm, params = _resolve_waveform(args)
     sig = synthesize(perm, params)
     header = [
-        ("command", "waveform"),
         ("m", params.m),
         ("perm", ",".join(str(x) for x in perm)),
-        ("t_sec", _fmt(params.t)),
-        ("delta_f_hz", _fmt(params.delta_f)),
-        ("f0_hz", _fmt(params.f0)),
-        ("energy", _fmt(params.energy)),
+        ("t_sec", params.t),
+        ("delta_f_hz", params.delta_f),
+        ("f0_hz", params.f0),
+        ("energy", params.energy),
         ("oversampling", params.samples_per_pulse),
-        ("sample_rate_hz", _fmt(params.sample_rate)),
+        ("sample_rate_hz", params.sample_rate),
     ]
     times = sig.times()
     lines = ["t,re,im"]
-    lines += [
-        f"{_fmt(float(t))},{_fmt(float(s.real))},{_fmt(float(s.imag))}"
-        for t, s in zip(times, sig.samples)
-    ]
-    with _open_out(args.out) as fh:
-        _write(fh, header, lines)
-    return 0
+    lines += [f"{float(t)},{float(s.real)},{float(s.imag)}" for t, s in zip(times, sig.samples)]
+    return header, lines
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args) -> _Output:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # numpy warns on a file with no data
@@ -324,13 +288,10 @@ def _cmd_detect(args) -> int:
     perm = hungarian_detect(matrix)
     rank = permutation_to_rank(perm)
     header = [
-        ("command", "detect"),
         ("matrix", args.matrix),
         ("m", matrix.shape[0]),
     ]
-    with _open_out(args.out) as fh:
-        _write(fh, header, [" ".join(str(x) for x in perm), str(rank)])
-    return 0
+    return header, [" ".join(str(x) for x in perm), str(rank)]
 
 
 def _check_snr_grid(snr_db) -> None:
@@ -338,30 +299,25 @@ def _check_snr_grid(snr_db) -> None:
         raise ValidationError("snr grid must not be empty")
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> _Output:
     _check_snr_grid(args.snr_db)
     k = check_channel(args.channel, args.n, args.rician_k)
     header = [
-        ("command", "bounds"),
         ("m", args.m),
         ("n", args.n),
         ("channel", args.channel),
-        ("rician_k", _fmt(k)),
-        ("snr_db", ",".join(_fmt(x) for x in args.snr_db)),
+        ("rician_k", k),
+        ("snr_db", ",".join(map(str, args.snr_db))),
         ("snr_definition", "energy/n0 per receive antenna"),
     ]
     lines = ["snr_db,ub,nn,channel,M,N,K"]
     for snr_db in args.snr_db:
         ub, nn = bnd.block_error_bounds(args.m, args.n, args.channel, k, snr_from_db(snr_db))
-        lines.append(
-            f"{_fmt(snr_db)},{_fmt(ub)},{_fmt(nn)},{args.channel},{args.m},{args.n},{_fmt(k)}"
-        )
-    with _open_out(args.out) as fh:
-        _write(fh, header, lines)
-    return 0
+        lines.append(f"{snr_db},{ub},{nn},{args.channel},{args.m},{args.n},{k}")
+    return header, lines
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> _Output:
     cfg = simkit.SimConfig(
         m=args.m,
         n=args.n,
@@ -376,12 +332,11 @@ def _cmd_simulate(args) -> int:
         workers=args.workers,
     )
     header = [
-        ("command", "simulate"),
         ("m", cfg.m),
         ("n", cfg.n),
         ("channel", cfg.channel),
-        ("rician_k", _fmt(cfg.k)),
-        ("snr_db", ",".join(_fmt(x) for x in cfg.snr_db)),
+        ("rician_k", cfg.k),
+        ("snr_db", ",".join(map(str, cfg.snr_db))),
         ("trials", cfg.trials),
         ("target_errors", cfg.target_errors),
         ("seed", cfg.master_seed),
@@ -390,21 +345,18 @@ def _cmd_simulate(args) -> int:
         ("workers", cfg.workers),
         ("snr_definition", "energy/n0 per receive antenna"),
     ]
-    with _warnings_into(header):  # points that hit the trial cap
-        points = simkit.run_bler_sweep(cfg)
+    points = simkit.run_bler_sweep(cfg)  # warns of points that hit the trial cap
     lines = ["snr_db,bler,ci_lo,ci_hi,trials,errors,M,N,channel,K,receiver,mode,seed"]
     for pt in points:
         lines.append(
-            f"{_fmt(pt.snr_db)},{_fmt(pt.bler)},{_fmt(pt.ci_lo)},{_fmt(pt.ci_hi)},"
-            f"{pt.trials},{pt.errors},{cfg.m},{cfg.n},{cfg.channel},{_fmt(cfg.k)},"
+            f"{pt.snr_db},{pt.bler},{pt.ci_lo},{pt.ci_hi},"
+            f"{pt.trials},{pt.errors},{cfg.m},{cfg.n},{cfg.channel},{cfg.k},"
             f"{cfg.receiver},{cfg.mode},{cfg.master_seed}"
         )
-    with _open_out(args.out) as fh:
-        _write(fh, header, lines)
-    return 0
+    return header, lines
 
 
-def _cmd_af(args) -> int:
+def _cmd_af(args) -> _Output:
     if args.tau_steps < 1 or args.doppler_steps < 1:
         raise ValidationError(
             f"grid steps must be at least 1, got --tau-steps {args.tau_steps}, "
@@ -430,85 +382,76 @@ def _cmd_af(args) -> int:
     omega_axis = 2.0 * pi * np.linspace(dop_min, dop_max, args.doppler_steps)
     magnitudes = radar.af_grid(perm, params, tau_axis, omega_axis, workers=args.workers)
     header = [
-        ("command", "af"),
         ("m", params.m),
         ("perm", ",".join(str(x) for x in perm)),
-        ("t_sec", _fmt(params.t)),
-        ("delta_f_hz", _fmt(params.delta_f)),
-        ("f0_hz", _fmt(params.f0)),
-        ("tau_min_sec", _fmt(float(tau_min))),
-        ("tau_max_sec", _fmt(float(tau_max))),
+        ("t_sec", params.t),
+        ("delta_f_hz", params.delta_f),
+        ("f0_hz", params.f0),
+        ("tau_min_sec", float(tau_min)),
+        ("tau_max_sec", float(tau_max)),
         ("tau_steps", args.tau_steps),
-        ("doppler_min_hz", _fmt(float(dop_min))),
-        ("doppler_max_hz", _fmt(float(dop_max))),
+        ("doppler_min_hz", float(dop_min)),
+        ("doppler_max_hz", float(dop_max)),
         ("doppler_steps", args.doppler_steps),
         ("omega_rad_s", "2*pi*doppler_hz"),
         ("workers", args.workers),
     ]
-    omegas = [_fmt(float(om)) for om in omega_axis]
+    omegas = [str(float(om)) for om in omega_axis]
 
     def lines():
         # one joined tau-row at a time; each axis value is formatted once
         yield "tau,omega_rad_s,magnitude"
         for tau, mags in zip(tau_axis, magnitudes.tolist()):
-            tau_s = _fmt(float(tau))
+            tau_s = str(float(tau))
             yield "\n".join(f"{tau_s},{om},{mag!r}" for om, mag in zip(omegas, mags))
 
-    with _open_out(args.out) as fh:
-        _write(fh, header, lines())
-    return 0
+    return header, lines()
 
 
-def _cmd_crlb(args) -> int:
+def _cmd_crlb(args) -> _Output:
     _check_snr_grid(args.snr_db)
     if not isfinite(args.bt):
         raise ValidationError(f"bandwidth-time product must be finite, got {args.bt}")
     perm, params = _resolve_waveform(args)
     b = args.bt / params.t
     header = [
-        ("command", "crlb"),
         ("m", params.m),
         ("perm", ",".join(str(x) for x in perm)),
-        ("t_sec", _fmt(params.t)),
-        ("delta_f_hz", _fmt(params.delta_f)),
-        ("f0_hz", _fmt(params.f0)),
-        ("bt", _fmt(args.bt)),
-        ("bandwidth_hz", _fmt(b)),
-        ("energy", _fmt(args.energy)),
-        ("snr_db", ",".join(_fmt(x) for x in args.snr_db)),
+        ("t_sec", params.t),
+        ("delta_f_hz", params.delta_f),
+        ("f0_hz", params.f0),
+        ("bt", args.bt),
+        ("bandwidth_hz", b),
+        ("energy", args.energy),
+        ("snr_db", ",".join(map(str, args.snr_db))),
         ("n0_definition", "energy/snr"),
     ]
     lines = ["snr_db,n0,crlb_tau,crlb_omega,variant"]
     indefinite = []
-    with _warnings_into(header):  # a bandwidth-time product below 10
-        for snr_db in args.snr_db:
-            n0 = n0_from_snr_db(args.energy, snr_db)
-            fim = radar.fisher_matrix(perm, params, n0, b)
-            try:
-                full = radar.crlb_from_fisher(fim)
-            except NumericError:
-                # the large-BT closed form loses positive definiteness when the
-                # coupling entry dominates; report the gap instead of aborting
-                full = (float("nan"), float("nan"))
-                indefinite.append(snr_db)
-            simple = radar.crlb_simplified(params, n0, b)
-            if not all(0.0 < x < inf for x in (*full, *simple) if not isnan(x)):
-                raise NumericError(
-                    f"a bound at snr {snr_db} dB underflows to 0 or overflows",
-                    j11=fim.j11, j12=fim.j12, j22=fim.j22, full=full, simplified=simple,
-                )
-            for variant, (tau, omega) in (("full", full), ("simplified", simple)):
-                lines.append(f"{_fmt(snr_db)},{_fmt(n0)},{_fmt(tau)},{_fmt(omega)},{variant}")
+    for snr_db in args.snr_db:
+        n0 = n0_from_snr_db(args.energy, snr_db)
+        fim = radar.fisher_matrix(perm, params, n0, b)  # warns below a product of 10
+        try:
+            full = radar.crlb_from_fisher(fim)
+        except NumericError:
+            # the large-BT closed form loses positive definiteness when the
+            # coupling entry dominates; report the gap instead of aborting
+            full = (float("nan"), float("nan"))
+            indefinite.append(snr_db)
+        simple = radar.crlb_simplified(params, n0, b)
+        if not all(0.0 < x < inf for x in (*full, *simple) if not isnan(x)):
+            raise NumericError(
+                f"a bound at snr {snr_db} dB underflows to 0 or overflows",
+                j11=fim.j11, j12=fim.j12, j22=fim.j22, full=full, simplified=simple,
+            )
+        for variant, (tau, omega) in (("full", full), ("simplified", simple)):
+            lines.append(f"{snr_db},{n0},{tau},{omega},{variant}")
     if indefinite:
-        header.append(
-            ("warning",
-             "fisher matrix indefinite at snr_db="
-             + ",".join(_fmt(x) for x in indefinite)
-             + "; full-variant rows are nan (increase --bt)")
+        warnings.warn(
+            f"fisher matrix indefinite at snr_db={','.join(map(str, indefinite))}; "
+            "full-variant rows are nan (increase --bt)"
         )
-    with _open_out(args.out) as fh:
-        _write(fh, header, lines)
-    return 0
+    return header, lines
 
 
 def _config_defaults(path: str, parser: _Parser) -> dict:
@@ -550,7 +493,19 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             subs["simulate"].set_defaults(**_config_defaults(args.config, subs["simulate"]))
             args = parser.parse_args(argv)
-        return args.handler(args)
+        with warnings.catch_warnings(record=True) as caught:
+            # permrad's own warnings go into the header, each distinct one once;
+            # any other category meets the active filters, which may make it an error
+            warnings.simplefilter("always", UserWarning)
+            header, lines = args.handler(args)
+        header = [("command", args.command), *header]
+        header += [("warning", msg) for msg in dict.fromkeys(str(w.message) for w in caught)]
+        # opened only once the command has succeeded, so a failure leaves no file
+        to_file = args.out not in (None, "-")
+        with open(args.out, "w", encoding="utf-8") if to_file else nullcontext(sys.stdout) as fh:
+            fh.writelines(f"# {key}={value}\n" for key, value in header)
+            fh.writelines(line + "\n" for line in lines)
+        return 0
     except NumericError as exc:
         sys.stderr.write(f"numeric error: {exc}\n")
         if exc.details:

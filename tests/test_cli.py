@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permrad
-from permrad.cli import _COMMANDS, _fmt, build_parser, main
+from permrad.cli import _COMMANDS, build_parser, main
 from permrad.radar import af_grid
 from permrad.waveform import WaveformParams
 from test_bounds import _disagreeing_rule, _rician_mgf_oracle
@@ -427,7 +427,7 @@ def test_af_data_lines_format_grid_values_byte_for_byte(capsys):
     taus, omegas = np.linspace(-2.5, 2.5, 23), 2.0 * pi * np.linspace(-4.0, 4.0, 17)
     grid = af_grid(perm, params, taus, omegas)
     expected = [
-        f"{_fmt(float(tau))},{_fmt(float(om))},{_fmt(float(grid[i, j]))}"
+        f"{float(tau)!r},{float(om)!r},{float(grid[i, j])!r}"
         for i, tau in enumerate(taus)
         for j, om in enumerate(omegas)
     ]
@@ -682,6 +682,77 @@ def test_output_file_writing(tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert path.read_text().splitlines()[-1] == "2 0 1"
+
+
+# one small valid call per command; the simulate and crlb calls put warnings
+# into their headers
+_ONE_CALL_EACH = {
+    "encode": ["encode", "--m", "4", "--symbol", "5"],
+    "decode": ["decode", "--perm", "0,3,2,1"],
+    "waveform": ["waveform", "--m", "2", "--oversampling", "4"],
+    "detect": ["detect", "--matrix", "matrix.csv"],
+    "bounds": ["bounds", "--m", "4", "--n", "1", "--snr-db", "0,10"],
+    "simulate": ["simulate", "--m", "2", "--n", "1", "--snr-db", "60,0", "--trials", "300",
+                 "--target-errors", "10"],
+    "af": ["af", "--m", "3", "--tau-steps", "3", "--doppler-steps", "2"],
+    "crlb": ["crlb", "--m", "8", "--snr-db", "0,10", "--bt", "1"],
+}
+
+
+def _one_call(command, tmp_path):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("-4,-3,-2,-6\n-2,1,0,-4\n4,-2,5,-3\n5,4,-4,3\n")
+    return [str(matrix) if arg == "matrix.csv" else arg for arg in _ONE_CALL_EACH[command]]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_stdout_and_out_file_get_the_same_bytes(capsys, tmp_path, command):
+    argv = _one_call(command, tmp_path)
+    rc, out, err = _run(capsys, argv)
+    assert rc == 0 and err == ""
+    assert out.startswith(f"# command={command}\n")
+    path = tmp_path / "out.csv"
+    rc, to_stdout, err = _run(capsys, [*argv, "--out", str(path)])
+    assert rc == 0 and err == "" and to_stdout == ""
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_out_into_a_missing_directory_exits_one(capsys, tmp_path, command):
+    path = tmp_path / "missing" / "out.csv"
+    rc, out, err = _run(capsys, [*_one_call(command, tmp_path), "--out", str(path)])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not path.parent.exists()
+
+
+def _overflowing_sweep(cfg):
+    np.float64(1e308) * 10
+    return []
+
+
+def test_a_numpy_warning_that_the_filters_make_an_error_still_raises(monkeypatch, capsys):
+    # the header takes permrad's own warnings; other categories meet the
+    # active filters
+    monkeypatch.setattr(permrad.simkit, "run_bler_sweep", _overflowing_sweep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            main(["simulate", "--m", "2", "--trials", "10"])
+    assert capsys.readouterr().out == ""
+
+
+def test_a_numpy_warning_goes_into_the_header_under_the_default_filters(monkeypatch, capsys):
+    monkeypatch.setattr(permrad.simkit, "run_bler_sweep", _overflowing_sweep)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.resetwarnings()
+        warnings.simplefilter("default")
+        rc, out, err = _run(capsys, ["simulate", "--m", "2", "--trials", "10"])
+    assert rc == 0 and err == ""
+    assert [str(w.message) for w in caught] == []
+    assert "# warning=overflow encountered in scalar multiply\n" in out
 
 
 # value pools for the CLI fuzz test, (valid, bad) per flag; bad values are

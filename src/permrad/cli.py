@@ -365,11 +365,10 @@ def _cmd_af(args) -> _Output:
     if args.workers < 1:
         raise ValidationError(f"workers must be at least 1, got {args.workers}")
     perm, params = _resolve_waveform(args)
-    t = params.t
     tau_min = args.tau_min_sec if args.tau_min_sec is not None else -params.duration
     tau_max = args.tau_max_sec if args.tau_max_sec is not None else params.duration
-    dop_min = args.doppler_min_hz if args.doppler_min_hz is not None else -2.0 / t
-    dop_max = args.doppler_max_hz if args.doppler_max_hz is not None else 2.0 / t
+    dop_min = args.doppler_min_hz if args.doppler_min_hz is not None else -2.0 / params.t
+    dop_max = args.doppler_max_hz if args.doppler_max_hz is not None else 2.0 / params.t
     for name, lo, hi in (("delay", tau_min, tau_max),
                          ("2 pi doppler", 2.0 * pi * dop_min, 2.0 * pi * dop_max)):
         # finite ends and span keep every linspace value finite
@@ -396,14 +395,15 @@ def _cmd_af(args) -> _Output:
         ("omega_rad_s", "2*pi*doppler_hz"),
         ("workers", args.workers),
     ]
-    omegas = [str(float(om)) for om in omega_axis]
+    parts = [s for om in omega_axis.tolist() for s in ("", f",{om},", "")]
 
     def lines():
-        # one joined tau-row at a time; each axis value is formatted once
         yield "tau,omega_rad_s,magnitude"
-        for tau, mags in zip(tau_axis, magnitudes.tolist()):
-            tau_s = str(float(tau))
-            yield "\n".join(f"{tau_s},{om},{mag!r}" for om, mag in zip(omegas, mags))
+        for tau, row in zip(tau_axis.tolist(), magnitudes):
+            # one join per delay row over fixed slots: tau, ",omega,", magnitude, "\n" tau, ...
+            parts[::3] = [str(tau)] + [f"\n{tau}"] * (args.doppler_steps - 1)
+            parts[2::3] = map(repr, row.tolist())  # the only per-cell work
+            yield "".join(parts)
 
     return header, lines()
 

@@ -34,6 +34,10 @@ from .waveform import WaveformParams, tone_frequencies
 # it holds a few real temporaries of that size at once, so this bounds the
 # kernel's working memory beyond its output, whatever the axis lengths
 _AF_ELEMS = 1 << 13
+# a slot's pairs, and the ridge's, go in blocks of this many at fixed
+# places, which bounds the tables one delay row needs at large M; each
+# slot's 2M - 1 pairs fit in one block up to M = 2048
+_AF_PAIRS = 1 << 12
 # below this |h| t, with h = (omega + w_m - w_n) / 2, a pair's term is
 # added directly, not through the Doppler tables' 1 / h
 _AF_RIDGE = 2.0**-4
@@ -81,8 +85,9 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     modulo 1, so |A| loses no precision to a large f0.
 
     The Doppler axis and the delays are taken in blocks of about _AF_ELEMS
-    elements, and a cell's value depends on that cell alone, however the
-    grid is blocked: np.einsum sums each cell's pairs in one fixed order
+    elements, and a slot's pairs in blocks of _AF_PAIRS from its first
+    pair.  A cell's value depends on that cell alone, however the grid is
+    blocked: np.einsum sums each cell's pairs in one fixed order
     (a BLAS product's rounding would depend on the cell's place in its
     block), and complex products are formed from real ones (numpy's complex
     multiply rounds a lone element differently from an array of them).
@@ -120,11 +125,12 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     pulse_of_tone = np.empty(m_count, dtype=np.intp)
     pulse_of_tone[tone] = np.arange(m_count)
 
-    def delay_tables(c_lo, c_hi, e_start, is_near, a1, a0, signed, row_start):
-        # U's and W's (delay, pair) tables for the rows c_lo:c_hi, in their
-        # real 2x2 forms, over (U/W, re/im of the sum, row-major (re/im of
-        # the Doppler table, pair)); signed is +-(w_m - w_n) / 2
-        x, c_q = x_rows[c_lo:c_hi], row_pairs[c_lo:c_hi]
+    def delay_tables(c_lo, c_hi, c_q, e_start, is_near, a1, a0, signed, row_start):
+        # U's and W's (delay, pair) tables for the rows c_lo:c_hi, c_q pairs
+        # each, in their real 2x2 forms, over (U/W, re/im of the sum,
+        # row-major (re/im of the Doppler table, pair)); signed is
+        # +-(w_m - w_n) / 2
+        x = x_rows[c_lo:c_hi]
         e_row = np.repeat(np.arange(x.size), c_q)
         e_pair = _ranges(row_start, c_q)
         xe = x[e_row]
@@ -164,13 +170,21 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
         # each ridge entry (k, Doppler) with each pair (m, n) of tone
         # difference k, over the rows of slot n - m (u = t - x') and of slot
         # n - m + 1 (u = x'): the term, times the cell factor, is added to
-        # the cell directly
+        # the cell directly, in the pairs' order, _AF_PAIRS pairs at a time
         e_k, e_o = np.nonzero(ridge_k)
         n_pairs = m_count - np.abs(e_k - (m_count - 1))
-        v = _ranges(np.maximum(0, e_k - (m_count - 1)), n_pairs)
-        p_e = np.repeat(np.arange(e_k.size), n_pairs)
-        m, n = pulse_of_tone[v], pulse_of_tone[v - e_k[p_e] + (m_count - 1)]
-        # each pair on slot n - m, then on slot n - m + 1
+        ends = np.cumsum(n_pairs)
+        for i_lo in range(0, int(n_pairs.sum()), _AF_PAIRS):
+            i = np.arange(i_lo, min(i_lo + _AF_PAIRS, ends[-1]))
+            p_e = np.searchsorted(ends, i, side="right")  # the pair's entry
+            k = e_k[p_e]
+            v = np.maximum(0, k - (m_count - 1)) + i - (ends[p_e] - n_pairs[p_e])
+            ridge_terms(om, o_start, k, e_o[p_e], pulse_of_tone[v],
+                        pulse_of_tone[v - k + (m_count - 1)])
+
+    def ridge_terms(om, o_start, pair_k, pair_o, m, n):
+        # each pair (m, n), of tone difference pair_k on Doppler pair_o, on
+        # slot n - m, then on slot n - m + 1
         slot = np.stack((n - m, n - m + 1), axis=1).ravel()
         first = np.searchsorted(row_slot, slot)
         count = np.searchsorted(row_slot, slot, side="right") - first
@@ -179,7 +193,7 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
             which = np.repeat(np.arange(g_lo, g_hi), n_rows)
             row = _ranges(first[g_lo:g_hi], n_rows)
             pe, far = which // 2, which % 2
-            mm, nn, ek, col = m[pe], n[pe], e_k[p_e[pe]], e_o[p_e[pe]]
+            mm, nn, ek, col = m[pe], n[pe], pair_k[pe], pair_o[pe]
             xr = x_rows[row]
             u = np.where(far, xr, t - xr)
             half = 0.5 * (dw_k[ek] + om[col])
@@ -205,37 +219,46 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     def slot_rows(c_lo, c_hi, om, cols, phasor, gain_k, right_cache):
         # the cells of rows c_lo:c_hi, whole slots or part of one
         x = x_rows[c_lo:c_hi]
-        c_q, c_near = row_pairs[c_lo:c_hi], near_pairs[c_lo:c_hi]
         s_first, s_stop = np.array(list(_runs(row_slot[c_lo:c_hi]))).T
         slots, s_count = row_slot[c_lo + s_first], s_stop - s_first
-        # each slot's pairs: lag d's (m, m + d), then lag d - 1's
-        q_s, p_s = c_q[s_first], c_near[s_first]
-        s_start = np.cumsum(q_s) - q_s
-        j = _ranges(np.zeros_like(q_s), q_s)
-        is_near = j < np.repeat(p_s, q_s)
-        lag = np.repeat(slots, q_s) - ~is_near  # d or d - 1
-        m = np.maximum(0, -lag) + np.where(is_near, j, j - np.repeat(p_s, q_s))
-        ki = tone[m] - tone[m + lag] + (m_count - 1)
-        hdw = 0.5 * dw_k[ki]
-        # the phase's delay part (w_m - w_n) (t + x) / 2 + w_n x, with the
-        # carrier's 2 pi (n - m) f0 t, is a1 x' + a0, as x = x' on lag d
-        # and x' - t on lag d - 1
-        a1 = 0.5 * (w[m] + w[m + lag])
-        a0 = hdw * t + 2.0 * np.pi * lag * carrier_turns - np.where(is_near, 0.0, t) * a1
-        e_start = np.cumsum(c_q) - c_q
-        left = delay_tables(c_lo, c_hi, e_start, is_near, a1, a0, np.where(is_near, hdw, -hdw),
-                            np.repeat(s_start, s_count))
+        # each slot's pairs, lag d's (m, m + d) then lag d - 1's, in blocks
+        # of _AF_PAIRS from its first pair; a cell adds its blocks in order
+        q_all, p_all = row_pairs[c_lo + s_first], near_pairs[c_lo + s_first]
         sums = np.empty((2, 2, x.size, om.size))
-        for slot, r0, r_n, q, pn, b0 in zip(slots.tolist(), s_first.tolist(), s_count.tolist(),
-                                            q_s.tolist(), p_s.tolist(), s_start.tolist()):
-            if right_cache[0] != slot:
-                right_cache[:] = None, None  # freed before the next is built
-                right_cache[:] = slot, doppler_table(om, phasor, gain_k, ki[b0:b0 + q], m[b0:b0 + q],
-                                                     pn)
-            lo = 2 * e_start[r0]
-            sums[:, :, r0:r0 + r_n] = np.einsum(
-                "sarq,soq->saro", left[:, :, lo:lo + 2 * q * r_n].reshape(2, 2, r_n, 2 * q),
-                right_cache[1])
+        for j_lo in range(0, int(q_all.max()), _AF_PAIRS):
+            q_s = np.minimum(np.maximum(q_all - j_lo, 0), _AF_PAIRS)
+            p_s = np.minimum(np.maximum(p_all - j_lo, 0), q_s)
+            s_start = np.cumsum(q_s) - q_s
+            j = _ranges(np.full_like(q_s, j_lo), q_s)
+            is_near = j < np.repeat(p_all, q_s)
+            lag = np.repeat(slots, q_s) - ~is_near  # d or d - 1
+            m = np.maximum(0, -lag) + np.where(is_near, j, j - np.repeat(p_all, q_s))
+            ki = tone[m] - tone[m + lag] + (m_count - 1)
+            hdw = 0.5 * dw_k[ki]
+            # the phase's delay part (w_m - w_n) (t + x) / 2 + w_n x, with
+            # the carrier's 2 pi (n - m) f0 t, is a1 x' + a0, as x = x' on
+            # lag d and x' - t on lag d - 1
+            a1 = 0.5 * (w[m] + w[m + lag])
+            a0 = hdw * t + 2.0 * np.pi * lag * carrier_turns - np.where(is_near, 0.0, t) * a1
+            c_q = np.repeat(q_s, s_count)
+            e_start = np.cumsum(c_q) - c_q
+            left = delay_tables(c_lo, c_hi, c_q, e_start, is_near, a1, a0,
+                                np.where(is_near, hdw, -hdw), np.repeat(s_start, s_count))
+            for slot, r0, r_n, q, pn, b0 in zip(slots.tolist(), s_first.tolist(), s_count.tolist(),
+                                                q_s.tolist(), p_s.tolist(), s_start.tolist()):
+                if q == 0:
+                    continue  # the slot's pairs ended in an earlier block
+                if right_cache[0] != (slot, j_lo):
+                    right_cache[:] = None, None  # freed before the next is built
+                    right_cache[:] = (slot, j_lo), doppler_table(om, phasor, gain_k, ki[b0:b0 + q],
+                                                                 m[b0:b0 + q], pn)
+                lo = 2 * e_start[r0]
+                part = np.einsum(
+                    "sarq,soq->saro", left[:, :, lo:lo + 2 * q * r_n].reshape(2, 2, r_n, 2 * q),
+                    right_cache[1])
+                if j_lo:
+                    part += sums[:, :, r0:r0 + r_n]
+                sums[:, :, r0:r0 + r_n] = part
         # the cells: U + exp(j omega (x' - t / 2)) W
         (u_re, u_im), (w_re, w_im) = sums
         cell = (x - 0.5 * t)[:, None] * om

@@ -4,6 +4,7 @@ import contextlib
 import io
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from math import isfinite, pi
 from pathlib import Path
@@ -415,16 +416,28 @@ def test_af_csv_shape_and_peak(capsys):
     assert values[(0.0, 0.0)] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_af_data_lines_format_grid_values_byte_for_byte(capsys):
+@pytest.mark.parametrize(
+    "tau_steps, doppler_steps, tau_end, doppler_end",
+    # one delay row, or one cell per row (no "\n" tau slot), and axis ends
+    # that print in exponent form
+    [(1, 1, None, None), (1, 17, None, None), (23, 1, None, None), (23, 17, None, None),
+     (5, 4, 1e-300, 1e20)],
+)
+def test_af_data_lines_format_grid_values_byte_for_byte(
+    capsys, tau_steps, doppler_steps, tau_end, doppler_end
+):
     perm = [2, 0, 4, 1, 3]
-    rc, out, _ = _run(
-        capsys,
-        ["af", "--m", "5", "--perm", "2,0,4,1,3", "--t-sec", "0.5", "--f0-hz", "3",
-         "--tau-steps", "23", "--doppler-steps", "17"],
-    )
+    argv = ["af", "--m", "5", "--perm", "2,0,4,1,3", "--t-sec", "0.5", "--f0-hz", "3",
+            "--tau-steps", str(tau_steps), "--doppler-steps", str(doppler_steps)]
+    if tau_end is not None:
+        argv += ["--tau-min-sec", repr(-tau_end), "--tau-max-sec", repr(tau_end),
+                 "--doppler-min-hz", repr(-doppler_end), "--doppler-max-hz", repr(doppler_end)]
+    rc, out, _ = _run(capsys, argv)
     assert rc == 0
     params = WaveformParams(m=5, t=0.5, delta_f=2.0, f0=3.0)
-    taus, omegas = np.linspace(-2.5, 2.5, 23), 2.0 * pi * np.linspace(-4.0, 4.0, 17)
+    tau_end, doppler_end = tau_end or 2.5, doppler_end or 4.0
+    taus = np.linspace(-tau_end, tau_end, tau_steps)
+    omegas = 2.0 * pi * np.linspace(-doppler_end, doppler_end, doppler_steps)
     grid = af_grid(perm, params, taus, omegas)
     expected = [
         f"{float(tau)!r},{float(om)!r},{float(grid[i, j])!r}"
@@ -433,6 +446,29 @@ def test_af_data_lines_format_grid_values_byte_for_byte(capsys):
     ]
     assert _data_lines(out) == ["tau,omega_rad_s,magnitude", *expected]
     assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+def test_af_writer_holds_one_row_of_floats_at_a_time():
+    # the whole 161 x 161 grid as Python floats and lists takes about 0.85 MB
+    parser, _ = build_parser("af")
+    args = parser.parse_args(["af", "--m", "8", "--tau-steps", "161", "--doppler-steps", "161"])
+    _, lines = args.handler(args)
+    tracemalloc.start()
+    try:
+        for _ in lines:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25e6
+
+
+def test_af_workers_do_not_change_output(capsys):
+    base = ["af", "--m", "8", "--tau-steps", "161", "--doppler-steps", "161"]
+    _, out1, _ = _run(capsys, base + ["--workers", "1"])
+    _, out2, _ = _run(capsys, base + ["--workers", "2"])
+    assert "# workers=2\n" in out2
+    assert out1 == out2.replace("# workers=2\n", "# workers=1\n")
 
 
 def test_af_beyond_codec_block_limit(capsys):

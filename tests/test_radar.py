@@ -334,6 +334,46 @@ def test_complex_af_cell_does_not_depend_on_its_neighbours(monkeypatch):
         assert np.array_equal(complex_af(perm, params, taus, omegas), grid)
 
 
+@pytest.mark.parametrize("pairs", [1, 5, 16])
+def test_complex_af_in_pair_blocks(monkeypatch, pairs):
+    # with a slot's pairs (and the ridge's) split into blocks, as at large
+    # M, the surface still matches the pair loop, and a cell's bits still
+    # depend on that cell alone
+    m = 12
+    params = _params(m=m, f0=0.5)
+    perm = _tone_order(m, "random")
+    taus, omegas = _default_axes(m, steps=29)
+    monkeypatch.setattr(radar, "_AF_PAIRS", pairs)
+    grid = complex_af(perm, params, taus, omegas)
+    assert np.max(np.abs(grid - _pair_loop_af(perm, params, *_cells(taus, omegas)))) <= 1e-13
+    assert np.array_equal(complex_af(perm, params, taus[3::4], omegas[::-5]), grid[3::4, ::-5])
+    for i, j in ((14, 14), (2, 27), (20, 7)):
+        assert complex_af(perm, params, taus[i], omegas[j]) == grid[i, j]
+    for elems in (45, 333):
+        monkeypatch.setattr(radar, "_AF_ELEMS", elems)
+        assert np.array_equal(complex_af(perm, params, taus, omegas), grid)
+
+
+def test_complex_af_memory_at_the_largest_m():
+    # one delay row of M = 65536 sees 2M - 1 pairs; in blocks of _AF_PAIRS
+    # its tables stay small (without them the peak was 48.8 MiB)
+    m = 65536
+    taus, omegas = np.linspace(-3.0, 3.0, 4), 2.0 * pi * np.linspace(-1.0, 1.0, 3)
+    tracemalloc.start()
+    try:
+        got = complex_af(range(m), _params(m=m), taus, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    # for the ascending order at whole-pulse delays d t, only the M - |d|
+    # pairs of lag -d are in view, and they sum to (M - |d|) / M on their
+    # ridge omega = -2 pi d delta_f and to 0 at every other whole tone step
+    want = np.zeros((taus.size, omegas.size))
+    want[1, 2] = want[2, 0] = (m - 1) / m
+    assert np.max(np.abs(np.abs(got) - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("f0", [0.0, 1e6])
 @pytest.mark.parametrize("t", [1.0, 0.37])
 @pytest.mark.parametrize("df_t", [1.0, 3.0])

@@ -9,7 +9,6 @@ from .radar import (
     af_grid,
     complex_af,
     crlb_from_fisher,
-    crlb_simplified,
     fisher_matrix,
 )
 from .receiver import hungarian_detect
@@ -33,7 +32,6 @@ __all__ = [
     "check_channel",
     "complex_af",
     "crlb_from_fisher",
-    "crlb_simplified",
     "fisher_matrix",
     "hungarian_detect",
     "n0_from_snr_db",

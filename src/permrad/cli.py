@@ -362,8 +362,6 @@ def _cmd_af(args) -> _Output:
             f"grid steps must be at least 1, got --tau-steps {args.tau_steps}, "
             f"--doppler-steps {args.doppler_steps}"
         )
-    if args.workers < 1:
-        raise ValidationError(f"workers must be at least 1, got {args.workers}")
     perm, params = _resolve_waveform(args)
     tau_min = args.tau_min_sec if args.tau_min_sec is not None else -params.duration
     tau_max = args.tau_max_sec if args.tau_max_sec is not None else params.duration
@@ -438,7 +436,9 @@ def _cmd_crlb(args) -> _Output:
             # coupling entry dominates; report the gap instead of aborting
             full = (float("nan"), float("nan"))
             indefinite.append(snr_db)
-        simple = radar.crlb_simplified(params, n0, b)
+        # without the coupling entry the bounds are 1 / the Fisher diagonal;
+        # an entry that underflows to 0 gives an infinite bound
+        simple = tuple(1.0 / j if j else inf for j in (fim.j11, fim.j22))
         if not all(0.0 < x < inf for x in (*full, *simple) if not isnan(x)):
             raise NumericError(
                 f"a bound at snr {snr_db} dB underflows to 0 or overflows",

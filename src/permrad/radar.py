@@ -12,7 +12,9 @@ cell's pair sum is two contractions of a (delay, pair) table with a
 (Doppler, pair) table, done with np.einsum so that a cell's value does not
 depend on the blocking, plus one phasor per cell: no transcendental is
 evaluated per (cell, pair).  Near a pair's ridge, where the Doppler table's
-1 / h would lose precision, that pair's term is evaluated directly.
+1 / h would lose precision, that pair's term is evaluated directly, from
+the same (delay, pair) entries that build the delay tables, so each pair
+term is enumerated once.
 Estimation accuracy is characterized by the 2x2 Fisher information in
 (delay, Doppler) and the bounds from its inverse.
 """
@@ -34,8 +36,8 @@ from .waveform import WaveformParams, tone_frequencies
 # it holds a few real temporaries of that size at once, so this bounds the
 # kernel's working memory beyond its output, whatever the axis lengths
 _AF_ELEMS = 1 << 13
-# a slot's pairs, and the ridge's, go in blocks of this many at fixed
-# places, which bounds the tables one delay row needs at large M; each
+# a slot's pairs go in blocks of this many at fixed places, which bounds
+# the tables and the ridge terms one delay row needs at large M; each
 # slot's 2M - 1 pairs fit in one block up to M = 2048
 _AF_PAIRS = 1 << 12
 # below this |h| t, with h = (omega + w_m - w_n) / 2, a pair's term is
@@ -79,15 +81,20 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     evaluated per (cell, pair).  Each turned table is derived from the one
     it turns, so the rounding that U and W share cancels where they cancel.
     Where |h| t < _AF_RIDGE the Doppler tables' 1 / h would lose precision:
-    their entry is zero there, and the pair's term is added directly by the
-    sinc formula, or as scale u below |h| t = 2^-30, where the sinc is 1 to
-    double precision.  f0 enters only the cell factor, with f0 t reduced
-    modulo 1, so |A| loses no precision to a large f0.
+    their entry is zero there, and the pair's term scale u sinc(u h)
+    exp(j phase), times the cell factor, is added to U directly, on the
+    Doppler columns of the pair's ridge.  It comes from the same
+    (delay, pair) entries as the delay tables, with their delay part a of
+    the phase, so every pair term is enumerated once.  f0 enters only the
+    cell factor, with f0 t reduced modulo 1, so |A| loses no precision to
+    a large f0.
 
     The Doppler axis and the delays are taken in blocks of about _AF_ELEMS
     elements, and a slot's pairs in blocks of _AF_PAIRS from its first
-    pair.  A cell's value depends on that cell alone, however the grid is
-    blocked: np.einsum sums each cell's pairs in one fixed order
+    pair; after a block's contractions its ridge terms are added to U in
+    pair order, at most _AF_ELEMS at a time.  A cell's value depends on
+    that cell alone, however the grid is blocked: np.einsum sums each
+    cell's pairs in one fixed order
     (a BLAS product's rounding would depend on the cell's place in its
     block), and complex products are formed from real ones (numpy's complex
     multiply rounds a lone element differently from an array of them).
@@ -122,30 +129,19 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     # - 2 pi d f0 t, over the 2j of the sine
     rho = (2.0 * np.pi * params.f0) * x_rows - 2.0 * np.pi * ((row_slot * carrier_turns) % 1.0)
     carrier = np.stack((np.sin(rho), -np.cos(rho)))
-    pulse_of_tone = np.empty(m_count, dtype=np.intp)
-    pulse_of_tone[tone] = np.arange(m_count)
 
-    def delay_tables(c_lo, c_hi, c_q, e_start, is_near, a1, a0, signed, row_start):
-        # U's and W's (delay, pair) tables for the rows c_lo:c_hi, c_q pairs
-        # each, in their real 2x2 forms, over (U/W, re/im of the sum,
-        # row-major (re/im of the Doppler table, pair)); signed is
-        # +-(w_m - w_n) / 2
-        x = x_rows[c_lo:c_hi]
-        e_row = np.repeat(np.arange(x.size), c_q)
-        e_pair = _ranges(row_start, c_q)
-        xe = x[e_row]
-        # u (w_m - w_n) / 2, added to the delay phase a1 x' + a0 on lag d
-        # and taken from it on lag d - 1
-        spread = np.where(is_near[e_pair], t - xe, xe) * signed[e_pair]
-        angle = np.stack((a1[e_pair] * xe + a0[e_pair] + spread, -2.0 * spread))
+    def delay_tables(c_q, e_start, e_q, angle, k_e):
+        # U's and W's (delay, pair) tables for entries of c_q pairs per row,
+        # in their real 2x2 forms, over (U/W, re/im of the sum, row-major
+        # (re/im of the Doppler table, pair)), from U's angle and W's turn
         (e_re, e_im), (z_re, z_im) = np.cos(angle[:, None] - _COS_SIN)
-        k_re, k_im = carrier[:, c_lo:c_hi][:, e_row]
+        k_re, k_im = k_e
         u_re, u_im = e_re * k_re - e_im * k_im, e_re * k_im + e_im * k_re
         uw = np.array([[u_re, u_im], [u_re * z_re - u_im * z_im, u_re * z_im + u_im * z_re]])
-        left = np.empty((2, 2, 2 * e_row.size))
+        left = np.empty((2, 2, 2 * e_q.size))
         pos = _ranges(2 * e_start, c_q)
         left[:, :, pos] = uw
-        pos += c_q[e_row]
+        pos += e_q
         left[:, 0, pos] = -uw[:, 1]
         left[:, 1, pos] = uw[:, 0]
         return left
@@ -166,59 +162,10 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
                             out=right_t[:, :, pairs])
         return right.reshape(2, om.size, 2 * ki.size)
 
-    def add_ridge(om, o_start, ridge_k):
-        # each ridge entry (k, Doppler) with each pair (m, n) of tone
-        # difference k, over the rows of slot n - m (u = t - x') and of slot
-        # n - m + 1 (u = x'): the term, times the cell factor, is added to
-        # the cell directly, in the pairs' order, _AF_PAIRS pairs at a time
-        e_k, e_o = np.nonzero(ridge_k)
-        n_pairs = m_count - np.abs(e_k - (m_count - 1))
-        ends = np.cumsum(n_pairs)
-        for i_lo in range(0, int(n_pairs.sum()), _AF_PAIRS):
-            i = np.arange(i_lo, min(i_lo + _AF_PAIRS, ends[-1]))
-            p_e = np.searchsorted(ends, i, side="right")  # the pair's entry
-            k = e_k[p_e]
-            v = np.maximum(0, k - (m_count - 1)) + i - (ends[p_e] - n_pairs[p_e])
-            ridge_terms(om, o_start, k, e_o[p_e], pulse_of_tone[v],
-                        pulse_of_tone[v - k + (m_count - 1)])
-
-    def ridge_terms(om, o_start, pair_k, pair_o, m, n):
-        # each pair (m, n), of tone difference pair_k on Doppler pair_o, on
-        # slot n - m, then on slot n - m + 1
-        slot = np.stack((n - m, n - m + 1), axis=1).ravel()
-        first = np.searchsorted(row_slot, slot)
-        count = np.searchsorted(row_slot, slot, side="right") - first
-        for g_lo, g_hi in _runs((np.cumsum(count) - count) // _AF_ELEMS):
-            n_rows = count[g_lo:g_hi]
-            which = np.repeat(np.arange(g_lo, g_hi), n_rows)
-            row = _ranges(first[g_lo:g_hi], n_rows)
-            pe, far = which // 2, which % 2
-            mm, nn, ek, col = m[pe], n[pe], pair_k[pe], pair_o[pe]
-            xr = x_rows[row]
-            u = np.where(far, xr, t - xr)
-            half = 0.5 * (dw_k[ek] + om[col])
-            steep = np.abs(half) * t >= 2.0**-30
-            amp = np.sin(u * half)
-            amp *= np.divide(scale, half, out=np.zeros(half.shape), where=steep)
-            amp += u * np.where(steep, 0.0, scale)
-            # the delay part of the phase at x = x' - far t, and its Doppler
-            # part with the cell factor's omega tau / 2 (the carrier part is
-            # the row's, from the table)
-            a1 = 0.5 * (w[mm] + w[nn])
-            lag = nn - mm
-            phase = (a1 * (xr - far * t) + 0.5 * dw_k[ek] * t + 2.0 * np.pi * lag * carrier_turns
-                     + om[col] * (t * mm + 0.5 * t * (1 - far) + 0.5 * xr))
-            p_re, p_im = np.cos(phase - _COS_SIN)
-            # times the carrier exp(j rho) = j (exp(j rho) / j)
-            k_re, k_im = carrier[:, row]
-            term = np.empty(row.size, dtype=complex)
-            np.multiply(amp, -p_re * k_im - p_im * k_re, out=term.real)
-            np.multiply(amp, p_re * k_re - p_im * k_im, out=term.imag)
-            np.add.at(acc, (rows[row], o_start + col), term)
-
-    def slot_rows(c_lo, c_hi, om, cols, phasor, gain_k, right_cache):
+    def slot_rows(c_lo, c_hi, om, cols, phasor, gain_k, ridge, right_cache):
         # the cells of rows c_lo:c_hi, whole slots or part of one
         x = x_rows[c_lo:c_hi]
+        ridge_ki, ridge_cols = ridge
         s_first, s_stop = np.array(list(_runs(row_slot[c_lo:c_hi]))).T
         slots, s_count = row_slot[c_lo + s_first], s_stop - s_first
         # each slot's pairs, lag d's (m, m + d) then lag d - 1's, in blocks
@@ -237,13 +184,25 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
             hdw = 0.5 * dw_k[ki]
             # the phase's delay part (w_m - w_n) (t + x) / 2 + w_n x, with
             # the carrier's 2 pi (n - m) f0 t, is a1 x' + a0, as x = x' on
-            # lag d and x' - t on lag d - 1
+            # lag d and x' - t on lag d - 1; its Doppler part with the cell
+            # factor's omega tau / 2 is omega (b + x' / 2)
             a1 = 0.5 * (w[m] + w[m + lag])
             a0 = hdw * t + 2.0 * np.pi * lag * carrier_turns - np.where(is_near, 0.0, t) * a1
+            b = t * m + 0.5 * t * is_near
+            # the block's (row, pair) entries, each row's pairs in order
             c_q = np.repeat(q_s, s_count)
             e_start = np.cumsum(c_q) - c_q
-            left = delay_tables(c_lo, c_hi, c_q, e_start, is_near, a1, a0,
-                                np.where(is_near, hdw, -hdw), np.repeat(s_start, s_count))
+            e_row = np.repeat(np.arange(x.size), c_q)
+            e_pair = _ranges(np.repeat(s_start, s_count), c_q)
+            xe = x[e_row]
+            u = np.where(is_near[e_pair], t - xe, xe)
+            # u (w_m - w_n) / 2 is added to the delay phase on lag d and
+            # taken from it on lag d - 1
+            spread = u * np.where(is_near, hdw, -hdw)[e_pair]
+            delay = a1[e_pair] * xe + a0[e_pair]
+            k_e = carrier[:, c_lo + e_row]
+            left = delay_tables(c_q, e_start, c_q[e_row],
+                                np.stack((delay + spread, -2.0 * spread)), k_e)
             for slot, r0, r_n, q, pn, b0 in zip(slots.tolist(), s_first.tolist(), s_count.tolist(),
                                                 q_s.tolist(), p_s.tolist(), s_start.tolist()):
                 if q == 0:
@@ -259,6 +218,28 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
                 if j_lo:
                     part += sums[:, :, r0:r0 + r_n]
                 sums[:, :, r0:r0 + r_n] = part
+            # each entry on its pair's ridge columns, where the Doppler
+            # gain is zero: the term scale u sinc(u h) exp(j phase) times
+            # the carrier exp(j rho) = j (exp(j rho) / j), added to U in
+            # pair order, _AF_ELEMS terms at a time
+            e_k = ki[e_pair]
+            e_first = np.searchsorted(ridge_ki, e_k)
+            e_n = np.searchsorted(ridge_ki, e_k, side="right") - e_first
+            e_end = np.cumsum(e_n)
+            u_sums = sums[0].reshape(2, -1)  # over the row-major cells
+            for i_lo in range(0, int(e_end[-1]), _AF_ELEMS):
+                i = np.arange(i_lo, min(i_lo + _AF_ELEMS, e_end[-1]))
+                e = np.searchsorted(e_end, i, side="right")  # the term's entry
+                col = ridge_cols[e_first[e] + i - (e_end[e] - e_n[e])]
+                p, ur, oc = e_pair[e], u[e], om[col]
+                uh = ur * (hdw[p] + 0.5 * oc)
+                amp = np.divide(np.sin(uh), uh, out=np.ones(uh.shape), where=uh != 0.0)
+                amp *= scale * ur
+                p_re, p_im = np.cos(delay[e] + oc * (b[p] + 0.5 * xe[e]) - _COS_SIN)
+                k_re, k_im = k_e[:, e]
+                flat = e_row[e] * om.size + col
+                np.add.at(u_sums[0], flat, amp * (-p_re * k_im - p_im * k_re))
+                np.add.at(u_sums[1], flat, amp * (p_re * k_re - p_im * k_im))
         # the cells: U + exp(j omega (x' - t / 2)) W
         (u_re, u_im), (w_re, w_im) = sums
         cell = (x - 0.5 * t)[:, None] * om
@@ -288,15 +269,16 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
         np.add(pulse[0] * turn_sin, pulse[1] * turn_cos, out=phasor[:2, 1])
         half_k = dw_k[:, None] + om
         half_k *= 0.5
-        ridge_k = np.abs(half_k) * t < _AF_RIDGE
-        gain_k = np.divide(0.5 * scale, half_k, out=np.zeros(half_k.shape), where=~ridge_k)
+        on_ridge = np.abs(half_k) * t < _AF_RIDGE
+        gain_k = np.divide(0.5 * scale, half_k, out=np.zeros(half_k.shape), where=~on_ridge)
         del half_k  # the rows' work below sets the kernel's peak memory
+        # the ridge's (tone difference, column) pairs, in tone difference order
+        ridge = np.nonzero(on_ridge)
         # rows go in chunks of about _AF_ELEMS elements of their tables
         cost = 2 * (om.size + row_pairs)
         right_cache = [None, None]
         for c_lo, c_hi in _runs((np.cumsum(cost) - cost) // _AF_ELEMS):
-            slot_rows(c_lo, c_hi, om, cols, phasor, gain_k, right_cache)
-        add_ridge(om, o_start, ridge_k)
+            slot_rows(c_lo, c_hi, om, cols, phasor, gain_k, ridge, right_cache)
     acc = acc.reshape(tau_a.shape + omega_a.shape)
     if acc.ndim == 0:
         return complex(acc)
@@ -324,6 +306,8 @@ def af_grid(
     workers: int = 1,
 ) -> np.ndarray:
     """|A| over the outer product of the two axes, shape (len(tau), len(omega))."""
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     tau_axis = np.asarray(tau_axis, dtype=float)
     omega_axis = np.asarray(omega_axis, dtype=float)
     # no more processes than delay rows, or than cores
@@ -410,16 +394,3 @@ def crlb_from_fisher(fim: FisherMatrix) -> tuple[float, float]:
             det=det,
         )
     return fim.j22 / det, fim.j11 / det
-
-
-def crlb_simplified(params: WaveformParams, n0: float, b: float) -> tuple[float, float]:
-    """Bounds with the delay-Doppler coupling term dropped; permutation free."""
-    if not b > 0:
-        raise ValidationError(f"receiver bandwidth must be positive, got {b}")
-    inv_c = 1.0 / snr_constant(n0)
-    m = params.m
-    t = params.t
-    cosw = cos(2.0 * np.pi * params.f0 * t)
-    crlb_tau = inv_c * (m * t) / (2.0 * b * (m - (m - 1) * cosw))
-    crlb_omega = inv_c * 12.0 / (m * m * t * t)
-    return crlb_tau, crlb_omega

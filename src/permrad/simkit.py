@@ -98,10 +98,6 @@ class SimConfig:
             raise ValidationError(f"receiver must be one of {RECEIVERS}, got {self.receiver!r}")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.receiver == "exhaustive" and self.m > 8:
-            raise ValidationError(
-                f"exhaustive receiver sweeps are limited to m <= 8, got m={self.m}"
-            )
         for snr_db in self.snr_db:
             snr_from_db(snr_db)
         if self.workers < 1:

@@ -19,7 +19,6 @@ from permrad.lehmer import permutation_to_rank, rank_to_permutation
 from permrad.radar import (
     complex_af,
     crlb_from_fisher,
-    crlb_simplified,
     fisher_matrix,
     snr_constant,
     weighted_tone_sum,
@@ -28,7 +27,7 @@ from permrad.receiver import hungarian_detect
 from permrad.simkit import SimConfig, run_bler_sweep
 from permrad.waveform import WaveformParams
 from test_channel import fading_gains
-from test_radar import af_numeric_oracle, ridge_covariance
+from test_radar import af_numeric_oracle, crlb_simplified, ridge_covariance
 from test_receiver import assignment_score, brute_force_detect
 
 GOLDEN = np.array(

@@ -19,6 +19,7 @@ from permrad.cli import _COMMANDS, build_parser, main
 from permrad.radar import af_grid
 from permrad.waveform import WaveformParams
 from test_bounds import _disagreeing_rule, _rician_mgf_oracle
+from test_radar import crlb_simplified
 from test_receiver import OVERFLOWING, brute_force_detect
 
 
@@ -298,6 +299,7 @@ def test_out_of_range_value_exits_one(capsys, argv):
     [
         ["--bt", "1e308"],  # the delay information entry overflows
         ["--t-sec", "1e5", "--bt", "1e308", "--snr-db", "30"],  # its determinant does
+        ["--snr-db=-3000"],  # the entries underflow to 0, so 1 / entry overflows
     ],
 )
 def test_crlb_overflow_exits_two_with_the_entries(capsys, flags):
@@ -323,6 +325,12 @@ _PINNED_ROWS = [
       "8,2,rician,2.0,hungarian,statistic,11",
       "10.0,0.4104,0.4007950091722479,0.4200738033357772,10000,4104,"
       "8,2,rician,2.0,hungarian,statistic,11"]),
+    # above M = 8 the exhaustive label is a label too
+    (["--m", "12", "--n", "2", "--snr-db", "10,14", "--trials", "3000", "--seed", "13"],
+     ["10.0,0.8696666666666667,0.8571449941341893,0.8812428437082198,3000,2609,"
+      "12,2,awgn,0.0,hungarian,statistic,13",
+      "14.0,0.13566666666666666,0.12387794363589708,0.1483872441352904,3000,407,"
+      "12,2,awgn,0.0,hungarian,statistic,13"]),
 ]
 
 
@@ -511,6 +519,23 @@ def test_crlb_csv_variants(capsys):
     assert len(rows) == 5
     assert rows[1].endswith("full")
     assert rows[2].endswith("simplified")
+
+
+@pytest.mark.parametrize("m,f0_hz,t_sec", [(1, "0", "1"), (4, "0.3", "0.37"), (20, "1e6", "2e-3"),
+                                          (64, "12345.678", "0.37")])
+def test_crlb_simplified_rows_are_the_papers_formulas(capsys, m, f0_hz, t_sec):
+    # the rows invert the Fisher diagonal; the paper prints these formulas
+    rc, out, _ = _run(capsys, ["crlb", "--m", str(m), "--f0-hz", f0_hz, "--t-sec", t_sec,
+                               "--snr-db", "-20,0,13.5,40", "--bt", "1e6"])
+    assert rc == 0
+    t = float(t_sec)
+    params = WaveformParams(m=m, t=t, delta_f=1.0 / t, f0=float(f0_hz))
+    rows = [row.split(",") for row in _data_lines(out)[1:] if row.endswith(",simplified")]
+    assert len(rows) == 4
+    for _, n0, tau, omega, _ in rows:
+        want = crlb_simplified(params, float(n0), 1e6 / t)
+        assert float(tau) == pytest.approx(want[0], rel=1e-14)
+        assert float(omega) == pytest.approx(want[1], rel=1e-14)
 
 
 def test_crlb_indefinite_full_variant_reports_nan(capsys):

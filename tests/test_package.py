@@ -13,7 +13,8 @@ import permrad
 # block_error_bounds and pairwise_errors, ChannelParams by check_channel, the
 # detectors' objective and statistic helpers and the brute-force detector by
 # test-side oracles, the radar cuts by complex_af, crlb_full by
-# crlb_from_fisher, and AFGrid by af_grid's array
+# crlb_from_fisher, AFGrid by af_grid's array, and crlb_simplified by the
+# inverse of fisher_matrix's diagonal (its formulas are a test-side oracle)
 RETIRED = (
     "ChannelParams",
     "union_bound_awgn",
@@ -34,6 +35,7 @@ RETIRED = (
     "ridge_covariance",
     "crlb_full",
     "AFGrid",
+    "crlb_simplified",
 )
 
 

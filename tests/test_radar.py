@@ -17,7 +17,6 @@ from permrad.radar import (
     af_grid,
     complex_af,
     crlb_from_fisher,
-    crlb_simplified,
     fisher_matrix,
     snr_constant,
     weighted_tone_sum,
@@ -443,6 +442,26 @@ def test_complex_af_memory_stays_within_its_blocks():
     assert peak <= 2 * got.nbytes + 4 * 2**20
 
 
+def test_complex_af_memory_where_every_cell_is_on_a_ridge():
+    # within one pulse width and 0.05 / t of zero Doppler every cell is on
+    # the ridge of each lag-0 pair, whose terms are summed directly; they
+    # go in runs of _AF_ELEMS (summed all at once they peak near 13 MiB)
+    m = 20
+    params = _params(m=m)
+    perm = _tone_order(m, "ascending")
+    taus, omegas = np.linspace(0.0, 0.99, 400), np.linspace(-0.05, 0.05, 400)
+    tracemalloc.start()
+    try:
+        got = complex_af(perm, params, taus, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * got.nbytes + 2**20
+    rows, cols = slice(None, None, 37), slice(5, None, 41)
+    want = _pair_loop_af(perm, params, *_cells(taus[rows], omegas[cols]))
+    assert np.max(np.abs(got[rows, cols] - want)) <= 1e-13
+
+
 def test_af_peak_is_one():
     params = _params()
     for perm in ([0, 1, 2, 3], [2, 0, 3, 1]):
@@ -680,6 +699,19 @@ def test_crlb_full_equals_expanded_ratios():
     assert full[1] == pytest.approx(expanded[1], rel=1e-12)
 
 
+def crlb_simplified(params, n0, b):
+    """The paper's printed bounds with the delay-Doppler coupling dropped;
+    permutation free.  The oracle of `crlb`'s `simplified` rows, which the
+    CLI takes as the inverse of the Fisher matrix's diagonal."""
+    inv_c = 1.0 / snr_constant(n0)
+    m = params.m
+    t = params.t
+    cosw = cos(2.0 * np.pi * params.f0 * t)
+    crlb_tau = inv_c * (m * t) / (2.0 * b * (m - (m - 1) * cosw))
+    crlb_omega = inv_c * 12.0 / (m * m * t * t)
+    return crlb_tau, crlb_omega
+
+
 def test_crlb_simplified_single_pulse_reduction():
     t, b, n0 = 1.0, 100.0, 1.0
     params = WaveformParams(m=1, t=t, delta_f=1.0)
@@ -819,6 +851,12 @@ def test_af_grid_workers_agree_with_serial():
     serial = af_grid([1, 2, 0], params, taus, omegas, workers=1)
     parallel = af_grid([1, 2, 0], params, taus, omegas, workers=3)
     assert np.array_equal(serial, parallel)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_af_grid_refuses_workers_below_one(workers):
+    with pytest.raises(ValidationError, match=f"workers must be at least 1, got {workers}"):
+        af_grid([1, 2, 0], _params(m=3), np.linspace(-3, 3, 5), np.zeros(2), workers=workers)
 
 
 def test_af_grid_pool_is_sized_to_the_delay_rows_and_the_cores(pool_sizes, monkeypatch):

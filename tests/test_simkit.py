@@ -548,8 +548,6 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         SimConfig(m=2, n=1, snr_db=(0.0,), mode="exact")
     with pytest.raises(ValidationError):
-        SimConfig(m=12, n=1, snr_db=(0.0,), receiver="exhaustive")
-    with pytest.raises(ValidationError):
         SimConfig(m=2, n=1, snr_db=(0.0,), channel="fso")
     with pytest.raises(ValidationError):
         SimConfig(m=2, n=1, snr_db=(0.0,), master_seed=-1)

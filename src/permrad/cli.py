@@ -27,6 +27,7 @@ from .channel import CHANNEL_KINDS, check_channel, n0_from_snr_db, snr_from_db
 from .errors import NumericError, PermradError, ValidationError
 from .lehmer import (
     bits_per_block,
+    check_block_size,
     permutation_to_rank,
     rank_to_permutation,
     symbol_capacity,
@@ -89,15 +90,21 @@ def _decode_arguments(p: _Parser) -> None:
     p.set_defaults(handler=_cmd_decode)
 
 
-def _waveform_arguments(p: _Parser) -> None:
-    p.add_argument("--m", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--symbol", type=int, default=0, help="symbol to encode (default 0)")
-    group.add_argument("--perm", type=_int_list, default=None, help="explicit permutation")
+def _geometry_arguments(p: _Parser) -> None:
+    """The pulse geometry of waveform, af and crlb, read by _resolve_waveform."""
     p.add_argument("--t-sec", type=float, default=1.0, help="pulse width in seconds")
     p.add_argument("--delta-f-hz", type=float, default=None,
                    help="tone spacing in Hz (default 1/t)")
     p.add_argument("--f0-hz", type=float, default=0.0, help="lowest tone frequency in Hz")
+
+
+def _waveform_arguments(p: _Parser) -> None:
+    p.add_argument("--m", type=int, required=True)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--symbol", type=int, default=None,
+                       help="symbol to encode (default: the ascending order)")
+    group.add_argument("--perm", type=_int_list, default=None, help="explicit permutation")
+    _geometry_arguments(p)
     p.add_argument("--energy", type=float, default=1.0, help="total waveform energy")
     p.add_argument("--oversampling", type=int, default=None, help="samples per pulse")
     p.set_defaults(handler=_cmd_waveform)
@@ -132,9 +139,9 @@ def _simulate_arguments(p: _Parser) -> None:
     p.add_argument("--target-errors", type=int, default=None,
                    help="stop a point early once this many errors are seen")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--receiver", choices=simkit.RECEIVERS, default="hungarian",
+    p.add_argument("--receiver", choices=("hungarian", "exhaustive"), default="hungarian",
                    help="labels the output: both receivers print the same counts")
-    p.add_argument("--mode", choices=simkit.MODES, default="statistic",
+    p.add_argument("--mode", choices=("statistic", "sampled"), default="statistic",
                    help="labels the output: both modes print the same counts")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_simulate)
@@ -147,9 +154,7 @@ def _af_arguments(p: _Parser) -> None:
     group.add_argument("--symbol", type=int, default=None)
     group.add_argument("--order", choices=("ascending", "descending"), default=None,
                        help="convenience tone orders")
-    p.add_argument("--t-sec", type=float, default=1.0)
-    p.add_argument("--delta-f-hz", type=float, default=None)
-    p.add_argument("--f0-hz", type=float, default=0.0)
+    _geometry_arguments(p)
     p.add_argument("--tau-min-sec", type=float, default=None, help="default -m*t")
     p.add_argument("--tau-max-sec", type=float, default=None, help="default +m*t")
     p.add_argument("--tau-steps", type=int, default=81)
@@ -163,9 +168,7 @@ def _af_arguments(p: _Parser) -> None:
 def _crlb_arguments(p: _Parser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--perm", type=_int_list, default=None, help="default ascending order")
-    p.add_argument("--t-sec", type=float, default=1.0)
-    p.add_argument("--delta-f-hz", type=float, default=None)
-    p.add_argument("--f0-hz", type=float, default=0.0)
+    _geometry_arguments(p)
     p.add_argument("--bt", type=float, default=100.0,
                    help="bandwidth-time product; receiver bandwidth b = bt/t")
     p.add_argument("--energy", type=float, default=1.0)
@@ -234,40 +237,34 @@ def _cmd_decode(args) -> _Output:
     return header, [str(rank)]
 
 
-def _resolve_waveform(args) -> tuple[list[int], WaveformParams]:
-    if not (args.t_sec > 0 and isfinite(args.t_sec)):
-        raise ValidationError(f"pulse width must be positive and finite, got {args.t_sec}")
-    delta_f = args.delta_f_hz if args.delta_f_hz is not None else 1.0 / args.t_sec
-    params = WaveformParams(
-        m=args.m,
-        t=args.t_sec,
-        delta_f=delta_f,
-        f0=args.f0_hz,
-        energy=getattr(args, "energy", 1.0),
-        oversampling=getattr(args, "oversampling", None),
-    )
-    if getattr(args, "perm", None) is not None:
+def _resolve_waveform(args, energy=1.0, oversampling=None) -> tuple[list[int], WaveformParams, list]:
+    """The tone order, its WaveformParams and their five header pairs, from
+    --m, the geometry flags and the tone-order flags of waveform, af or
+    crlb; with no tone order given, the ascending one."""
+    params = WaveformParams(m=args.m, t=args.t_sec, delta_f=args.delta_f_hz, f0=args.f0_hz,
+                            energy=energy, oversampling=oversampling)
+    if args.perm is not None:
         perm = args.perm
     elif getattr(args, "order", None) == "descending":
         perm = list(range(args.m))[::-1]
-    elif getattr(args, "order", None) == "ascending":
-        perm = list(range(args.m))
     elif getattr(args, "symbol", None) is not None:
         perm = rank_to_permutation(args.symbol, args.m)
     else:
         perm = list(range(args.m))
-    return perm, params
-
-
-def _cmd_waveform(args) -> _Output:
-    perm, params = _resolve_waveform(args)
-    sig = synthesize(perm, params)
     header = [
         ("m", params.m),
         ("perm", ",".join(str(x) for x in perm)),
         ("t_sec", params.t),
         ("delta_f_hz", params.delta_f),
         ("f0_hz", params.f0),
+    ]
+    return perm, params, header
+
+
+def _cmd_waveform(args) -> _Output:
+    perm, params, header = _resolve_waveform(args, args.energy, args.oversampling)
+    sig = synthesize(perm, params)
+    header += [
         ("energy", params.energy),
         ("oversampling", params.samples_per_pulse),
         ("sample_rate_hz", params.sample_rate),
@@ -285,6 +282,7 @@ def _cmd_detect(args) -> _Output:
             matrix = np.atleast_2d(np.loadtxt(args.matrix, delimiter=",", comments="#"))
     except (ValueError, UserWarning) as exc:
         raise ValidationError(f"{args.matrix}: not a numeric matrix: {exc}") from exc
+    check_block_size(matrix.shape[0])  # before the O(M^3) solve, not after it
     perm = hungarian_detect(matrix)
     rank = permutation_to_rank(perm)
     header = [
@@ -327,8 +325,6 @@ def _cmd_simulate(args) -> _Output:
         trials=args.trials,
         target_errors=args.target_errors,
         master_seed=args.seed,
-        receiver=args.receiver,
-        mode=args.mode,
         workers=args.workers,
     )
     header = [
@@ -340,8 +336,8 @@ def _cmd_simulate(args) -> _Output:
         ("trials", cfg.trials),
         ("target_errors", cfg.target_errors),
         ("seed", cfg.master_seed),
-        ("receiver", cfg.receiver),
-        ("mode", cfg.mode),
+        ("receiver", args.receiver),
+        ("mode", args.mode),
         ("workers", cfg.workers),
         ("snr_definition", "energy/n0 per receive antenna"),
     ]
@@ -351,7 +347,7 @@ def _cmd_simulate(args) -> _Output:
         lines.append(
             f"{pt.snr_db},{pt.bler},{pt.ci_lo},{pt.ci_hi},"
             f"{pt.trials},{pt.errors},{cfg.m},{cfg.n},{cfg.channel},{cfg.k},"
-            f"{cfg.receiver},{cfg.mode},{cfg.master_seed}"
+            f"{args.receiver},{args.mode},{cfg.master_seed}"
         )
     return header, lines
 
@@ -362,7 +358,7 @@ def _cmd_af(args) -> _Output:
             f"grid steps must be at least 1, got --tau-steps {args.tau_steps}, "
             f"--doppler-steps {args.doppler_steps}"
         )
-    perm, params = _resolve_waveform(args)
+    perm, params, header = _resolve_waveform(args)
     tau_min = args.tau_min_sec if args.tau_min_sec is not None else -params.duration
     tau_max = args.tau_max_sec if args.tau_max_sec is not None else params.duration
     dop_min = args.doppler_min_hz if args.doppler_min_hz is not None else -2.0 / params.t
@@ -378,12 +374,7 @@ def _cmd_af(args) -> _Output:
     tau_axis = np.linspace(tau_min, tau_max, args.tau_steps)
     omega_axis = 2.0 * pi * np.linspace(dop_min, dop_max, args.doppler_steps)
     magnitudes = radar.af_grid(perm, params, tau_axis, omega_axis, workers=args.workers)
-    header = [
-        ("m", params.m),
-        ("perm", ",".join(str(x) for x in perm)),
-        ("t_sec", params.t),
-        ("delta_f_hz", params.delta_f),
-        ("f0_hz", params.f0),
+    header += [
         ("tau_min_sec", float(tau_min)),
         ("tau_max_sec", float(tau_max)),
         ("tau_steps", args.tau_steps),
@@ -410,14 +401,9 @@ def _cmd_crlb(args) -> _Output:
     _check_snr_grid(args.snr_db)
     if not isfinite(args.bt):
         raise ValidationError(f"bandwidth-time product must be finite, got {args.bt}")
-    perm, params = _resolve_waveform(args)
+    perm, params, header = _resolve_waveform(args, args.energy)
     b = args.bt / params.t
-    header = [
-        ("m", params.m),
-        ("perm", ",".join(str(x) for x in perm)),
-        ("t_sec", params.t),
-        ("delta_f_hz", params.delta_f),
-        ("f0_hz", params.f0),
+    header += [
         ("bt", args.bt),
         ("bandwidth_hz", b),
         ("energy", args.energy),
@@ -457,13 +443,11 @@ def _cmd_crlb(args) -> _Output:
 def _config_defaults(path: str, parser: _Parser) -> dict:
     """Parse a flat key=value file into typed defaults for ``parser``.
 
-    A key is a flag's dest, converted by the flag's own type.
+    A key is a flag's dest, converted by the flag's own type and checked
+    against its choices.
     """
-    converters = {
-        action.dest: action.type or str
-        for action in parser._actions
-        if action.dest not in ("help", "config")
-    }
+    actions = {action.dest: action for action in parser._actions
+               if action.dest not in ("help", "config")}
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -475,12 +459,16 @@ def _config_defaults(path: str, parser: _Parser) -> dict:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             key = _CONFIG_ALIASES.get(key, key)
-            if key not in converters:
+            if key not in actions:
                 raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+            action = actions[key]
             try:
-                out[key] = converters[key](value.strip())
+                out[key] = (action.type or str)(value.strip())
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+            if action.choices is not None and out[key] not in action.choices:
+                raise ValidationError(f"{path}:{lineno}: bad value for {key}: {out[key]!r} "
+                                      f"is not one of {', '.join(action.choices)}")
     return out
 
 

@@ -19,7 +19,7 @@ from .errors import ValidationError
 MAX_M = 20
 
 
-def _check_block_size(m: int) -> None:
+def check_block_size(m: int) -> None:
     if not isinstance(m, int) or isinstance(m, bool):
         raise ValidationError(f"block size must be an integer, got {m!r}")
     if m < 1:
@@ -55,7 +55,7 @@ def rank_to_permutation(symbol: int, m: int) -> list[int]:
 
     Runs in O(m^2) without materialising the permutation table.
     """
-    _check_block_size(m)
+    check_block_size(m)
     top = factorial(m)
     if not 0 <= symbol < top:
         raise ValidationError(
@@ -74,7 +74,7 @@ def rank_to_permutation(symbol: int, m: int) -> list[int]:
 def permutation_to_rank(perm: Sequence[int]) -> int:
     """Return the lexicographic index of ``perm``; exact inverse of rank_to_permutation."""
     m = len(perm)
-    _check_block_size(m)
+    check_block_size(m)
     validate_permutation(perm)
     remaining = list(range(m))
     rank = 0
@@ -87,7 +87,7 @@ def permutation_to_rank(perm: Sequence[int]) -> int:
 
 def bits_per_block(m: int) -> int:
     """floor(log2(m!)) computed exactly in integer arithmetic."""
-    _check_block_size(m)
+    check_block_size(m)
     return factorial(m).bit_length() - 1
 
 
@@ -100,5 +100,5 @@ def symbol_capacity(m: int, bit_mode: bool = False) -> int:
     """
     if bit_mode:
         return 1 << bits_per_block(m)
-    _check_block_size(m)
+    check_block_size(m)
     return factorial(m)

@@ -331,12 +331,11 @@ def _af_grid_chunk(args) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """2x2 information matrix for (delay, Doppler), with its constant C."""
+    """2x2 information matrix for (delay, Doppler)."""
 
     j11: float
     j12: float
     j22: float
-    c: float  # energy-to-noise constant (2/n0) / (1 + n0)
 
 
 def snr_constant(n0: float) -> float:
@@ -379,7 +378,7 @@ def fisher_matrix(
         raise NumericError(
             "Fisher matrix entry overflows", j11=j11, j12=j12, j22=j22, c=c, b=b
         )
-    return FisherMatrix(j11=j11, j12=j12, j22=j22, c=c)
+    return FisherMatrix(j11=j11, j12=j12, j22=j22)
 
 
 def crlb_from_fisher(fim: FisherMatrix) -> tuple[float, float]:

@@ -27,8 +27,6 @@ def hungarian_detect(r: np.ndarray) -> list[int]:
     """
     r = _checked_square(r)
     m = r.shape[0]
-    if m == 1:
-        return [0]
     # shift so the minimizing core works on non-negative entries
     cost = (float(r.max()) - r).tolist()
     _, u, v = _solve_min_assignment(cost)

@@ -45,9 +45,6 @@ from .channel import check_channel, draw_fading_batch, snr_from_db
 from .errors import NumericError, ValidationError
 from .lehmer import MAX_M
 
-RECEIVERS = ("hungarian", "exhaustive")
-MODES = ("statistic", "sampled")
-
 # A fixed block size keeps the RNG block structure independent of trial
 # count and worker count.  A block holds its (block, n) fading draw; its
 # statistics are held one slice at a time.
@@ -80,8 +77,6 @@ class SimConfig:
     trials: int = 100_000
     target_errors: int | None = None
     master_seed: int = 0
-    receiver: str = "hungarian"
-    mode: str = "statistic"  # a label: both modes decide the same matrices
     workers: int = 1
 
     def __post_init__(self):
@@ -94,10 +89,6 @@ class SimConfig:
         if self.target_errors is not None and self.target_errors < 1:
             raise ValidationError("target_errors must be at least 1 when set")
         object.__setattr__(self, "k", check_channel(self.channel, self.n, self.k))
-        if self.receiver not in RECEIVERS:
-            raise ValidationError(f"receiver must be one of {RECEIVERS}, got {self.receiver!r}")
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         for snr_db in self.snr_db:
             snr_from_db(snr_db)
         if self.workers < 1:

@@ -28,7 +28,8 @@ class WaveformParams:
 
     m            number of pulses / tones
     t            pulse width in seconds
-    delta_f      tone spacing in Hz; delta_f * t must be a positive integer
+    delta_f      tone spacing in Hz; delta_f * t must be a positive integer;
+                 defaults to 1 / t
     f0           lowest tone frequency in Hz
     energy       total waveform energy
     oversampling samples per pulse; defaults to 8 * m * (delta_f * t),
@@ -37,7 +38,7 @@ class WaveformParams:
 
     m: int
     t: float
-    delta_f: float
+    delta_f: float | None = None
     f0: float = 0.0
     energy: float = 1.0
     oversampling: int | None = None
@@ -47,6 +48,8 @@ class WaveformParams:
             raise ValidationError(f"m must be in [1, {MAX_PULSES}], got {self.m}")
         if not (self.t > 0 and isfinite(self.t)):
             raise ValidationError(f"pulse width must be positive and finite, got {self.t}")
+        if self.delta_f is None:
+            object.__setattr__(self, "delta_f", 1.0 / self.t)
         if not (self.energy > 0 and isfinite(self.energy)):
             raise ValidationError(f"energy must be positive and finite, got {self.energy}")
         if not (self.f0 >= 0 and isfinite(self.f0)):

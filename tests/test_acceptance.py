@@ -117,7 +117,7 @@ def test_criterion_04_awgn_bler_against_bounds():
     nn_star_db = _solve_nn_equals(1e-3, lambda snr: bounds(snr)[1])
     grid = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, nn_star_db)
     cfg = SimConfig(m=m, n=n, snr_db=grid, channel="awgn", trials=trials,
-                    master_seed=101, receiver="exhaustive", mode="statistic")
+                    master_seed=101)
     points = run_bler_sweep(cfg)
     dominance = True
     detail = []
@@ -136,7 +136,7 @@ def test_criterion_05_two_tone_exactness():
     start = time.perf_counter()
     n, trials = 1, 1_000_000
     cfg = SimConfig(m=2, n=n, snr_db=(0.0, 3.0, 6.0), channel="awgn", trials=trials,
-                    master_seed=102, receiver="exhaustive", mode="statistic")
+                    master_seed=102)
     points = run_bler_sweep(cfg)
     ok = True
     gaps = []
@@ -167,7 +167,7 @@ def test_criterion_06_rician_rayleigh_consistency():
     nn_star_db = _solve_nn_equals(1e-3, lambda snr: bounds(snr)[1])
     grid = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, nn_star_db)
     cfg = SimConfig(m=m, n=n, snr_db=grid, channel="rician", k=k, trials=trials,
-                    master_seed=103, receiver="exhaustive", mode="statistic")
+                    master_seed=103)
     points = run_bler_sweep(cfg)
     dominance = True
     for pt in points:

@@ -239,7 +239,11 @@ def test_simulate_config_unknown_key(capsys, tmp_path):
     assert "unknown config key" in err
 
 
-@pytest.mark.parametrize("line", ["trials=1e5", "m=four", "snr_db=a,b"])
+# the last three are not among their flag's choices, which a file value
+# meets as a command-line value does
+@pytest.mark.parametrize(
+    "line", ["trials=1e5", "m=four", "snr_db=a,b", "receiver=genie", "mode=exact", "channel=foo"]
+)
 def test_simulate_config_bad_value_exits_one(capsys, tmp_path, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# sweep\nn=1\n{line}\n")
@@ -479,6 +483,18 @@ def test_af_workers_do_not_change_output(capsys):
     assert out1 == out2.replace("# workers=2\n", "# workers=1\n")
 
 
+def test_waveform_beyond_codec_block_limit(capsys):
+    # with no tone order given, waveform sends the ascending one, as af and
+    # crlb do, so it needs no symbol and takes M above the codec's 20
+    base = ["waveform", "--m", "21", "--oversampling", "42"]
+    rc, out, err = _run(capsys, base)
+    assert rc == 0, err
+    rc, want, err = _run(capsys, base + ["--perm", ",".join(map(str, range(21)))])
+    assert rc == 0, err
+    assert _data_lines(out) == _data_lines(want)
+    assert len(_data_lines(out)) == 1 + 21 * 42
+
+
 def test_af_beyond_codec_block_limit(capsys):
     rc, out, _ = _run(
         capsys,
@@ -607,6 +623,18 @@ def test_detect_refuses_overflowing_matrix(capsys, tmp_path):
     assert rc == 1
     assert out == ""
     assert err.count("error:") == 1 and "overflow" in err
+
+
+def test_detect_checks_the_block_size_before_solving(capsys, tmp_path, monkeypatch):
+    # the codec ranks at most 20 tones; a larger matrix is refused unsolved
+    def unreachable(r):
+        raise AssertionError("solved a matrix the codec cannot rank")
+
+    monkeypatch.setattr("permrad.cli.hungarian_detect", unreachable)
+    path = tmp_path / "m21.csv"
+    np.savetxt(path, np.eye(21), delimiter=",")
+    rc, out, err = _run(capsys, ["detect", "--matrix", str(path)])
+    assert (rc, out, err) == (1, "", "error: block size 21 exceeds the supported maximum 20\n")
 
 
 @pytest.mark.parametrize("receiver", ["hungarian", "exhaustive"])

@@ -14,7 +14,8 @@ import permrad
 # detectors' objective and statistic helpers and the brute-force detector by
 # test-side oracles, the radar cuts by complex_af, crlb_full by
 # crlb_from_fisher, AFGrid by af_grid's array, and crlb_simplified by the
-# inverse of fisher_matrix's diagonal (its formulas are a test-side oracle)
+# inverse of fisher_matrix's diagonal (its formulas are a test-side oracle);
+# simulate's --receiver and --mode labels are the CLI's own choices
 RETIRED = (
     "ChannelParams",
     "union_bound_awgn",
@@ -36,6 +37,8 @@ RETIRED = (
     "crlb_full",
     "AFGrid",
     "crlb_simplified",
+    "RECEIVERS",
+    "MODES",
 )
 
 
@@ -86,12 +89,16 @@ def _loaded_names(node):
     }
 
 
-def test_every_public_name_in_the_sources_is_reached_from_the_sources():
-    # a name only tests reach belongs in the tests; the re-exports in
-    # __init__ do not count as a use
+def _source_trees():
+    # the re-exports in __init__ do not count as a use
     sources = Path(permrad.__file__).parent
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(sources.glob("*.py")) if path.name != "__init__.py"}
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(sources.glob("*.py")) if path.name != "__init__.py"}
+
+
+def test_every_public_name_in_the_sources_is_reached_from_the_sources():
+    # a name only tests reach belongs in the tests
+    trees = _source_trees()
     statements = [(stmt, _loaded_names(stmt)) for tree in trees.values() for stmt in tree.body]
     unreached = [
         f"{module}:{name}"
@@ -100,3 +107,23 @@ def test_every_public_name_in_the_sources_is_reached_from_the_sources():
         if not any(name in loaded for stmt, loaded in statements if stmt is not node)
     ]
     assert unreached == []
+
+
+def test_every_dataclass_field_is_read_in_the_sources():
+    # a field that only tests read belongs in the tests; matched by name, as
+    # above: an attribute read of that name anywhere in the sources counts
+    trees = _source_trees()
+    read = {
+        node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}:{node.name}.{field.target.id}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and field.target.id not in read
+    ]
+    assert unread == []

@@ -628,7 +628,7 @@ def test_cuts_and_ridge_response_are_the_grid_bit_for_bit():
 def test_fisher_j22_single_pulse():
     params = WaveformParams(m=1, t=1.0, delta_f=1.0)
     fim = fisher_matrix([0], params, n0=1.0, b=100.0)
-    assert fim.c == 1.0
+    assert snr_constant(1.0) == 1.0
     assert fim.j22 == 1.0 / 12.0
 
 
@@ -636,7 +636,7 @@ def test_fisher_j11_integer_cycle_base_frequency():
     # omega0 * t a multiple of 2 pi collapses the cosine taper: j11 = 2 B C / (t m)
     params = _params(m=4, f0=3.0)
     fim = fisher_matrix([0, 1, 2, 3], params, n0=0.5, b=200.0)
-    expected = 2.0 * 200.0 * fim.c / (1.0 * 4)
+    expected = 2.0 * 200.0 * snr_constant(0.5) / (1.0 * 4)
     assert fim.j11 == pytest.approx(expected, rel=1e-12)
 
 

@@ -1,4 +1,4 @@
-"""Monte Carlo engine tests: determinism, receiver equivalence, exactness."""
+"""Monte Carlo engine tests: determinism, the reference decision, exactness."""
 
 import os
 import tracemalloc
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permrad import simkit
+from permrad.cli import main
 from permrad.channel import draw_fading_batch
 from permrad.errors import NumericError, ValidationError
 from permrad.lehmer import rank_to_permutation
@@ -58,13 +59,13 @@ def _to_identity(r_all, perms):
 def test_deterministic_across_worker_counts():
     base = dict(
         m=4, n=2, snr_db=(0.0, 4.0), channel="rician", k=1.0,
-        trials=20_000, master_seed=42, receiver="exhaustive",
+        trials=20_000, master_seed=42,
     )
     serial = run_bler_sweep(SimConfig(workers=1, **base))
     parallel = run_bler_sweep(SimConfig(workers=4, **base))
     assert serial == parallel  # bit-identical, not merely close
-    # sampled mode over three blocks, the last one partial
-    base.update(n=3, snr_db=(4.0,), channel="rayleigh", k=0.0, trials=20_000, mode="sampled")
+    # three blocks, the last one partial
+    base.update(n=3, snr_db=(4.0,), channel="rayleigh", k=0.0, trials=20_000)
     serial = run_bler_sweep(SimConfig(workers=1, **base))
     parallel = run_bler_sweep(SimConfig(workers=2, **base))
     assert serial == parallel
@@ -82,29 +83,8 @@ def test_seed_changes_result():
     assert run_bler_sweep(cfg_a) != run_bler_sweep(cfg_b)
 
 
-def test_receiver_equivalence_identical_error_counts():
-    for m in (3, 5):
-        base = dict(
-            m=m, n=2, snr_db=(1.0,), channel="rayleigh",
-            trials=10_000, master_seed=11,
-        )
-        hung = run_bler_sweep(SimConfig(receiver="hungarian", **base))[0]
-        exh = run_bler_sweep(SimConfig(receiver="exhaustive", **base))[0]
-        assert hung.errors == exh.errors
-        assert hung.trials == exh.trials
-
-
-def test_statistic_and_sampled_modes_agree():
-    # the mode is a label: both decide the same matrices from the same draw
-    base = dict(m=4, n=2, channel="rician", k=1.0, trials=100_000,
-                master_seed=3, receiver="exhaustive", snr_db=(0.0, 4.0, 8.0))
-    stat = run_bler_sweep(SimConfig(mode="statistic", **base))
-    assert run_bler_sweep(SimConfig(mode="sampled", **base)) == stat
-    assert 0 < stat[-1].errors < stat[0].errors < stat[0].trials
-
-
 def test_noise_free_limit_has_no_errors():
-    cfg = SimConfig(m=4, n=2, snr_db=(60.0,), trials=10_000, receiver="exhaustive")
+    cfg = SimConfig(m=4, n=2, snr_db=(60.0,), trials=10_000)
     point = run_bler_sweep(cfg)[0]
     assert point.errors == 0
     assert point.bler == 0.0
@@ -113,7 +93,7 @@ def test_noise_free_limit_has_no_errors():
 def test_two_tone_error_rate_matches_q_function():
     cfg = SimConfig(
         m=2, n=1, snr_db=(0.0,), channel="awgn",
-        trials=200_000, master_seed=5, receiver="exhaustive",
+        trials=200_000, master_seed=5,
     )
     point = run_bler_sweep(cfg)[0]
     p = 0.5 * erfc(1.0 / sqrt(2.0))  # Q(1)
@@ -121,8 +101,7 @@ def test_two_tone_error_rate_matches_q_function():
 
 
 def test_awgn_equals_huge_k_rician():
-    base = dict(m=4, n=2, snr_db=(2.0,), trials=100_000, master_seed=6,
-                receiver="exhaustive")
+    base = dict(m=4, n=2, snr_db=(2.0,), trials=100_000, master_seed=6)
     awgn = run_bler_sweep(SimConfig(channel="awgn", **base))[0]
     rician = run_bler_sweep(SimConfig(channel="rician", k=1e12, **base))[0]
     sigma = sqrt(
@@ -133,15 +112,14 @@ def test_awgn_equals_huge_k_rician():
 
 
 def test_rayleigh_channel_is_k_zero_rician():
-    base = dict(m=3, n=2, snr_db=(4.0,), trials=50_000, master_seed=8,
-                receiver="exhaustive")
+    base = dict(m=3, n=2, snr_db=(4.0,), trials=50_000, master_seed=8)
     ray = run_bler_sweep(SimConfig(channel="rayleigh", **base))[0]
     ric = run_bler_sweep(SimConfig(channel="rician", k=0.0, **base))[0]
     assert ray == ric  # same draws, same statistics
 
 
 def test_partial_last_block():
-    cfg = SimConfig(m=2, n=1, snr_db=(0.0,), trials=10_000, receiver="exhaustive")
+    cfg = SimConfig(m=2, n=1, snr_db=(0.0,), trials=10_000)
     point = run_bler_sweep(cfg)[0]
     assert point.trials == 10_000
 
@@ -149,7 +127,7 @@ def test_partial_last_block():
 def test_target_errors_stops_early():
     cfg = SimConfig(
         m=4, n=1, snr_db=(0.0,), trials=500_000, target_errors=100,
-        master_seed=9, receiver="exhaustive",
+        master_seed=9,
     )
     point = run_bler_sweep(cfg)[0]
     assert point.errors >= 100
@@ -159,7 +137,6 @@ def test_target_errors_stops_early():
 def test_target_errors_deterministic_across_workers():
     base = dict(
         m=4, n=1, snr_db=(2.0,), trials=200_000, target_errors=250, master_seed=10,
-        receiver="exhaustive",
     )
     serial = run_bler_sweep(SimConfig(workers=1, **base))
     parallel = run_bler_sweep(SimConfig(workers=3, **base))
@@ -169,7 +146,6 @@ def test_target_errors_deterministic_across_workers():
 def test_target_errors_unreachable_warns():
     cfg = SimConfig(
         m=2, n=1, snr_db=(60.0,), trials=5_000, target_errors=10, master_seed=1,
-        receiver="exhaustive",
     )
     with pytest.warns(UserWarning, match="trial cap"):
         point = run_bler_sweep(cfg)[0]
@@ -365,8 +341,7 @@ def _identity_perms(size, m):
 def _reference_run_block(cfg, block_idx, size, symbols=False):
     """Reference block: the sweep's (seed, block) stream drawn whole, every
     trial decided at every point by the reference decision, with no
-    ascending filter; the error count per point.  Both modes decide the
-    same matrices.
+    ascending filter; the error count per point.
 
     With symbols, each trial first draws a random rank, decoded by
     masking; the shift is placed and the swap graph gathered through its
@@ -477,17 +452,25 @@ def test_block_errors_each_settling_exit(w, settled_by, error, sent):
 @pytest.mark.parametrize(
     "mode, trials", [("statistic", 9_000), ("sampled", 1_500), ("sampled", 9_000)]
 )
-def test_sweep_matches_reference_blocks(mode, trials, channel, workers):
-    # one partial block per point, or two with the second partial; at 1,500
-    # trials every M > 1 still makes some errors, and not on every trial
+def test_sweep_matches_reference_blocks(capsys, mode, trials, channel, workers):
+    # simulate's rows under either --mode label: one partial block per point,
+    # or two with the second partial; at 1,500 trials every M > 1 still makes
+    # some errors, and not on every trial
     for m, snr_db in ((1, (0.0,)), (4, (4.0, 10.0)), (12, (12.0, 18.0)), (20, (18.0, 28.0))):
         cfg = SimConfig(m=m, n=2, snr_db=snr_db, channel=channel, k=2.0, trials=trials,
-                        master_seed=m, mode=mode, workers=workers)
-        got = run_bler_sweep(cfg)
+                        master_seed=m, workers=workers)
+        assert main(["simulate", "--m", str(m), "--n", "2", "--channel", channel,
+                     "--rician-k", "2", "--snr-db", ",".join(map(str, snr_db)),
+                     "--trials", str(trials), "--seed", str(m), "--mode", mode,
+                     "--workers", str(workers)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")][1:]
         want = np.sum([_reference_run_block(cfg, b, s) for b, s in _blocks(cfg)], axis=0)
-        assert [(p.trials, p.errors) for p in got] == [(trials, int(w)) for w in want]
+        assert [(int(r[4]), int(r[5]), r[11]) for r in rows] == [
+            (trials, int(w), mode) for w in want
+        ]
         if m > 1:
-            assert 0 < sum(p.errors for p in got) < trials * len(got)
+            assert 0 < sum(int(r[5]) for r in rows) < trials * len(rows)
 
 
 @pytest.mark.parametrize(
@@ -527,7 +510,7 @@ def test_wilson_interval_property(trials, data):
 
 
 def test_points_carry_interval_fields():
-    cfg = SimConfig(m=2, n=1, snr_db=(3.0,), trials=2_000, receiver="exhaustive")
+    cfg = SimConfig(m=2, n=1, snr_db=(3.0,), trials=2_000)
     point = run_bler_sweep(cfg)[0]
     assert isinstance(point, BlerPoint)
     assert point.ci_lo <= point.bler <= point.ci_hi
@@ -543,10 +526,6 @@ def test_validation_errors():
         SimConfig(m=2, n=1, snr_db=())
     with pytest.raises(ValidationError):
         SimConfig(m=2, n=1, snr_db=(0.0,), trials=0)
-    with pytest.raises(ValidationError):
-        SimConfig(m=2, n=1, snr_db=(0.0,), receiver="genie")
-    with pytest.raises(ValidationError):
-        SimConfig(m=2, n=1, snr_db=(0.0,), mode="exact")
     with pytest.raises(ValidationError):
         SimConfig(m=2, n=1, snr_db=(0.0,), channel="fso")
     with pytest.raises(ValidationError):
@@ -631,7 +610,6 @@ def test_process_pool_is_sized_to_the_blocks_and_the_cores(pool_sizes, monkeypat
 def test_bler_decreases_with_snr():
     cfg = SimConfig(
         m=4, n=2, snr_db=(0.0, 4.0, 8.0), trials=50_000, master_seed=12,
-        receiver="exhaustive",
     )
     points = run_bler_sweep(cfg)
     assert points[0].bler > points[1].bler > points[2].bler

@@ -13,13 +13,12 @@ from .radar import (
 )
 from .receiver import hungarian_detect
 from .simkit import BlerPoint, SimConfig, run_bler_sweep, wilson_interval
-from .waveform import ComplexSignal, WaveformParams, synthesize, tone_frequencies
+from .waveform import WaveformParams, synthesize, tone_frequencies
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlerPoint",
-    "ComplexSignal",
     "FisherMatrix",
     "NumericError",
     "PermradError",

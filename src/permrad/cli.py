@@ -263,15 +263,15 @@ def _resolve_waveform(args, energy=1.0, oversampling=None) -> tuple[list[int], W
 
 def _cmd_waveform(args) -> _Output:
     perm, params, header = _resolve_waveform(args, args.energy, args.oversampling)
-    sig = synthesize(perm, params)
+    samples = synthesize(perm, params)
     header += [
         ("energy", params.energy),
         ("oversampling", params.samples_per_pulse),
         ("sample_rate_hz", params.sample_rate),
     ]
-    times = sig.times()
+    times = np.arange(samples.size) / params.sample_rate
     lines = ["t,re,im"]
-    lines += [f"{float(t)},{float(s.real)},{float(s.imag)}" for t, s in zip(times, sig.samples)]
+    lines += [f"{float(t)},{float(s.real)},{float(s.imag)}" for t, s in zip(times, samples)]
     return header, lines
 
 
@@ -499,10 +499,7 @@ def main(argv=None) -> int:
         if exc.details:
             sys.stderr.write(f"details: {exc.details}\n")
         return 2
-    except PermradError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (PermradError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except MemoryError as exc:

@@ -109,14 +109,14 @@ class BlerPoint:
     errors: int
 
 
-def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval; well behaved at zero and small error counts."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval; well behaved at zero and small error counts."""
     if trials < 1:
         raise ValidationError("interval needs at least one trial")
     p = errors / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
+    denom = 1.0 + _Z95 * _Z95 / trials
+    center = (p + _Z95 * _Z95 / (2 * trials)) / denom
+    half = _Z95 * sqrt(p * (1.0 - p) / trials + _Z95 * _Z95 / (4.0 * trials * trials)) / denom
     # rounding can land a boundary an ulp inside the point estimate; the
     # interval must always contain it
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
@@ -188,17 +188,13 @@ def _run_points(cfg: SimConfig, pool, workers: int) -> tuple[list[int], list[int
         if pool is None:
             results: Iterable[list[int]] = (_run_block(*job) for job in jobs)
         else:
-            results = pool.map(_block_worker, jobs)
+            results = pool.map(_run_block, *zip(*jobs))
         for (_, _, b_size, _), counts in zip(jobs, results):
             for p, err in zip(active, counts):
                 if errors[p] < target:
                     errors[p] += err
                     trials[p] += b_size
     return trials, errors
-
-
-def _block_worker(args) -> list[int]:
-    return _run_block(*args)
 
 
 def _run_block(cfg: SimConfig, block_idx: int, size: int, points: tuple[int, ...]) -> list[int]:
@@ -250,7 +246,7 @@ def _run_block(cfg: SimConfig, block_idx: int, size: int, points: tuple[int, ...
     return errors
 
 
-def _block_errors(w: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def _block_errors(w: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Per-trial error indicators of the optimal (max-sum assignment) detector
     for trials that sent the identity, from their swap graphs w: the
     W[n, n'] = r[n, n'] - r[n, n] of their correlation matrices r.
@@ -270,14 +266,12 @@ def _block_errors(w: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
       intermediate: every cycle can be closed at its largest node.
 
     Its float temporaries live in ``work``, shape (2,) + w.shape, which is
-    overwritten (allocated if not given); w may be work[0].  The rest are
-    per-trial vectors and boolean arrays.  So callers bound its memory by
-    the slice they pass (_run_block passes _DECISION_ELEMS values).  Ties
-    have probability zero under continuous noise.
+    overwritten; w may be work[0].  The rest are per-trial vectors and
+    boolean arrays.  So callers bound its memory by the slice they pass
+    (_run_block passes _DECISION_ELEMS values).  Ties have probability zero
+    under continuous noise.
     """
     batch, m, _ = w.shape
-    if work is None:
-        work = np.empty((2,) + w.shape)
     live = np.flatnonzero((w > 0).any(axis=(1, 2)))
     # mode="clip" takes straight into out (the default buffers); the
     # indices are in range either way

@@ -102,26 +102,15 @@ class WaveformParams:
         return sqrt(self.energy / (self.m * self.t))
 
 
-@dataclass(frozen=True)
-class ComplexSignal:
-    """Uniformly sampled complex baseband signal."""
-
-    samples: np.ndarray
-    sample_rate: float
-    t0: float = 0.0
-
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.samples.size) / self.sample_rate
-
-
 def tone_frequencies(perm: Sequence[int], params: WaveformParams) -> np.ndarray:
     """Per-pulse tone frequencies f0 + perm[m] * delta_f in Hz."""
     _check_perm(perm, params)
     return params.f0 + np.asarray(perm, dtype=float) * params.delta_f
 
 
-def synthesize(perm: Sequence[int], params: WaveformParams) -> ComplexSignal:
-    """Sample the waveform for ``perm`` on a uniform grid over [0, m*t).
+def synthesize(perm: Sequence[int], params: WaveformParams) -> np.ndarray:
+    """The complex samples of the waveform for ``perm``, at
+    params.sample_rate on a uniform grid over [0, m*t) from t = 0.
 
     Pulse boundaries are left-closed: the sample at t = m*t belongs to
     pulse m, which keeps pulse supports disjoint and the discrete energy
@@ -132,8 +121,7 @@ def synthesize(perm: Sequence[int], params: WaveformParams) -> ComplexSignal:
     # time within the owning pulse for every sample
     tt = np.tile(np.arange(spp) * params.dt, params.m)
     f_per_sample = np.repeat(freqs, spp)
-    samples = params.amplitude * np.exp(2j * np.pi * f_per_sample * tt)
-    return ComplexSignal(samples=samples, sample_rate=params.sample_rate)
+    return params.amplitude * np.exp(2j * np.pi * f_per_sample * tt)
 
 
 def _check_perm(perm: Sequence[int], params: WaveformParams) -> None:

@@ -15,8 +15,8 @@ def pool_sizes(monkeypatch):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
         def shutdown(self):
             pass

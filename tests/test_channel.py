@@ -9,7 +9,7 @@ from scipy import stats
 
 from permrad.channel import CHANNEL_KINDS, check_channel, draw_fading_batch, n0_from_snr_db
 from permrad.errors import ValidationError
-from permrad.waveform import ComplexSignal, WaveformParams, synthesize
+from permrad.waveform import WaveformParams, synthesize
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,13 @@ def fading_gains(kind: str, n: int, k: float, rng: np.random.Generator, size: in
 
 
 def apply_channel(
-    signal: ComplexSignal,
+    samples: np.ndarray,
+    sample_rate: float,
     h: FadingRealization,
     n0: float,
     rng: np.random.Generator,
-) -> list[ComplexSignal]:
-    """Return the per-antenna received signals h_k * s(t) + n_k(t).
+) -> list[np.ndarray]:
+    """Return the per-antenna received samples h_k * s(t) + n_k(t).
 
     Discrete noise is drawn with variance n0 * sample_rate per complex
     sample, which makes every correlation statistic formed by quadrature
@@ -55,19 +56,12 @@ def apply_channel(
     """
     if not n0 > 0:
         raise ValidationError(f"noise variance must be positive, got {n0}")
-    n_ant = h.h.size
-    size = signal.samples.size
-    sigma = sqrt(n0 * signal.sample_rate / 2.0)
+    size = samples.size
+    sigma = sqrt(n0 * sample_rate / 2.0)
     out = []
-    for ant in range(n_ant):
+    for hk in h.h:
         noise = sigma * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-        out.append(
-            ComplexSignal(
-                samples=h.h[ant] * signal.samples + noise,
-                sample_rate=signal.sample_rate,
-                t0=signal.t0,
-            )
-        )
+        out.append(hk * samples + noise)
     return out
 
 
@@ -133,19 +127,19 @@ def test_noiseless_channel_is_identity():
     sig = synthesize([0, 1], params)
     h = FadingRealization.from_vector(np.ones(2))
     rng = np.random.default_rng(6)
-    received = apply_channel(sig, h, 1e-30, rng)
+    received = apply_channel(sig, params.sample_rate, h, 1e-30, rng)
     for rx in received:
-        assert np.allclose(rx.samples, sig.samples, atol=1e-12)
+        assert np.allclose(rx, sig, atol=1e-12)
 
 
 def test_pure_noise_sample_variance():
     fs = 64.0
-    zero = ComplexSignal(samples=np.zeros(1_000_000, dtype=complex), sample_rate=fs)
+    zero = np.zeros(1_000_000, dtype=complex)
     h = FadingRealization.from_vector(np.ones(1))
     n0 = 0.25
     rng = np.random.default_rng(7)
-    rx = apply_channel(zero, h, n0, rng)[0]
-    measured = np.mean(np.abs(rx.samples) ** 2)
+    rx = apply_channel(zero, fs, h, n0, rng)[0]
+    measured = np.mean(np.abs(rx) ** 2)
     assert measured == pytest.approx(n0 * fs, rel=0.01)
 
 
@@ -156,12 +150,12 @@ def test_matched_filter_statistics():
     h = FadingRealization.from_vector(np.ones(1))
     n0 = 0.5
     rng = np.random.default_rng(8)
-    conj_s = np.conj(sig.samples)
-    dt = 1.0 / sig.sample_rate
+    conj_s = np.conj(sig)
+    dt = 1.0 / params.sample_rate
     stats_out = np.empty(100_000)
     for i in range(stats_out.size):
-        rx = apply_channel(sig, h, n0, rng)[0]
-        stats_out[i] = np.sum(conj_s * rx.samples).real * dt
+        rx = apply_channel(sig, params.sample_rate, h, n0, rng)[0]
+        stats_out[i] = np.sum(conj_s * rx).real * dt
     assert stats_out.mean() == pytest.approx(1.0, rel=0.02)
     assert stats_out.var() == pytest.approx(n0 / 2.0, rel=0.02)
 

@@ -15,7 +15,8 @@ import permrad
 # test-side oracles, the radar cuts by complex_af, crlb_full by
 # crlb_from_fisher, AFGrid by af_grid's array, and crlb_simplified by the
 # inverse of fisher_matrix's diagonal (its formulas are a test-side oracle);
-# simulate's --receiver and --mode labels are the CLI's own choices
+# simulate's --receiver and --mode labels are the CLI's own choices, and
+# ComplexSignal by synthesize's sample array
 RETIRED = (
     "ChannelParams",
     "union_bound_awgn",
@@ -39,6 +40,7 @@ RETIRED = (
     "crlb_simplified",
     "RECEIVERS",
     "MODES",
+    "ComplexSignal",
 )
 
 
@@ -127,3 +129,58 @@ def test_every_dataclass_field_is_read_in_the_sources():
         if isinstance(field, ast.AnnAssign) and field.target.id not in read
     ]
     assert unread == []
+
+
+def _defaults(tree):
+    """(label, owner, name, position, field) of each defaulted parameter of
+    a def and each defaulted field of a dataclass: the callee that sets it,
+    its name, the index of the positional argument that sets it (None for a
+    keyword-only parameter) and whether it is a dataclass field."""
+    methods = {id(f) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for f in node.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            receiver = id(node) in methods  # a method's self comes from the call's receiver
+            for i, arg in enumerate(positional[first:], start=first - receiver):
+                yield f"{node.name}({arg.arg}=)", node.name, arg.arg, i, False
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield f"{node.name}({arg.arg}=)", node.name, arg.arg, None, False
+        elif isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            for i, f in enumerate(fields):
+                if f.value is not None:
+                    yield f"{node.name}.{f.target.id}", node.name, f.target.id, i, True
+
+
+def _sets(call, owner, name, position, field):
+    """Whether ``call`` passes ``name`` to ``owner``: by keyword, by position
+    (a starred argument counts for every position) or, for a dataclass
+    field, through replace(...)."""
+    func = call.func
+    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    by_keyword = any(k.arg == name for k in call.keywords)
+    if field and called == "replace":
+        return by_keyword
+    by_position = position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+    return called == owner and (by_keyword or by_position)
+
+
+def test_every_default_is_overridden_in_the_sources():
+    # a default that no call in the sources sets is a constant, or a knob
+    # only tests turn; callees are matched by name, as above.  main's argv
+    # is exempt: it is the console entry point's, called with no arguments
+    trees = _source_trees()
+    calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unset = [
+        f"{module}:{label}"
+        for module, tree in trees.items()
+        for label, *target in _defaults(tree)
+        if not any(_sets(call, *target) for call in calls)
+    ]
+    assert [u for u in unset if u != "cli.py:main(argv=)"] == []

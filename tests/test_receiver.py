@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from permrad.errors import ValidationError
 from permrad.lehmer import permutation_to_rank, rank_to_permutation
 from permrad.receiver import hungarian_detect
-from permrad.waveform import ComplexSignal, WaveformParams, synthesize
+from permrad.waveform import WaveformParams, synthesize
 from test_channel import FadingRealization, apply_channel, draw_fading
 
 GOLDEN = np.array(
@@ -63,13 +63,13 @@ def _correlation_matrix(received, h, params):
         )
     spp = params.samples_per_pulse
     total = params.m * spp
-    for sig in received:
-        if sig.samples.size != total or sig.sample_rate != params.sample_rate:
+    for samples in received:
+        if samples.size != total:
             raise ValidationError("received signals do not share the waveform sampling grid")
 
     combined = np.zeros(total, dtype=complex)
-    for hk, sig in zip(h.h, received):
-        combined += np.conj(hk) * sig.samples
+    for hk, samples in zip(h.h, received):
+        combined += np.conj(hk) * samples
 
     tt = np.arange(spp) * params.dt
     tone_f = params.f0 + np.arange(params.m) * params.delta_f
@@ -115,7 +115,7 @@ def test_noiseless_correlation_peaks_on_transmitted_tone():
     sig = synthesize(perm, params)
     h = FadingRealization.from_vector(np.ones(1))
     rng = np.random.default_rng(0)
-    received = apply_channel(sig, h, 1e-30, rng)
+    received = apply_channel(sig, params.sample_rate, h, 1e-30, rng)
     r = _correlation_matrix(received, h, params)
     assert list(np.argmax(r, axis=1)) == perm
     for n in range(4):
@@ -127,10 +127,7 @@ def test_noiseless_correlation_peaks_on_transmitted_tone():
 
 def test_zero_input_gives_zero_matrix():
     params = WaveformParams(m=3, t=1.0, delta_f=1.0)
-    zeros = ComplexSignal(
-        samples=np.zeros(params.m * params.samples_per_pulse, dtype=complex),
-        sample_rate=params.sample_rate,
-    )
+    zeros = np.zeros(params.m * params.samples_per_pulse, dtype=complex)
     h = FadingRealization.from_vector(np.ones(2))
     r = _correlation_matrix([zeros, zeros], h, params)
     assert np.all(r == 0.0)
@@ -139,7 +136,7 @@ def test_zero_input_gives_zero_matrix():
 def test_correlation_grid_mismatch_rejected():
     params = WaveformParams(m=3, t=1.0, delta_f=1.0)
     h = FadingRealization.from_vector(np.ones(1))
-    short = ComplexSignal(samples=np.zeros(5, dtype=complex), sample_rate=params.sample_rate)
+    short = np.zeros(5, dtype=complex)
     with pytest.raises(ValidationError, match="grid"):
         _correlation_matrix([short], h, params)
 
@@ -151,7 +148,7 @@ def test_correlation_scaling_matches_continuous_model():
     perm = [1, 0]
     sig = synthesize(perm, params)
     h = FadingRealization.from_vector(np.array([1.0 + 1.0j, 0.5]))
-    received = apply_channel(sig, h, 1e-30, np.random.default_rng(1))
+    received = apply_channel(sig, params.sample_rate, h, 1e-30, np.random.default_rng(1))
     r = _correlation_matrix(received, h, params)
     expected = h.gain * sqrt(params.energy / params.m)
     for n, p in enumerate(perm):

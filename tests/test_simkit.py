@@ -51,6 +51,11 @@ def _swap_graphs(r_all):
     return r_all - np.diagonal(r_all, axis1=1, axis2=2)[:, :, None]
 
 
+def _decide(w):
+    """_block_errors on the swap graphs w, in a workspace of its own."""
+    return _block_errors(w, np.empty((2,) + w.shape))
+
+
 def _to_identity(r_all, perms):
     """The inverse of _relabel: r[i][n, n'] = r_p[i][n, perms[i, n']]."""
     return np.take_along_axis(r_all, perms[:, None, :], axis=2)
@@ -162,7 +167,7 @@ def test_block_errors_match_per_trial_detectors(m):
         gains = rng.exponential(size=size)
         noise = rng.standard_normal((size, m, m))
         r_all = statistic_model(_identity_perms(size, m), gains, 10.0 ** (snr_db / 10.0), noise)
-        got = _block_errors(_swap_graphs(r_all))
+        got = _decide(_swap_graphs(r_all))
         # the detectors see each trial relabelled to a random sent permutation
         perms = _random_perms(rng, size, m)
         r_sent = _relabel(r_all, perms)
@@ -274,7 +279,7 @@ def test_sampled_matrices_bler_matches_full_synthesis(geometry):
     gains = np.sum(np.abs(h) ** 2, axis=1)
     noise = np.random.default_rng(1).standard_normal((size, 4, 4))
     r_all = statistic_model(_identity_perms(size, 4), gains, wf.energy / n0, noise)
-    got = np.count_nonzero(_block_errors(_swap_graphs(r_all)))
+    got = np.count_nonzero(_decide(_swap_graphs(r_all)))
     rng = np.random.default_rng(2)
     want = 0
     for lo in range(0, size, 2000):  # the reference holds every sample of its trials
@@ -293,7 +298,7 @@ def test_block_errors_find_cycle_longer_than_a_swap():
     # positive edge at all.
     cyclic = np.array([[0.0, 1.0, -5.0], [-5.0, 0.0, 1.0], [1.0, -5.0, 0.0]])
     r_all = np.stack([cyclic, -cyclic.T, np.eye(3)])
-    assert _block_errors(_swap_graphs(r_all)).tolist() == [True, True, False]
+    assert _decide(_swap_graphs(r_all)).tolist() == [True, True, False]
     # the same trials sent as 2,0,1 give the same decisions
     perms = np.tile([2, 0, 1], (3, 1))
     assert _fw_block_errors(_relabel(r_all, perms), perms).tolist() == [True, True, False]
@@ -405,7 +410,7 @@ def test_block_errors_match_floyd_warshall_trial_by_trial(m):
         snr = 10.0 ** (snr_db / 10.0)
         noise = np.random.default_rng(snr_db).standard_normal((size, m, m))
         r_all = statistic_model(_identity_perms(size, m), gains, snr, noise)
-        got = _block_errors(_swap_graphs(r_all))
+        got = _decide(_swap_graphs(r_all))
         # the reference gathers the swap graph of each trial sent as a random permutation
         perms = _random_perms(rng, size, m)
         assert got.tolist() == _fw_block_errors(_relabel(r_all, perms), perms).tolist()
@@ -443,7 +448,7 @@ def test_block_errors_each_settling_exit(w, settled_by, error, sent):
     assert _settling_exit(w) == settled_by
     r = np.empty_like(w)
     r[:, sent] = w + 3.0  # r[n, p(n')] - r[n, p(n)] = W[n, n']
-    got = _block_errors(w[None])  # the same trial, sent as the identity
+    got = _decide(w[None])  # the same trial, sent as the identity
     assert got.tolist() == [error] == _fw_block_errors(r[None], np.array([sent])).tolist()
 
 

@@ -6,26 +6,25 @@ from math import factorial
 import numpy as np
 import pytest
 
+from permrad.cli import main
 from permrad.errors import ValidationError
 from permrad.lehmer import rank_to_permutation
-from permrad.waveform import ComplexSignal, WaveformParams, synthesize, tone_frequencies
+from permrad.waveform import WaveformParams, synthesize, tone_frequencies
 
 
-def _energy(sig: ComplexSignal) -> float:
+def _energy(samples: np.ndarray, sample_rate: float) -> float:
     """Discrete energy sum(|s|^2) * dt."""
-    return float(np.sum(np.abs(sig.samples) ** 2)) / sig.sample_rate
+    return float(np.sum(np.abs(samples) ** 2)) / sample_rate
 
 
 def test_single_pulse_is_all_ones():
     params = WaveformParams(m=1, t=1.0, delta_f=1.0, f0=0.0, energy=1.0)
-    sig = synthesize([0], params)
-    assert np.allclose(sig.samples, 1.0, atol=1e-15)
+    assert np.allclose(synthesize([0], params), 1.0, atol=1e-15)
 
 
 def test_energy_normalization():
     params = WaveformParams(m=2, t=1.0, delta_f=1.0, energy=1.0)
-    sig = synthesize([0, 1], params)
-    assert abs(_energy(sig) - 1.0) <= 1e-9
+    assert abs(_energy(synthesize([0, 1], params), params.sample_rate) - 1.0) <= 1e-9
 
 
 def test_constant_modulus_every_permutation_up_to_m8():
@@ -34,10 +33,10 @@ def test_constant_modulus_every_permutation_up_to_m8():
     for m in range(1, 9):
         params = WaveformParams(m=m, t=0.5, delta_f=2.0, energy=2.0, oversampling=2 * m)
         for perm in permutations(range(m)):
-            sig = synthesize(list(perm), params)
-            mags = np.abs(sig.samples)
-            assert np.allclose(mags, params.amplitude, rtol=1e-12)
-            assert abs(_energy(sig) - params.energy) <= 1e-9 * params.energy
+            samples = synthesize(list(perm), params)
+            assert np.allclose(np.abs(samples), params.amplitude, rtol=1e-12)
+            energy = _energy(samples, params.sample_rate)
+            assert abs(energy - params.energy) <= 1e-9 * params.energy
 
 
 def test_reverse_permutation_same_envelope():
@@ -46,7 +45,7 @@ def test_reverse_permutation_same_envelope():
         perm = rank_to_permutation(symbol, 5)
         a = synthesize(perm, params)
         b = synthesize(perm[::-1], params)
-        assert np.allclose(np.abs(a.samples), np.abs(b.samples), atol=1e-12)
+        assert np.allclose(np.abs(a), np.abs(b), atol=1e-12)
 
 
 def test_per_pulse_tone_orthogonality():
@@ -112,11 +111,16 @@ def test_non_finite_params_rejected(field, value):
         WaveformParams(**kwargs)
 
 
-def test_sample_grid_and_times():
+def test_sample_grid_and_times(capsys):
+    # the t column of waveform's CSV: one row per sample, from 0 in steps of dt
     params = WaveformParams(m=2, t=0.5, delta_f=2.0)
-    sig = synthesize([1, 0], params)
-    assert sig.samples.size == params.m * params.samples_per_pulse
-    times = sig.times()
+    assert synthesize([1, 0], params).size == params.m * params.samples_per_pulse
+    argv = ["waveform", "--m", "2", "--perm", "1,0", "--t-sec", "0.5", "--delta-f-hz", "2"]
+    assert main(argv) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert rows[0] == "t,re,im"
+    times = np.array([float(row.split(",")[0]) for row in rows[1:]])
+    assert times.size == params.m * params.samples_per_pulse
     assert times[0] == 0.0
     assert times[-1] < params.duration
     assert np.allclose(np.diff(times), params.dt)
@@ -129,8 +133,7 @@ def test_default_oversampling_follows_band():
 
 
 def test_signal_energy_helper():
-    sig = ComplexSignal(samples=np.ones(10, dtype=complex), sample_rate=10.0)
-    assert _energy(sig) == pytest.approx(1.0)
+    assert _energy(np.ones(10, dtype=complex), 10.0) == pytest.approx(1.0)
 
 
 def test_total_symbol_count_sanity():

@@ -365,14 +365,14 @@ def _cmd_af(args) -> _Output:
     dop_max = args.doppler_max_hz if args.doppler_max_hz is not None else 2.0 / params.t
     for name, lo, hi in (("delay", tau_min, tau_max),
                          ("2 pi doppler", 2.0 * pi * dop_min, 2.0 * pi * dop_max)):
-        # finite ends and span keep every linspace value finite
+        # finite ends and span keep every axis value finite
         if not (isfinite(lo) and isfinite(hi) and isfinite(hi - lo)):
             raise ValidationError(f"the {name} axis from {lo} to {hi} is not finite")
     # the output grid is reserved, untouched, before the axes are built, so
     # one too large for memory is refused before its axes take any
     np.empty((args.tau_steps, args.doppler_steps))
-    tau_axis = np.linspace(tau_min, tau_max, args.tau_steps)
-    omega_axis = 2.0 * pi * np.linspace(dop_min, dop_max, args.doppler_steps)
+    tau_axis = radar.af_axis(tau_min, tau_max, args.tau_steps)
+    omega_axis = 2.0 * pi * radar.af_axis(dop_min, dop_max, args.doppler_steps)
     magnitudes = radar.af_grid(perm, params, tau_axis, omega_axis, workers=args.workers)
     header += [
         ("tau_min_sec", float(tau_min)),

@@ -15,6 +15,12 @@ evaluated per (cell, pair).  Near a pair's ridge, where the Doppler table's
 1 / h would lose precision, that pair's term is evaluated directly, from
 the same (delay, pair) entries that build the delay tables, so each pair
 term is enumerated once.
+Every ambiguity function has |A(-tau, -omega)| = |A(tau, omega)|, so
+af_grid takes a cell with tau > 0 at its representative (-tau, -omega):
+on a Doppler axis that is its own negation reversed, bit for bit, a grid
+symmetric about the origin runs the kernel on about half its delay rows.
+af_axis builds such axes: linspace's, with the upper half the exact
+negation of the lower whenever the ends are each other's negation.
 Estimation accuracy is characterized by the 2x2 Fisher information in
 (delay, Doppler) and the bounds from its inverse.
 """
@@ -129,6 +135,10 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     # - 2 pi d f0 t, over the 2j of the sine
     rho = (2.0 * np.pi * params.f0) * x_rows - 2.0 * np.pi * ((row_slot * carrier_turns) % 1.0)
     carrier = np.stack((np.sin(rho), -np.cos(rho)))
+    # scale (cos rho, sin rho) and scale (sin rho, -cos rho): a ridge term's
+    # phasor p times scale exp(j rho) is p_re times the first pair of rows
+    # minus p_im times the second
+    ridge_turn = scale * np.stack((-carrier[1], carrier[0], carrier[0], carrier[1]))
 
     def delay_tables(c_q, e_start, e_q, angle, k_e):
         # U's and W's (delay, pair) tables for entries of c_q pairs per row,
@@ -165,7 +175,7 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
     def slot_rows(c_lo, c_hi, om, cols, phasor, gain_k, ridge, right_cache):
         # the cells of rows c_lo:c_hi, whole slots or part of one
         x = x_rows[c_lo:c_hi]
-        ridge_ki, ridge_cols = ridge
+        ridge_at, ridge_cols = ridge
         s_first, s_stop = np.array(list(_runs(row_slot[c_lo:c_hi]))).T
         slots, s_count = row_slot[c_lo + s_first], s_stop - s_first
         # each slot's pairs, lag d's (m, m + d) then lag d - 1's, in blocks
@@ -219,27 +229,28 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
                     part += sums[:, :, r0:r0 + r_n]
                 sums[:, :, r0:r0 + r_n] = part
             # each entry on its pair's ridge columns, where the Doppler
-            # gain is zero: the term scale u sinc(u h) exp(j phase) times
-            # the carrier exp(j rho) = j (exp(j rho) / j), added to U in
-            # pair order, _AF_ELEMS terms at a time
+            # gain is zero: the term u sinc(u h) = sin(u h) / h (u where
+            # h = 0) times exp(j phase) and the carrier row of ridge_turn,
+            # added to U in pair order, _AF_ELEMS terms at a time; an
+            # entry's terms are the run of its tone difference's columns
             e_k = ki[e_pair]
-            e_first = np.searchsorted(ridge_ki, e_k)
-            e_n = np.searchsorted(ridge_ki, e_k, side="right") - e_first
-            e_end = np.cumsum(e_n)
+            e_stop = ridge_at[e_k + 1]
+            e_end = np.cumsum(e_stop - ridge_at[e_k])
+            e_shift = e_stop - e_end  # from a term's index to its column's
             u_sums = sums[0].reshape(2, -1)  # over the row-major cells
             for i_lo in range(0, int(e_end[-1]), _AF_ELEMS):
                 i = np.arange(i_lo, min(i_lo + _AF_ELEMS, e_end[-1]))
                 e = np.searchsorted(e_end, i, side="right")  # the term's entry
-                col = ridge_cols[e_first[e] + i - (e_end[e] - e_n[e])]
-                p, ur, oc = e_pair[e], u[e], om[col]
-                uh = ur * (hdw[p] + 0.5 * oc)
-                amp = np.divide(np.sin(uh), uh, out=np.ones(uh.shape), where=uh != 0.0)
-                amp *= scale * ur
-                p_re, p_im = np.cos(delay[e] + oc * (b[p] + 0.5 * xe[e]) - _COS_SIN)
-                k_re, k_im = k_e[:, e]
-                flat = e_row[e] * om.size + col
-                np.add.at(u_sums[0], flat, amp * (-p_re * k_im - p_im * k_re))
-                np.add.at(u_sums[1], flat, amp * (p_re * k_re - p_im * k_im))
+                col = ridge_cols[e_shift[e] + i]
+                p, row, oc = e_pair[e], e_row[e], om[col]
+                h = hdw[p] + 0.5 * oc
+                ur = u[e]
+                amp = np.divide(np.sin(ur * h), h, out=ur, where=h != 0.0)
+                p_re, p_im = amp * np.cos(delay[e] + oc * (b[p] + 0.5 * x[row]) - _COS_SIN)
+                turn = ridge_turn.take(c_lo + row, axis=1)
+                flat = row * om.size + col
+                for total, term in zip(u_sums, p_re * turn[:2] - p_im * turn[2:]):
+                    np.add.at(total, flat, term)  # 1-d, numpy's fast path
         # the cells: U + exp(j omega (x' - t / 2)) W
         (u_re, u_im), (w_re, w_im) = sums
         cell = (x - 0.5 * t)[:, None] * om
@@ -272,8 +283,10 @@ def complex_af(perm: Sequence[int], params: WaveformParams, tau, omega):
         on_ridge = np.abs(half_k) * t < _AF_RIDGE
         gain_k = np.divide(0.5 * scale, half_k, out=np.zeros(half_k.shape), where=~on_ridge)
         del half_k  # the rows' work below sets the kernel's peak memory
-        # the ridge's (tone difference, column) pairs, in tone difference order
-        ridge = np.nonzero(on_ridge)
+        # the ridge's columns in tone difference order, and where each tone
+        # difference's run of them starts (and the last one ends)
+        ridge_ki, ridge_cols = np.nonzero(on_ridge)
+        ridge = np.searchsorted(ridge_ki, np.arange(2 * m_count)), ridge_cols
         # rows go in chunks of about _AF_ELEMS elements of their tables
         cost = 2 * (om.size + row_pairs)
         right_cache = [None, None]
@@ -298,6 +311,24 @@ def _runs(labels):
     return zip(bounds[:-1], bounds[1:])
 
 
+def af_axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n), made exactly antisymmetric when lo == -hi.
+
+    linspace rounds its upper half independently of its lower half, so
+    most of its values are not the negation of their mirror value.  When
+    lo == -hi (and n > 1) the lower half is linspace's and the upper half
+    its negation, with 0.0 - x so that a zero stays +0.0; the centre of an
+    odd axis is 0.0.  An upper value moves by at most about 1.5 ulp of |hi|.
+    """
+    axis = np.linspace(lo, hi, n)
+    if n > 1 and lo == -hi:
+        half = n // 2
+        axis[n - half:] = 0.0 - axis[half - 1::-1]
+        if n % 2:
+            axis[half] = 0.0
+    return axis
+
+
 def af_grid(
     perm: Sequence[int],
     params: WaveformParams,
@@ -305,27 +336,53 @@ def af_grid(
     omega_axis: np.ndarray,
     workers: int = 1,
 ) -> np.ndarray:
-    """|A| over the outer product of the two axes, shape (len(tau), len(omega))."""
+    """|A| over the outer product of the two axes, shape (len(tau), len(omega)).
+
+    |A(-tau, -omega)| = |A(tau, omega)|, so each cell is |complex_af| at its
+    representative: (-tau, -omega) where tau > 0, the cell itself otherwise.
+    When -omega is omega reversed, bit for bit (as af_axis makes it for
+    lo == -hi), complex_af runs once, on the distinct representative
+    delays, and a row with tau > 0 is its representative's row reversed;
+    a grid symmetric about the origin so evaluates about half its rows.
+    Otherwise it runs twice: on the rows with tau <= 0 over omega, and on
+    the negated delays of the others over -omega.  Either way a cell's
+    value depends on that cell alone (complex_af's is), so a sub-grid is
+    the same cells of the full grid.  With workers > 1 the evaluated rows
+    are split over one process pool.
+    """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     tau_axis = np.asarray(tau_axis, dtype=float)
     omega_axis = np.asarray(omega_axis, dtype=float)
-    # no more processes than delay rows, or than cores
-    workers = min(workers, tau_axis.size, os.cpu_count() or 1)
+    mirrored = tau_axis > 0
+    rep = np.where(mirrored, -tau_axis, tau_axis)
+    if np.array_equal(-omega_axis, omega_axis[::-1]):
+        delays, source = np.unique(rep, return_inverse=True)
+        calls = [(delays, omega_axis)]
+        reverse = mirrored
+    else:
+        calls = [(rep[~mirrored], omega_axis), (rep[mirrored], -omega_axis)]
+        # the evaluated rows go tau <= 0 first, then tau > 0, each in order
+        source = np.argsort(np.argsort(mirrored, kind="stable"))
+        reverse = np.zeros_like(mirrored)
+    # no more processes than evaluated rows, or than cores
+    workers = min(workers, sum(d.size for d, _ in calls), os.cpu_count() or 1)
     if workers > 1:
-        chunks = np.array_split(np.arange(tau_axis.size), workers)
-        args = [(list(perm), params, tau_axis[idx], omega_axis) for idx in chunks]
+        jobs = [(list(perm), params, part, om) for d, om in calls
+                for part in np.array_split(d, workers) if part.size]
         # imported here, as in simkit: a serial call does not load the pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_af_grid_chunk, args))
-        return np.vstack(parts)
-    return _af_grid_chunk((list(perm), params, tau_axis, omega_axis))
+            parts = list(pool.map(_af_rows, *zip(*jobs)))
+    else:
+        parts = [_af_rows(perm, params, d, om) for d, om in calls]
+    grid = np.vstack(parts)[source]
+    grid[reverse] = grid[reverse, ::-1]
+    return grid
 
 
-def _af_grid_chunk(args) -> np.ndarray:
-    perm, params, tau_axis, omega_axis = args
+def _af_rows(perm, params, tau_axis, omega_axis) -> np.ndarray:
     return np.abs(complex_af(perm, params, tau_axis, omega_axis))
 
 

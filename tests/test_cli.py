@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import permrad
 from permrad.cli import _COMMANDS, build_parser, main
-from permrad.radar import af_grid
+from permrad.radar import af_axis, af_grid
 from permrad.waveform import WaveformParams
 from test_bounds import _disagreeing_rule, _rician_mgf_oracle
 from test_radar import crlb_simplified
@@ -448,8 +448,8 @@ def test_af_data_lines_format_grid_values_byte_for_byte(
     assert rc == 0
     params = WaveformParams(m=5, t=0.5, delta_f=2.0, f0=3.0)
     tau_end, doppler_end = tau_end or 2.5, doppler_end or 4.0
-    taus = np.linspace(-tau_end, tau_end, tau_steps)
-    omegas = 2.0 * pi * np.linspace(-doppler_end, doppler_end, doppler_steps)
+    taus = af_axis(-tau_end, tau_end, tau_steps)
+    omegas = 2.0 * pi * af_axis(-doppler_end, doppler_end, doppler_steps)
     grid = af_grid(perm, params, taus, omegas)
     expected = [
         f"{float(tau)!r},{float(om)!r},{float(grid[i, j])!r}"

@@ -14,6 +14,7 @@ from permrad import radar
 from permrad.errors import NumericError, ValidationError
 from permrad.lehmer import rank_to_permutation
 from permrad.radar import (
+    af_axis,
     af_grid,
     complex_af,
     crlb_from_fisher,
@@ -266,8 +267,8 @@ def _tone_order(m, order):
 
 def _default_axes(m, t=1.0, steps=161):
     # the af command's default axes: delay over +-M t, Doppler over +-2/t Hz
-    taus = np.linspace(-m * t, m * t, steps)
-    omegas = 2.0 * pi * np.linspace(-2.0 / t, 2.0 / t, steps)
+    taus = af_axis(-m * t, m * t, steps)
+    omegas = 2.0 * pi * af_axis(-2.0 / t, 2.0 / t, steps)
     return taus, omegas
 
 
@@ -326,8 +327,11 @@ def test_complex_af_cell_does_not_depend_on_its_neighbours(monkeypatch):
     assert np.array_equal(complex_af(perm, params, taus[5:9], omegas[::-3]), grid[5:9, ::-3])
     for i, j in ((20, 20), (3, 17), (39, 0), (25, 33)):
         assert complex_af(perm, params, taus[i], omegas[j]) == grid[i, j]
+    # af_grid takes a cell with tau > 0 at (-tau, -omega), here in the
+    # same grid reversed
     split = af_grid(perm, params, taus, omegas, workers=2)
-    assert np.array_equal(split, np.abs(grid))
+    mirror = np.abs(complex_af(perm, params, -taus, -omegas))
+    assert np.array_equal(split, np.where((taus > 0)[:, None], mirror, np.abs(grid)))
     for elems in (1, 45, 333):
         monkeypatch.setattr(radar, "_AF_ELEMS", elems)
         assert np.array_equal(complex_af(perm, params, taus, omegas), grid)
@@ -602,9 +606,9 @@ def test_ridge_covariance_needs_cells():
 
 
 def test_cuts_and_ridge_response_are_the_grid_bit_for_bit():
-    # a one-column or one-row grid is that column or row of the full grid,
-    # and the ridge covariance is taken over af_grid's response at the
-    # negated Doppler
+    # a one-column grid is that column of the full grid, the zero-delay row
+    # is complex_af's, and the ridge covariance is taken over af_grid's
+    # response at the negated Doppler
     m = 6
     params = _params(m=m, f0=0.5)
     perm = _tone_order(m, "random")
@@ -612,7 +616,8 @@ def test_cuts_and_ridge_response_are_the_grid_bit_for_bit():
     omegas = 2.0 * pi * np.linspace(-2.0, 2.0, 33)
     (i0,), (j0,) = np.flatnonzero(taus == 0.0), np.flatnonzero(omegas == 0.0)
     grid = af_grid(perm, params, taus, omegas)
-    assert np.array_equal(np.abs(complex_af(perm, params, taus, 0.0)), grid[:, j0])
+    for j in (j0, 5, 32):
+        assert np.array_equal(af_grid(perm, params, taus, omegas[j:j + 1])[:, 0], grid[:, j])
     assert np.array_equal(np.abs(complex_af(perm, params, 0.0, omegas)), grid[i0, :])
     threshold = 0.5
     response = af_grid(perm, params, taus, -omegas)
@@ -860,14 +865,18 @@ def test_af_grid_refuses_workers_below_one(workers):
 
 
 def test_af_grid_pool_is_sized_to_the_delay_rows_and_the_cores(pool_sizes, monkeypatch):
+    # the pool is capped by the rows the kernel evaluates: on a Doppler axis
+    # symmetric about 0, the 3 delays -3, -1.5, 0 of the 5; on any other,
+    # all 5
     params = _params(m=3)
-    taus = np.linspace(-3, 3, 3)
-    omegas = np.linspace(-6.0, 6.0, 5)
-    serial = af_grid([1, 2, 0], params, taus, omegas)
-    for cores in (64, 2, 1):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert np.array_equal(af_grid([1, 2, 0], params, taus, omegas, workers=64), serial)
-    assert pool_sizes == [3, 2]  # one core runs in this process
+    taus = np.linspace(-3, 3, 5)
+    for omegas, rows in ((np.linspace(-6.0, 6.0, 5), 3), (np.linspace(-6.0, 4.0, 5), 5)):
+        pool_sizes.clear()
+        serial = af_grid([1, 2, 0], params, taus, omegas)
+        for cores in (64, 2, 1):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            assert np.array_equal(af_grid([1, 2, 0], params, taus, omegas, workers=64), serial)
+        assert pool_sizes == [rows, 2]  # one core runs in this process
 
 
 def test_af_grid_workers_bit_identical_on_default_grid():
@@ -879,6 +888,72 @@ def test_af_grid_workers_bit_identical_on_default_grid():
     serial = af_grid(perm, params, taus, omegas, workers=1)
     parallel = af_grid(perm, params, taus, omegas, workers=2)
     assert np.array_equal(serial, parallel)
+
+
+# grids for af_grid's two paths: one kernel call on the distinct delays
+# when the Doppler axis is symmetric about 0 bit for bit, whether the delays
+# are too, all at most 0 or all above it; and two calls on any other
+_REPRESENTATIVE_GRIDS = {
+    "symmetric": (af_axis(-4.0, 4.0, 33), 2.0 * pi * af_axis(-2.0, 2.0, 25)),
+    "tau<=0": (np.linspace(-1.0, 0.0, 11), 2.0 * pi * af_axis(-2.0, 2.0, 25)),
+    "tau>0": (np.linspace(0.3, 2.7, 13), 2.0 * pi * af_axis(-2.0, 2.0, 25)),
+    "skew-doppler": (af_axis(-4.0, 4.0, 33), 2.0 * pi * np.linspace(-2.0, 1.3, 19)),
+}
+
+
+@pytest.mark.parametrize("grid", _REPRESENTATIVE_GRIDS)
+def test_af_grid_cell_is_the_af_at_its_representative(grid):
+    # a cell with tau > 0 is |complex_af| at (-tau, -omega), any other at
+    # itself, bit for bit; by |A(-tau, -omega)| = |A(tau, omega)| both are
+    # the direct value to rounding
+    m = 4
+    params = _params(m=m, f0=0.5)
+    perm = _tone_order(m, "random")
+    taus, omegas = _REPRESENTATIVE_GRIDS[grid]
+    got = af_grid(perm, params, taus, omegas)
+    assert got.shape == (taus.size, omegas.size)
+    for i, tau in enumerate(taus):
+        rep_tau, rep_omegas = (-tau, -omegas) if tau > 0 else (tau, omegas)
+        assert np.array_equal(got[i], np.abs(complex_af(perm, params, rep_tau, rep_omegas)))
+        for j in (0, omegas.size // 2, omegas.size - 1):
+            assert got[i, j] == np.abs(complex_af(perm, params, rep_tau, rep_omegas[j]))
+    assert np.max(np.abs(got - np.abs(complex_af(perm, params, taus, omegas)))) <= 1e-14
+
+
+@pytest.mark.parametrize("grid", ["symmetric", "skew-doppler"])
+def test_af_grid_workers_give_the_same_bytes_on_both_paths(grid):
+    m = 6
+    params = _params(m=m)
+    perm = _tone_order(m, "random")
+    taus, omegas = _REPRESENTATIVE_GRIDS[grid]
+    serial = af_grid(perm, params, taus, omegas, workers=1)
+    assert af_grid(perm, params, taus, omegas, workers=2).tobytes() == serial.tobytes()
+
+
+@pytest.mark.parametrize(
+    "hi, n",
+    [(8.0, 161), (12.0, 161), (20.0, 161), (4.0 * pi, 81), (2.0, 160), (0.7, 3),
+     (1e-300, 5), (1e20, 4), (-3.0, 7)],
+)
+def test_af_axis_is_antisymmetric_with_exact_ends(hi, n):
+    axis = af_axis(-hi, hi, n)
+    linear = np.linspace(-hi, hi, n)
+    assert np.array_equal(-axis, axis[::-1])
+    assert axis[0] == -hi and axis[-1] == hi
+    if n % 2:
+        assert axis[n // 2] == 0.0 and not np.signbit(axis[n // 2])
+    assert np.array_equal(axis[:n // 2], linear[:n // 2])  # the lower half is linspace's
+    assert np.all(np.abs(axis - linear) <= 2.0 * np.spacing(abs(hi)))
+
+
+@pytest.mark.parametrize(
+    "lo, hi, n", [(-2.5, 2.5, 1), (-2.5, 2.5, 2), (-1.0, 3.0, 7), (0.3, 2.7, 13), (0.0, 0.0, 4)]
+)
+def test_af_axis_is_linspace_where_there_is_nothing_to_mirror(lo, hi, n):
+    # one or two points, or ends that are not each other's negation; a
+    # zero-width axis keeps linspace's +0.0
+    axis = af_axis(lo, hi, n)
+    assert axis.tobytes() == np.linspace(lo, hi, n).tobytes()
 
 
 def test_radar_accepts_blocks_beyond_the_codec_limit():

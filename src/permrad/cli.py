@@ -270,9 +270,8 @@ def _cmd_waveform(args) -> _Output:
         ("sample_rate_hz", params.sample_rate),
     ]
     times = np.arange(samples.size) / params.sample_rate
-    lines = ["t,re,im"]
-    lines += [f"{float(t)},{float(s.real)},{float(s.imag)}" for t, s in zip(times, samples)]
-    return header, lines
+    columns = zip(times.tolist(), samples.real.tolist(), samples.imag.tolist())
+    return header, ["t,re,im", *(f"{t},{real},{imag}" for t, real, imag in columns)]
 
 
 def _cmd_detect(args) -> _Output:
@@ -388,10 +387,21 @@ def _cmd_af(args) -> _Output:
 
     def lines():
         yield "tau,omega_rad_s,magnitude"
+        # |A(-tau, -Omega)| = |A(tau, Omega)|, so a tau > 0 row is often an
+        # earlier row reversed: each formatted row's magnitude text is kept,
+        # joined, under the bytes of its reverse until a row with those bytes
+        # takes it (equal bits give equal repr, so the reuse is exact)
+        mirrors = {}
         for tau, row in zip(tau_axis.tolist(), magnitudes):
             # one join per delay row over fixed slots: tau, ",omega,", magnitude, "\n" tau, ...
             parts[::3] = [str(tau)] + [f"\n{tau}"] * (args.doppler_steps - 1)
-            parts[2::3] = map(repr, row.tolist())  # the only per-cell work
+            text = mirrors.pop(row.tobytes(), None)
+            if text is None:
+                cells = list(map(repr, row.tolist()))  # the only per-cell work
+                mirrors[row[::-1].tobytes()] = ",".join(cells)
+            else:
+                cells = text.split(",")[::-1]
+            parts[2::3] = cells
             yield "".join(parts)
 
     return header, lines()

@@ -430,10 +430,19 @@ def test_af_csv_shape_and_peak(capsys):
 
 @pytest.mark.parametrize(
     "tau_steps, doppler_steps, tau_end, doppler_end",
-    # one delay row, or one cell per row (no "\n" tau slot), and axis ends
-    # that print in exponent form
+    # an end is None (the default), a number x (the ends -x and x) or a pair
+    # (lo, hi).  One delay row, or one cell per row (no "\n" tau slot), and
+    # axis ends that print in exponent form; then grids whose tau > 0 rows
+    # take their mirror row's text: symmetric odd and even (no tau = 0 row),
+    # asymmetric delay ends (some tau > 0 rows have no mirror), delays past
+    # the waveform's 2.5 s (14 all-zero rows, all with equal bytes) and a
+    # skew Doppler axis (no row is an earlier row reversed)
     [(1, 1, None, None), (1, 17, None, None), (23, 1, None, None), (23, 17, None, None),
-     (5, 4, 1e-300, 1e20)],
+     (5, 4, 1e-300, 1e20),
+     (33, 25, None, None), (32, 24, None, None),
+     pytest.param(33, 25, (-1.5, 2.5), None, id="33-25-asymmetric-tau"),
+     (33, 25, 4.0, None),
+     pytest.param(33, 25, None, (-4.0, 3.0), id="33-25-skew-doppler")],
 )
 def test_af_data_lines_format_grid_values_byte_for_byte(
     capsys, tau_steps, doppler_steps, tau_end, doppler_end
@@ -441,15 +450,22 @@ def test_af_data_lines_format_grid_values_byte_for_byte(
     perm = [2, 0, 4, 1, 3]
     argv = ["af", "--m", "5", "--perm", "2,0,4,1,3", "--t-sec", "0.5", "--f0-hz", "3",
             "--tau-steps", str(tau_steps), "--doppler-steps", str(doppler_steps)]
+
+    def axis_ends(end, default):
+        end = default if end is None else end
+        return end if isinstance(end, tuple) else (-end, end)
+
+    tau_lo, tau_hi = axis_ends(tau_end, 2.5)
+    doppler_lo, doppler_hi = axis_ends(doppler_end, 4.0)
     if tau_end is not None:
-        argv += ["--tau-min-sec", repr(-tau_end), "--tau-max-sec", repr(tau_end),
-                 "--doppler-min-hz", repr(-doppler_end), "--doppler-max-hz", repr(doppler_end)]
+        argv += ["--tau-min-sec", repr(tau_lo), "--tau-max-sec", repr(tau_hi)]
+    if doppler_end is not None:
+        argv += ["--doppler-min-hz", repr(doppler_lo), "--doppler-max-hz", repr(doppler_hi)]
     rc, out, _ = _run(capsys, argv)
     assert rc == 0
     params = WaveformParams(m=5, t=0.5, delta_f=2.0, f0=3.0)
-    tau_end, doppler_end = tau_end or 2.5, doppler_end or 4.0
-    taus = af_axis(-tau_end, tau_end, tau_steps)
-    omegas = 2.0 * pi * af_axis(-doppler_end, doppler_end, doppler_steps)
+    taus = af_axis(tau_lo, tau_hi, tau_steps)
+    omegas = 2.0 * pi * af_axis(doppler_lo, doppler_hi, doppler_steps)
     grid = af_grid(perm, params, taus, omegas)
     expected = [
         f"{float(tau)!r},{float(om)!r},{float(grid[i, j])!r}"
@@ -460,19 +476,55 @@ def test_af_data_lines_format_grid_values_byte_for_byte(
     assert out.endswith("\n") and not out.endswith("\n\n")
 
 
-def test_af_writer_holds_one_row_of_floats_at_a_time():
-    # the whole 161 x 161 grid as Python floats and lists takes about 0.85 MB
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_af_writer_holds_half_the_grid_text_below_the_kernels_peak():
+    # the writer keeps the joined magnitude text of the rows whose mirror is
+    # still to come (about 245 KB here); the whole grid as Python floats and
+    # lists takes about 0.85 MB, and every row's text as lists of strings
+    # about 1.35 MB
     parser, _ = build_parser("af")
     args = parser.parse_args(["af", "--m", "8", "--tau-steps", "161", "--doppler-steps", "161"])
     _, lines = args.handler(args)
-    tracemalloc.start()
-    try:
-        for _ in lines:
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.25e6
+    writer_peak = _traced_peak(lambda: all(lines))
+    assert writer_peak < 0.5e6
+    # the writer never sets the call's high-water mark
+    params = WaveformParams(m=8, t=1.0)
+    taus, omegas = af_axis(-8.0, 8.0, 161), 2.0 * pi * af_axis(-2.0, 2.0, 161)
+    kernel_peak = _traced_peak(lambda: af_grid(list(range(8)), params, taus, omegas))
+    assert writer_peak < kernel_peak
+
+
+@pytest.mark.parametrize(
+    "flags, formatted_rows",
+    # the default grid is symmetric about the origin: each tau > 0 row takes
+    # its mirror row's text, so 81 of 161 rows are formatted.  On a skew
+    # Doppler axis no row is an earlier row reversed (and no row is all
+    # zeros: the delays stay inside the waveform's 8 s)
+    [([], 81),
+     (["--tau-min-sec", "-7.5", "--tau-max-sec", "7.5",
+       "--doppler-min-hz", "-2", "--doppler-max-hz", "1.5"], 161)],
+)
+def test_af_writer_formats_each_mirrored_row_once(capsys, monkeypatch, flags, formatted_rows):
+    calls = []
+
+    def counting_repr(x):
+        calls.append(None)
+        return repr(x)
+
+    monkeypatch.setattr("permrad.cli.repr", counting_repr, raising=False)
+    rc, out, _ = _run(capsys, ["af", "--m", "8", "--tau-steps", "161", "--doppler-steps", "161",
+                              *flags])
+    assert rc == 0
+    assert len(_data_lines(out)) == 1 + 161 * 161
+    assert len(calls) == formatted_rows * 161
 
 
 def test_af_workers_do_not_change_output(capsys):

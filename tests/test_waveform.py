@@ -112,10 +112,13 @@ def test_non_finite_params_rejected(field, value):
 
 
 def test_sample_grid_and_times(capsys):
-    # the t column of waveform's CSV: one row per sample, from 0 in steps of dt
-    params = WaveformParams(m=2, t=0.5, delta_f=2.0)
-    assert synthesize([1, 0], params).size == params.m * params.samples_per_pulse
-    argv = ["waveform", "--m", "2", "--perm", "1,0", "--t-sec", "0.5", "--delta-f-hz", "2"]
+    # the t column of waveform's CSV: one row per sample, from 0 in steps of
+    # dt; the re and im columns are synthesize's samples, bit for bit
+    params = WaveformParams(m=2, t=0.5, delta_f=2.0, f0=3.0)
+    samples = synthesize([1, 0], params)
+    assert samples.size == params.m * params.samples_per_pulse
+    argv = ["waveform", "--m", "2", "--perm", "1,0", "--t-sec", "0.5", "--delta-f-hz", "2",
+            "--f0-hz", "3"]
     assert main(argv) == 0
     rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     assert rows[0] == "t,re,im"
@@ -124,6 +127,9 @@ def test_sample_grid_and_times(capsys):
     assert times[0] == 0.0
     assert times[-1] < params.duration
     assert np.allclose(np.diff(times), params.dt)
+    values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    assert values[:, 1].tobytes() == samples.real.tobytes()
+    assert values[:, 2].tobytes() == samples.imag.tobytes()
 
 
 def test_default_oversampling_follows_band():

@@ -190,25 +190,25 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> tuple[_Parser, dict[str, _Parser]]:
-    """The permrad parser and its subparsers by name.
+def _command_arguments(p: _Parser, name: str) -> _Parser:
+    """Add command ``name``'s arguments and --out to ``p``, and return it."""
+    _COMMANDS[name][1](p)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    return p
 
-    Given ``command``, only that subcommand's parser is built (every
-    subcommand's otherwise): building subparsers is most of the cost of a
-    CLI call.  The usage line then spells out the full command list, as
-    argparse would, so usage and the one top-level error left to a valid
-    command (unrecognized arguments) read the same either way.
+
+def build_parser() -> _Parser:
+    """The permrad parser with every subcommand.
+
+    A call that names a command is parsed by that command's parser alone;
+    this one is built only where its text is the output: usage, help, an
+    unknown command, or the unrecognized arguments a command leaves over.
     """
     parser = _Parser(prog="permrad", description=__doc__)
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    subs: dict[str, _Parser] = {}
-    for name, (help_line, add_arguments) in _COMMANDS.items():
-        if command in (None, name):
-            subs[name] = sub.add_parser(name, help=help_line)
-            add_arguments(subs[name])
-            subs[name].add_argument("--out", default=None, help="output path (default stdout)")
-    return parser, subs
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _) in _COMMANDS.items():
+        _command_arguments(sub.add_parser(name, help=help_line), name)
+    return parser
 
 
 def _cmd_encode(args) -> _Output:
@@ -484,19 +484,25 @@ def _config_defaults(path: str, parser: _Parser) -> dict:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser, subs = build_parser(command)
+    name = argv[0] if argv else None
+    if name not in _COMMANDS:
+        build_parser().parse_args(argv)  # exits with usage, help or an error
+    # building subparsers is most of the cost of a short call, so only the
+    # named command's parser is built; it reads as that subparser would
+    parser = _command_arguments(_Parser(prog=f"permrad {name}"), name)
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            build_parser().parse_args(argv)  # exits: unrecognized arguments
         if getattr(args, "config", None):
-            subs["simulate"].set_defaults(**_config_defaults(args.config, subs["simulate"]))
-            args = parser.parse_args(argv)
+            parser.set_defaults(**_config_defaults(args.config, parser))
+            args = parser.parse_args(argv[1:])
         with warnings.catch_warnings(record=True) as caught:
             # permrad's own warnings go into the header, each distinct one once;
             # any other category meets the active filters, which may make it an error
             warnings.simplefilter("always", UserWarning)
             header, lines = args.handler(args)
-        header = [("command", args.command), *header]
+        header = [("command", name), *header]
         header += [("warning", msg) for msg in dict.fromkeys(str(w.message) for w in caught)]
         # opened only once the command has succeeded, so a failure leaves no file
         to_file = args.out not in (None, "-")

@@ -365,8 +365,11 @@ def af_grid(
         # the evaluated rows go tau <= 0 first, then tau > 0, each in order
         source = np.argsort(np.argsort(mirrored, kind="stable"))
         reverse = np.zeros_like(mirrored)
-    # no more processes than evaluated rows, or than cores
-    workers = min(workers, sum(d.size for d, _ in calls), os.cpu_count() or 1)
+    # no more processes than evaluated rows, or than cores; a serial call
+    # does not ask for the core count
+    workers = min(workers, sum(d.size for d, _ in calls))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         jobs = [(list(perm), params, part, om) for d, om in calls
                 for part in np.array_split(d, workers) if part.size]

@@ -128,8 +128,11 @@ def run_bler_sweep(cfg: SimConfig) -> list[BlerPoint]:
     The points share their trials: each point's count is the one a sweep
     of that point alone would give, and the rows are in the grid's order.
     """
-    # no more processes than blocks, or than cores
-    workers = min(cfg.workers, -(-cfg.trials // _BLOCK), os.cpu_count() or 1)
+    # no more processes than blocks, or than cores; a serial run does not
+    # ask for the core count
+    workers = min(cfg.workers, -(-cfg.trials // _BLOCK))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     pool = None
     if workers > 1:
         # imported here: the pool's modules take a sizeable share of a

@@ -1,7 +1,9 @@
 """End-to-end CLI tests: golden outputs, exit codes, reproducibility."""
 
+import argparse
 import contextlib
 import io
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permrad
-from permrad.cli import _COMMANDS, build_parser, main
+from permrad.cli import _COMMANDS, _command_arguments, _Parser, build_parser, main
 from permrad.radar import af_axis, af_grid
 from permrad.waveform import WaveformParams
 from test_bounds import _disagreeing_rule, _rician_mgf_oracle
@@ -490,8 +492,8 @@ def test_af_writer_holds_half_the_grid_text_below_the_kernels_peak():
     # still to come (about 245 KB here); the whole grid as Python floats and
     # lists takes about 0.85 MB, and every row's text as lists of strings
     # about 1.35 MB
-    parser, _ = build_parser("af")
-    args = parser.parse_args(["af", "--m", "8", "--tau-steps", "161", "--doppler-steps", "161"])
+    parser = _command_arguments(_Parser(), "af")
+    args = parser.parse_args(["--m", "8", "--tau-steps", "161", "--doppler-steps", "161"])
     _, lines = args.handler(args)
     writer_peak = _traced_peak(lambda: all(lines))
     assert writer_peak < 0.5e6
@@ -724,7 +726,7 @@ def test_help_lists_flags(capsys, sub, flags):
 
 @pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in _COMMANDS])
 def test_help_equals_that_of_the_parser_with_every_argument(capsys, argv):
-    parser, _ = build_parser()
+    parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(argv)
     full = capsys.readouterr().out
@@ -732,23 +734,6 @@ def test_help_equals_that_of_the_parser_with_every_argument(capsys, argv):
         main(argv)
     assert info.value.code == 0
     assert capsys.readouterr().out == full
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["transmogrify"], ["encode", "--m", "4", "--symbol", "1", "--frobnicate"],
-     ["simulate", "--trials", "10", "stray"]],
-)
-def test_usage_errors_equal_those_of_the_parser_with_every_argument(capsys, argv):
-    parser, _ = build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(argv)
-    full = capsys.readouterr().err
-    assert "{encode,decode,waveform,detect,bounds,simulate,af,crlb}" in full
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 1
-    assert capsys.readouterr().err == full
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
@@ -762,15 +747,6 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
-
-
-def test_parser_adds_only_the_invoked_subcommands_arguments():
-    _, subs = build_parser("encode")
-    assert list(subs) == ["encode"]
-    flags = {flag for action in subs["encode"]._actions for flag in action.option_strings}
-    assert {"--symbol", "--help"} <= flags
-    _, subs = build_parser()
-    assert list(subs) == list(_COMMANDS)
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -844,6 +820,58 @@ def _one_call(command, tmp_path):
     matrix = tmp_path / "matrix.csv"
     matrix.write_text("-4,-3,-2,-6\n-2,1,0,-4\n4,-2,5,-3\n5,4,-4,3\n")
     return [str(matrix) if arg == "matrix.csv" else arg for arg in _ONE_CALL_EACH[command]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # an unknown command, no command and "--" before a command; arguments a
+    # valid command's parser leaves over (an unknown flag; a stray
+    # positional, after each command's one valid call and ahead of a config
+    # file's bad value); an ambiguous abbreviation and a missing value
+    [["transmogrify"], ["encode", "--m", "4", "--symbol", "1", "--frobnicate"],
+     ["simulate", "--trials", "10", "stray"],
+     [], ["--", "encode", "--m", "4", "--symbol", "1"],
+     *([*_ONE_CALL_EACH[name], "stray"] for name in _COMMANDS),
+     ["simulate", "--config", "bad.cfg", "stray"],
+     ["af", "--m", "4", "--t", "1"], ["simulate", "--trials"]],
+)
+def test_usage_errors_equal_those_of_the_parser_with_every_argument(capsys, tmp_path, argv):
+    (tmp_path / "bad.cfg").write_text("m=four\n")
+    (tmp_path / "matrix.csv").write_text("1,0\n0,1\n")
+    argv = [str(tmp_path / arg) if arg in ("matrix.csv", "bad.cfg") else arg for arg in argv]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    full = capsys.readouterr().err
+    assert full.count("error:") == 1
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert capsys.readouterr().err == full
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_a_successful_call_builds_one_parser_and_a_serial_one_asks_no_core_count(
+        capsys, monkeypatch, tmp_path, command):
+    # the parser with every subcommand serves help and errors only
+    def refuse(*args, **kwargs):
+        raise AssertionError("not for a successful serial call")
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    argv = _one_call(command, tmp_path)
+    if command in ("simulate", "af"):
+        argv += ["--workers", "1"]
+    monkeypatch.setattr(permrad.cli, "build_parser", refuse)
+    monkeypatch.setattr(os, "cpu_count", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0 and out.startswith(f"# command={command}\n")
+    assert built == [f"permrad {command}"]
 
 
 @pytest.mark.parametrize("command", _COMMANDS)

@@ -14,10 +14,11 @@ snr = energy / n0, and the SNR enters only through that shift.  A block
 draws its fading once and its noise once, and decides each trial at every
 point.
 A trial that is decoded at one SNR is decoded at every higher SNR, so the
-points are decided in ascending SNR, each only on the trials that erred at
-the point before.  Each point's count is the one a sweep of that point
-alone gives; the rows of one sweep share their trials, so the curve is
-non-increasing.
+points are decided in ascending SNR, each on the trials not found decoded
+at the point before.  A trial that exact screens leave open waits for one
+batched cycle search, and stays a candidate at the next point.  Each
+point's count is the one a sweep of that point alone gives; the rows of
+one sweep share their trials, so the curve is non-increasing.
 
 A block's noise is drawn and decided in slices of at most _DECISION_ELEMS
 statistics, in order from the block's one generator, so its memory does
@@ -207,91 +208,130 @@ def _run_block(cfg: SimConfig, block_idx: int, size: int, points: tuple[int, ...
     After the block's fading draw, its unit noise is drawn a slice of
     trials at a time from the block's generator.  Consecutive normal draws
     continue one stream, so the slices hold the numbers of one draw for the
-    whole block.  Each slice is decided at every point in ascending SNR,
-    and at each point only on the trials that erred at the one before: a
+    whole block.  Each slice is decided at every point in ascending SNR: a
     trial errs iff a cycle of its swap graph has a mean weight above its
-    diagonal shift, and the shift grows with the SNR.
+    diagonal shift, which grows with the SNR, so a trial decoded at one
+    point leaves the slice.  A trial that _screen leaves open waits, with
+    its point, in the workspace; one _cycle_errors pass decides the waiting
+    trials when the next point's would not fit beside them, and at the end.
     """
     rng = np.random.default_rng([cfg.master_seed, block_idx])
     h = draw_fading_batch(cfg.channel, cfg.n, cfg.k, rng, size)
     root_gains = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
+    del h  # only the gains enter the statistics
     snrs = [snr_from_db(cfg.snr_db[p]) for p in points]
     order = sorted(range(len(points)), key=snrs.__getitem__)
-    # each point's shifts, formed as sqrt(2/M) * sqrt(snr) * sqrt(g) so that
-    # they grow with snr even after rounding; a non-finite shift would leave
-    # inf/nan swap graphs, which the decision counts as decoded
-    shifts = sqrt(2.0 / cfg.m) * np.sqrt(snrs)[:, None] * root_gains
-    if not np.isfinite(shifts).all():
+    # a trial's shift at point i is scales[i] * sqrt(g) = sqrt(2/M) *
+    # sqrt(snr) * sqrt(g), which grows with snr even after rounding; a
+    # non-finite shift would leave inf/nan swap graphs, read as decoded
+    scales = sqrt(2.0 / cfg.m) * np.sqrt(snrs)
+    if not np.isfinite(scales.max() * root_gains).all():
         raise NumericError(
             "statistic shift overflows", snr=max(snrs), max_root_gain=float(np.max(root_gains))
         )
-    step = max(1, _DECISION_ELEMS // (cfg.m * cfg.m))
-    # the slice's noise, the point's swap graphs and the decision's other
-    # temporary, allocated once: slice-sized arrays allocated and freed
-    # slice by slice made the allocator hand their pages back and fault
-    # them in again
-    work = np.empty((3, min(step, size), cfg.m, cfg.m))
-    errors = [0] * len(points)
+    m, mm = cfg.m, cfg.m * cfg.m
+    step = max(1, _DECISION_ELEMS // mm)
+    rows = min(step, size)
+    # the slice's noise; the waiting swap graphs (trials first), then the
+    # point's (trials last); temporaries.  Allocated once: slice-sized arrays
+    # allocated slice by slice made the allocator refault their pages
+    work = np.empty((3, rows * mm))
+    waiting, runs = 0, []  # runs: (point, count) of the waiting graphs in turn
+    errors = np.zeros(len(points), dtype=np.int64)
     for lo in range(0, size, step):
-        noise = rng.standard_normal(out=work[0, : min(step, size - lo)])
-        erred = np.arange(noise.shape[0])
+        noise = rng.standard_normal(out=work[0, : min(step, size - lo) * mm].reshape(-1, m, m))
+        diag = np.einsum("...ii->...i", noise)  # a view of the diagonals
+        # W[n, n'] = Z[n, n'] - (Z[n, n] + shift), the swap graph of the
+        # noise Z plus the shift on the diagonal, has a positive edge in row
+        # n iff the row's largest entry exceeds Z[n, n] + shift (Z[n, n]
+        # never does: shift >= 0)
+        row_max = noise[:, :, 0].copy()
+        for col in range(1, m):  # noise.max(axis=2) took 3-20 times as long
+            np.maximum(row_max, noise[:, :, col], out=row_max)
+        cand = np.arange(noise.shape[0])  # row_max[j] is trial cand[j]'s
         for i in order:
-            # W[n, n'] = Z[n, n'] - (Z[n, n] + shift), the swap graph of the
-            # noise Z plus the shift on the diagonal, with a zero diagonal
-            w = np.take(noise, erred, axis=0, out=work[1, : erred.size], mode="clip")
-            diag = np.einsum("...ii->...i", w)  # a view of the diagonals
-            w -= (diag + shifts[i][lo + erred, None])[:, :, None]
-            diag[...] = 0.0
-            erred = erred[_block_errors(w, work[1:, : erred.size])]
-            errors[i] += erred.size
-            if erred.size == 0:
+            bar = diag[cand]  # Z[n, n] + shift
+            bar += scales[i] * root_gains[lo + cand, None]
+            live = (row_max > bar).any(axis=1)
+            row_max = row_max[live]
+            cand, bar = cand[live], bar[live]
+            if cand.size == 0:
                 break
-    return errors
+            if waiting + cand.size > rows:
+                errors += _decide_waiting(work, waiting, m, runs, len(points))
+                waiting, runs = 0, []
+            # mode="clip" takes straight into out (the default buffers); the
+            # indices are in range either way
+            g = np.take(noise, cand, axis=0, out=work[2, : cand.size * mm].reshape(-1, m, m),
+                        mode="clip")
+            g -= bar[:, :, None]
+            del bar  # not held through _screen, where a small block peaks
+            np.einsum("...ii->...i", g)[...] = 0.0
+            w = work[1, waiting * mm : (waiting + cand.size) * mm].reshape(m, m, cand.size)
+            np.copyto(w, g.transpose(1, 2, 0))
+            err, wait = _screen(w, work[2])
+            errors[i] += np.count_nonzero(err)
+            if wait.any():  # the waiting graphs join the others, trials first
+                j = np.flatnonzero(wait)
+                kept = np.take(w, j, axis=2, out=work[2, : j.size * mm].reshape(m, m, -1),
+                               mode="clip")
+                np.copyto(work[1, waiting * mm : (waiting + j.size) * mm].reshape(-1, m, m),
+                          kept.transpose(2, 0, 1))
+                runs.append((i, j.size))
+                waiting += j.size
+            undecoded = err | wait
+            cand, row_max = cand[undecoded], row_max[undecoded]
+    if waiting:
+        errors += _decide_waiting(work, waiting, m, runs, len(points))
+    return errors.tolist()
 
 
-def _block_errors(w: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Per-trial error indicators of the optimal (max-sum assignment) detector
-    for trials that sent the identity, from their swap graphs w: the
-    W[n, n'] = r[n, n'] - r[n, n] of their correlation matrices r.
+def _decide_waiting(work: np.ndarray, waiting: int, m: int, runs: list, points: int) -> np.ndarray:
+    """Errors per point of the waiting swap graphs at the front of work[1]."""
+    err = _cycle_errors(work[1, : waiting * m * m].reshape(-1, m, m), work[2])
+    return np.bincount(np.repeat(*zip(*runs))[err], minlength=points)
 
-    Detection fails exactly when the identity is not an optimal assignment
-    of r, i.e. when W has a cycle of positive weight (Klein's
-    cycle-cancelling criterion).  The trials are settled in this order:
 
-    * no positive edge: no positive cycle, the trial is correct;
-    * a positive 2-cycle, W + W^T > 0 somewhere: the trial is an error;
-    * one Bellman-Ford round from a virtual source that changes nothing,
-      max_n (d[n] + W[n, .]) == d for d the column maxima of W: d is a
-      potential that bounds every cycle's weight by 0, the trial is correct;
-    * the rest go through max-plus Floyd-Warshall, which relaxes W through
-      intermediate nodes in turn; afterwards a positive diagonal entry
-      exists iff a positive cycle does.  Node m-1 is never needed as an
-      intermediate: every cycle can be closed at its largest node.
+def _screen(w: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(error, open) indicators of the optimal (max-sum assignment) detector
+    for trials that sent the identity, from their swap graphs w, shape
+    (m, m, trials): the W[n, n'] = r[n, n'] - r[n, n] of their correlation
+    matrices r, each with a positive edge.
 
-    Its float temporaries live in ``work``, shape (2,) + w.shape, which is
-    overwritten; w may be work[0].  The rest are per-trial vectors and
-    boolean arrays.  So callers bound its memory by the slice they pass
-    (_run_block passes _DECISION_ELEMS values).  Ties have probability zero
-    under continuous noise.
+    Detection fails exactly when W has a cycle of positive weight (Klein's
+    cycle-cancelling criterion).  A positive 2-cycle, W + W^T > 0, is an
+    error.  One Bellman-Ford round from a virtual source that changes
+    nothing, max_n (d[n] + W[n, .]) == d for d the column maxima of W,
+    makes d a potential that bounds every cycle by 0: correct.  The rest
+    are open.  The flat ``work`` (w.size elements) is overwritten.  Ties
+    have probability zero under continuous noise.
     """
-    batch, m, _ = w.shape
-    live = np.flatnonzero((w > 0).any(axis=(1, 2)))
-    # mode="clip" takes straight into out (the default buffers); the
-    # indices are in range either way
-    w = np.take(w, live, axis=0, out=work[1, : live.size], mode="clip")
-    t = np.add(w, w.transpose(0, 2, 1), out=work[0, : live.size])
-    err = (t > 0).any(axis=(1, 2))
-    d = w[:, 0, :].copy()  # column maxima; a middle-axis max() is slower
-    for n in range(1, m):
-        np.maximum(d, w[:, n, :], out=d)
-    np.add(d[:, :, None], w, out=t)
-    unsettled = np.flatnonzero(~err & (t > d[:, None, :]).any(axis=(1, 2)))
-    w = np.take(w, unsettled, axis=0, out=work[0, : unsettled.size], mode="clip")
-    step = work[1, : unsettled.size]
+    m, _, trials = w.shape
+    t = work[: w.size].reshape(w.shape)
+    np.add(w, w.transpose(1, 0, 2), out=t)
+    err = t.reshape(m * m, trials).max(axis=0) > 0
+    d = w.max(axis=0)
+    np.add(d[:, None, :], w, out=t)
+    return err, ~err & (t.max(axis=0) > d).any(axis=0)
+
+
+def _cycle_errors(w: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Whether each swap graph of w, shape (trials, m, m) with a zero
+    diagonal, has a cycle of positive weight.
+
+    w is copied trials last into the flat ``work`` (w.size elements) and
+    decided there by max-plus Floyd-Warshall in elimination order: step k
+    relaxes only the entries among nodes above k, so afterwards x[k, k]
+    holds the best cycle whose largest node is k (about a third of a full
+    pass's work).  w is overwritten.
+    """
+    trials, m, _ = w.shape
+    x = work[: w.size].reshape(m, m, trials)
+    np.copyto(x, w.transpose(1, 2, 0))
+    step = w.reshape(-1)
     for k in range(m - 1):
-        np.add(w[:, :, k, None], w[:, None, k, :], out=step)
-        np.maximum(w, step, out=w)
-    err[unsettled] = (np.diagonal(w, axis1=1, axis2=2) > 0).any(axis=1)
-    out = np.zeros(batch, dtype=bool)
-    out[live] = err
-    return out
+        rest = x[k + 1 :, k + 1 :]
+        t = step[: rest.size].reshape(rest.shape)
+        np.add(x[k + 1 :, k, None], x[None, k, k + 1 :], out=t)
+        np.maximum(rest, t, out=rest)
+    return (np.einsum("iil->il", x) > 0).any(axis=0)

@@ -20,9 +20,10 @@ from permrad.simkit import (
     _BLOCK,
     BlerPoint,
     SimConfig,
-    _block_errors,
     _blocks,
+    _cycle_errors,
     _run_block,
+    _screen,
     run_bler_sweep,
     wilson_interval,
 )
@@ -52,8 +53,16 @@ def _swap_graphs(r_all):
 
 
 def _decide(w):
-    """_block_errors on the swap graphs w, in a workspace of its own."""
-    return _block_errors(w, np.empty((2,) + w.shape))
+    """The sweep's decision on the swap graphs w, shape (trials, m, m): no
+    positive edge is correct; _screen settles what it can of the rest,
+    trials last, and _cycle_errors decides what the screens leave."""
+    live = (w > 0).any(axis=(1, 2))
+    x = np.ascontiguousarray(w[live].transpose(1, 2, 0))
+    err, wait = _screen(x, np.empty(x.size))
+    err[wait] = _cycle_errors(w[live][wait], np.empty(x.size))
+    out = np.zeros(len(w), dtype=bool)
+    out[live] = err
+    return out
 
 
 def _to_identity(r_all, perms):
@@ -419,7 +428,8 @@ def test_block_errors_match_floyd_warshall_trial_by_trial(m):
 
 
 def _settling_exit(w):
-    """Which of _block_errors' tests first decides the swap graph w."""
+    """Which of the sweep's tests first decides the swap graph w: the
+    positive-edge test of _run_block, the two of _screen, or _cycle_errors."""
     if not (w > 0).any():
         return "no positive edge"
     if (w + w.T > 0).any():
@@ -450,6 +460,86 @@ def test_block_errors_each_settling_exit(w, settled_by, error, sent):
     r[:, sent] = w + 3.0  # r[n, p(n')] - r[n, p(n)] = W[n, n']
     got = _decide(w[None])  # the same trial, sent as the identity
     assert got.tolist() == [error] == _fw_block_errors(r[None], np.array([sent])).tolist()
+    if settled_by != "no positive edge":
+        x = np.ascontiguousarray(w[:, :, None])
+        err, wait = _screen(x, np.empty(x.size))
+        assert (err.tolist(), wait.tolist()) == {
+            "positive 2-cycle": ([True], [False]),
+            "potential": ([False], [False]),
+            "floyd-warshall": ([False], [True]),
+        }[settled_by]
+    assert _cycle_errors(w[None].copy(), np.empty(w.size)).tolist() == [error]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12, 20])
+def test_cycle_errors_match_floyd_warshall_and_brute_force_trial_by_trial(m):
+    # every trial goes to _cycle_errors, with no screen in front
+    rng = np.random.default_rng(2000 + m)
+    size = 60 if m == 8 else 300
+    flagged = 0
+    for snr_db in (0.0, 8.0, 16.0, 24.0):
+        gains = rng.exponential(size=size)
+        r_all = statistic_model(_identity_perms(size, m), gains, 10.0 ** (snr_db / 10.0),
+                                rng.standard_normal((size, m, m)))
+        got = _cycle_errors(_swap_graphs(r_all), np.empty(size * m * m))
+        perms = _random_perms(rng, size, m)
+        r_sent = _relabel(r_all, perms)
+        assert got.tolist() == _fw_block_errors(r_sent, perms).tolist()
+        if m <= 8:
+            assert got.tolist() == [brute_force_detect(r) != list(p) for r, p in zip(r_sent, perms)]
+        flagged += int(got.sum())
+    assert m == 1 and flagged == 0 or 0 < flagged < 4 * size
+
+
+def _one_cycle_graph(m, cycle, weight):
+    """A swap graph whose only cycle of weight above -m is ``cycle``, a list
+    of nodes, with total weight ``weight``: 1 on each of its edges but the
+    last, every edge off it -2m."""
+    w = np.full((m, m), -2.0 * m)
+    np.fill_diagonal(w, 0.0)
+    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+    for a, b in edges[:-1]:
+        w[a, b] = 1.0
+    w[edges[-1]] = weight - (len(edges) - 1)
+    return w
+
+
+@pytest.mark.parametrize("weight", [0.5, -0.5])
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12, 20])
+def test_cycle_errors_find_a_cycle_that_closes_at_the_last_or_the_second_node(m, weight):
+    # elimination order reads a cycle off the diagonal entry of its largest
+    # node: here node m - 1, through every other node in a scrambled order,
+    # or node 1, through node 0 alone
+    order = np.random.default_rng(m).permutation(m).tolist()
+    graphs = np.stack([_one_cycle_graph(m, order, weight), _one_cycle_graph(m, [0, 1], weight)])
+    want = [weight > 0] * 2
+    assert _cycle_errors(graphs.copy(), np.empty(graphs.size)).tolist() == want
+    assert _fw_block_errors(graphs, _identity_perms(2, m)).tolist() == want
+    if m <= 8:
+        assert [brute_force_detect(w) != list(range(m)) for w in graphs] == want
+
+
+@pytest.mark.parametrize("m", [2, 5, 12, 20])
+def test_counts_do_not_depend_on_the_waiting_buffer(monkeypatch, m):
+    # the waiting graphs share work[1] with a slice's live ones, so a slice
+    # of one trial leaves room for one waiting graph, and a slice of the
+    # whole block for a block of them.  Every cycle of M = 2 is a 2-cycle,
+    # so no trial waits there
+    size = 400
+    cfg = SimConfig(m=m, n=1, snr_db=tuple(float(x) for x in range(0, 31, 2)),
+                    channel="rayleigh", trials=size, master_seed=m)
+    points = tuple(range(16))
+    want = _run_block(cfg, 0, size, points)
+    passes = []
+    cycle_errors = simkit._cycle_errors
+    monkeypatch.setattr(simkit, "_cycle_errors",
+                        lambda w, work: passes.append(len(w)) or cycle_errors(w, work))
+    for trials_per_slice in (1, 7, size):
+        monkeypatch.setattr(simkit, "_DECISION_ELEMS", trials_per_slice * m * m)
+        passes.clear()
+        assert _run_block(cfg, 0, size, points) == want
+        assert len(passes) > 1 or m == 2 and passes == []
+    assert want[-1] < want[0]  # the grid spans error rates
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -565,6 +655,31 @@ def test_block_memory_does_not_grow_with_m_squared():
         tracemalloc.stop()
     assert 0 < errors < _BLOCK
     assert peak <= 4 * 2**20
+
+
+# (m, n, channel, snr dB) of two sampled-mode benchmark sweeps, and a
+# 1,024-trial block's traced peak before the waiting buffer, in bytes
+_SAMPLED_PEAKS = [
+    ((4, 1, "awgn", (8.0, 12.0)), 552_104),
+    ((6, 4, "rayleigh", (6.0, 10.0)), 1_141_928),
+]
+
+
+@pytest.mark.parametrize("case, peak_before", _SAMPLED_PEAKS)
+def test_waiting_buffer_adds_no_memory_to_a_small_block(case, peak_before):
+    # the waiting graphs live in the block's workspace, so a block below a
+    # full slice peaks no higher than its decision did without them
+    m, n, channel, snr_db = case
+    cfg = SimConfig(m=m, n=n, snr_db=snr_db, channel=channel, trials=1024)
+    _run_block(cfg, 0, 1024, (0, 1))  # numpy's one-off set-up is not the block's
+    tracemalloc.start()
+    try:
+        errors = _run_block(cfg, 0, 1024, (0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < errors[1] < errors[0] < 1024
+    assert peak <= peak_before
 
 
 def test_an_early_stop_does_not_pay_for_the_trial_cap():

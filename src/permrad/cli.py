@@ -161,7 +161,8 @@ def _af_arguments(p: _Parser) -> None:
     p.add_argument("--doppler-min-hz", type=float, default=None, help="default -2/t")
     p.add_argument("--doppler-max-hz", type=float, default=None, help="default +2/t")
     p.add_argument("--doppler-steps", type=int, default=81)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="labels the output: af runs in one process")
     p.set_defaults(handler=_cmd_af)
 
 
@@ -372,7 +373,11 @@ def _cmd_af(args) -> _Output:
     np.empty((args.tau_steps, args.doppler_steps))
     tau_axis = radar.af_axis(tau_min, tau_max, args.tau_steps)
     omega_axis = 2.0 * pi * radar.af_axis(dop_min, dop_max, args.doppler_steps)
-    magnitudes = radar.af_grid(perm, params, tau_axis, omega_axis, workers=args.workers)
+    # af runs in one process and --workers only labels the output, but a
+    # value below 1 is still refused, as simulate's is
+    if args.workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {args.workers}")
+    magnitudes = radar.af_grid(perm, params, tau_axis, omega_axis)
     header += [
         ("tau_min_sec", float(tau_min)),
         ("tau_max_sec", float(tau_max)),

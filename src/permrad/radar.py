@@ -27,7 +27,6 @@ Estimation accuracy is characterized by the 2x2 Fisher information in
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, replace
 from math import cos, isfinite
@@ -334,7 +333,6 @@ def af_grid(
     params: WaveformParams,
     tau_axis: np.ndarray,
     omega_axis: np.ndarray,
-    workers: int = 1,
 ) -> np.ndarray:
     """|A| over the outer product of the two axes, shape (len(tau), len(omega)).
 
@@ -347,11 +345,8 @@ def af_grid(
     Otherwise it runs twice: on the rows with tau <= 0 over omega, and on
     the negated delays of the others over -omega.  Either way a cell's
     value depends on that cell alone (complex_af's is), so a sub-grid is
-    the same cells of the full grid.  With workers > 1 the evaluated rows
-    are split over one process pool.
+    the same cells of the full grid.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be at least 1, got {workers}")
     tau_axis = np.asarray(tau_axis, dtype=float)
     omega_axis = np.asarray(omega_axis, dtype=float)
     mirrored = tau_axis > 0
@@ -365,28 +360,10 @@ def af_grid(
         # the evaluated rows go tau <= 0 first, then tau > 0, each in order
         source = np.argsort(np.argsort(mirrored, kind="stable"))
         reverse = np.zeros_like(mirrored)
-    # no more processes than evaluated rows, or than cores; a serial call
-    # does not ask for the core count
-    workers = min(workers, sum(d.size for d, _ in calls))
-    if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        jobs = [(list(perm), params, part, om) for d, om in calls
-                for part in np.array_split(d, workers) if part.size]
-        # imported here, as in simkit: a serial call does not load the pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_af_rows, *zip(*jobs)))
-    else:
-        parts = [_af_rows(perm, params, d, om) for d, om in calls]
+    parts = [np.abs(complex_af(perm, params, d, om)) for d, om in calls]
     grid = np.vstack(parts)[source]
     grid[reverse] = grid[reverse, ::-1]
     return grid
-
-
-def _af_rows(perm, params, tau_axis, omega_axis) -> np.ndarray:
-    return np.abs(complex_af(perm, params, tau_axis, omega_axis))
 
 
 @dataclass(frozen=True)

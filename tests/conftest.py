@@ -21,11 +21,5 @@ def pool_sizes(monkeypatch):
         def shutdown(self):
             pass
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.shutdown()
-
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes

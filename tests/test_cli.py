@@ -529,12 +529,15 @@ def test_af_writer_formats_each_mirrored_row_once(capsys, monkeypatch, flags, fo
     assert len(calls) == formatted_rows * 161
 
 
-def test_af_workers_do_not_change_output(capsys):
+def test_af_workers_do_not_change_output(capsys, pool_sizes):
+    # --workers only labels the output: af runs in one process
     base = ["af", "--m", "8", "--tau-steps", "161", "--doppler-steps", "161"]
     _, out1, _ = _run(capsys, base + ["--workers", "1"])
-    _, out2, _ = _run(capsys, base + ["--workers", "2"])
-    assert "# workers=2\n" in out2
-    assert out1 == out2.replace("# workers=2\n", "# workers=1\n")
+    for workers in (2, 4):
+        _, out, _ = _run(capsys, base + ["--workers", str(workers)])
+        assert f"# workers={workers}\n" in out
+        assert out1 == out.replace(f"# workers={workers}\n", "# workers=1\n")
+    assert pool_sizes == []
 
 
 def test_waveform_beyond_codec_block_limit(capsys):

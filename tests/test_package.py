@@ -184,3 +184,39 @@ def test_every_default_is_overridden_in_the_sources():
         if not any(_sets(call, *target) for call in calls)
     ]
     assert [u for u in unset if u != "cli.py:main(argv=)"] == []
+
+
+# the names through which a module could start a process, each as its
+# dotted parts
+_PROCESS_NAMES = [name.split(".") for name in (
+    "concurrent.futures", "ProcessPoolExecutor", "multiprocessing", "subprocess", "os.fork",
+)]
+
+
+def _dotted_names(tree):
+    """The dotted name of each import and of each name or attribute read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            yield ast.unparse(node)
+
+
+def _names_a_process(dotted):
+    parts = dotted.split(".")
+    return any(parts[i:i + len(name)] == name
+               for name in _PROCESS_NAMES for i in range(len(parts)))
+
+
+def test_only_simkit_starts_processes():
+    # simulate's trial blocks are the one place a process pool pays
+    sources = Path(permrad.__file__).parent
+    starters = sorted(
+        f"{path.name}:{dotted}"
+        for path in sources.glob("*.py") if path.name != "simkit.py"
+        for dotted in set(_dotted_names(ast.parse(path.read_text(encoding="utf-8"))))
+        if _names_a_process(dotted)
+    )
+    assert starters == []

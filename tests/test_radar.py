@@ -1,6 +1,5 @@
 """Ambiguity surface, Fisher information, and CRLB tests."""
 
-import os
 import tracemalloc
 from dataclasses import replace
 from itertools import permutations
@@ -315,8 +314,8 @@ def test_complex_af_matches_pair_loop_where_lags_select_no_cells():
 
 def test_complex_af_cell_does_not_depend_on_its_neighbours(monkeypatch):
     # bit-identical whether a cell is evaluated alone, in a sub-grid or inside
-    # the full grid, or with other block sizes, which is what keeps af_grid
-    # independent of the worker count
+    # the full grid, or with other block sizes, which is what lets af_grid
+    # evaluate only its representative rows
     m = 20
     params = _params(m=m)
     perm = _tone_order(m, "random")
@@ -329,7 +328,7 @@ def test_complex_af_cell_does_not_depend_on_its_neighbours(monkeypatch):
         assert complex_af(perm, params, taus[i], omegas[j]) == grid[i, j]
     # af_grid takes a cell with tau > 0 at (-tau, -omega), here in the
     # same grid reversed
-    split = af_grid(perm, params, taus, omegas, workers=2)
+    split = af_grid(perm, params, taus, omegas)
     mirror = np.abs(complex_af(perm, params, -taus, -omegas))
     assert np.array_equal(split, np.where((taus > 0)[:, None], mirror, np.abs(grid)))
     for elems in (1, 45, 333):
@@ -849,47 +848,6 @@ def test_coupling_term_against_smoothed_pulse_integral(edge_fraction):
     assert abs(numeric / closed - 1.0) <= 0.01
 
 
-def test_af_grid_workers_agree_with_serial():
-    params = _params(m=3)
-    taus = np.linspace(-3, 3, 13)
-    omegas = np.linspace(-6.0, 6.0, 9)
-    serial = af_grid([1, 2, 0], params, taus, omegas, workers=1)
-    parallel = af_grid([1, 2, 0], params, taus, omegas, workers=3)
-    assert np.array_equal(serial, parallel)
-
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_af_grid_refuses_workers_below_one(workers):
-    with pytest.raises(ValidationError, match=f"workers must be at least 1, got {workers}"):
-        af_grid([1, 2, 0], _params(m=3), np.linspace(-3, 3, 5), np.zeros(2), workers=workers)
-
-
-def test_af_grid_pool_is_sized_to_the_delay_rows_and_the_cores(pool_sizes, monkeypatch):
-    # the pool is capped by the rows the kernel evaluates: on a Doppler axis
-    # symmetric about 0, the 3 delays -3, -1.5, 0 of the 5; on any other,
-    # all 5
-    params = _params(m=3)
-    taus = np.linspace(-3, 3, 5)
-    for omegas, rows in ((np.linspace(-6.0, 6.0, 5), 3), (np.linspace(-6.0, 4.0, 5), 5)):
-        pool_sizes.clear()
-        serial = af_grid([1, 2, 0], params, taus, omegas)
-        for cores in (64, 2, 1):
-            monkeypatch.setattr(os, "cpu_count", lambda: cores)
-            assert np.array_equal(af_grid([1, 2, 0], params, taus, omegas, workers=64), serial)
-        assert pool_sizes == [rows, 2]  # one core runs in this process
-
-
-def test_af_grid_workers_bit_identical_on_default_grid():
-    m = 12
-    params = _params(m=m)
-    perm = _tone_order(m, "random")
-    taus = np.linspace(-m, m, 161)
-    omegas = 2.0 * pi * np.linspace(-2.0, 2.0, 161)
-    serial = af_grid(perm, params, taus, omegas, workers=1)
-    parallel = af_grid(perm, params, taus, omegas, workers=2)
-    assert np.array_equal(serial, parallel)
-
-
 # grids for af_grid's two paths: one kernel call on the distinct delays
 # when the Doppler axis is symmetric about 0 bit for bit, whether the delays
 # are too, all at most 0 or all above it; and two calls on any other
@@ -918,16 +876,6 @@ def test_af_grid_cell_is_the_af_at_its_representative(grid):
         for j in (0, omegas.size // 2, omegas.size - 1):
             assert got[i, j] == np.abs(complex_af(perm, params, rep_tau, rep_omegas[j]))
     assert np.max(np.abs(got - np.abs(complex_af(perm, params, taus, omegas)))) <= 1e-14
-
-
-@pytest.mark.parametrize("grid", ["symmetric", "skew-doppler"])
-def test_af_grid_workers_give_the_same_bytes_on_both_paths(grid):
-    m = 6
-    params = _params(m=m)
-    perm = _tone_order(m, "random")
-    taus, omegas = _REPRESENTATIVE_GRIDS[grid]
-    serial = af_grid(perm, params, taus, omegas, workers=1)
-    assert af_grid(perm, params, taus, omegas, workers=2).tobytes() == serial.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -338,12 +338,13 @@ def af_grid(
 
     |A(-tau, -omega)| = |A(tau, omega)|, so each cell is |complex_af| at its
     representative: (-tau, -omega) where tau > 0, the cell itself otherwise.
-    When -omega is omega reversed, bit for bit (as af_axis makes it for
-    lo == -hi), complex_af runs once, on the distinct representative
-    delays, and a row with tau > 0 is its representative's row reversed;
-    a grid symmetric about the origin so evaluates about half its rows.
-    Otherwise it runs twice: on the rows with tau <= 0 over omega, and on
-    the negated delays of the others over -omega.  Either way a cell's
+    The rows fall in at most two groups, and complex_af runs once per
+    non-empty group, on its distinct representative delays.  When -omega
+    is omega reversed, bit for bit (as af_axis makes it for lo == -hi),
+    every row is taken over omega and a row with tau > 0 is its
+    representative's row reversed; a grid symmetric about the origin so
+    evaluates about half its rows.  Otherwise the rows with tau <= 0 are
+    taken over omega and the others over -omega.  Either way a cell's
     value depends on that cell alone (complex_af's is), so a sub-grid is
     the same cells of the full grid.
     """
@@ -351,18 +352,15 @@ def af_grid(
     omega_axis = np.asarray(omega_axis, dtype=float)
     mirrored = tau_axis > 0
     rep = np.where(mirrored, -tau_axis, tau_axis)
-    if np.array_equal(-omega_axis, omega_axis[::-1]):
-        delays, source = np.unique(rep, return_inverse=True)
-        calls = [(delays, omega_axis)]
-        reverse = mirrored
-    else:
-        calls = [(rep[~mirrored], omega_axis), (rep[mirrored], -omega_axis)]
-        # the evaluated rows go tau <= 0 first, then tau > 0, each in order
-        source = np.argsort(np.argsort(mirrored, kind="stable"))
-        reverse = np.zeros_like(mirrored)
-    parts = [np.abs(complex_af(perm, params, d, om)) for d, om in calls]
-    grid = np.vstack(parts)[source]
-    grid[reverse] = grid[reverse, ::-1]
+    # a Python bool, so negated with not: ~True is -2
+    flip = np.array_equal(-omega_axis, omega_axis[::-1])
+    grid = np.empty((tau_axis.size, omega_axis.size))
+    for rows, om in ((~mirrored | flip, omega_axis), (mirrored & (not flip), -omega_axis)):
+        if rows.any():
+            delays, source = np.unique(rep[rows], return_inverse=True)
+            grid[rows] = np.abs(complex_af(perm, params, delays, om))[source]
+    if flip:
+        grid[mirrored] = grid[mirrored, ::-1]
     return grid
 
 

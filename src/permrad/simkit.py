@@ -38,7 +38,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import islice
 from math import inf, sqrt
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -134,18 +134,16 @@ def run_bler_sweep(cfg: SimConfig) -> list[BlerPoint]:
     workers = min(cfg.workers, -(-cfg.trials // _BLOCK))
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)
-    pool = None
     if workers > 1:
         # imported here: the pool's modules take a sizeable share of a
         # serial CLI call's start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        trials, errors = _run_points(cfg, pool, workers)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            wave = None if cfg.target_errors is None else workers  # None: all blocks
+            trials, errors = _run_points(cfg, pool.map, wave)
+    else:
+        trials, errors = _run_points(cfg, map, 1)
     points = []
     for snr_db, n, e in zip(cfg.snr_db, trials, errors):
         if cfg.target_errors is not None and e < cfg.target_errors:
@@ -166,34 +164,32 @@ def _blocks(cfg: SimConfig) -> Iterator[tuple[int, int]]:
         yield b_idx, min(_BLOCK, cfg.trials - start)
 
 
-def _run_points(cfg: SimConfig, pool, workers: int) -> tuple[list[int], list[int]]:
-    """Trials and errors per point.
+def _run_points(cfg: SimConfig, mapper, wave: int | None) -> tuple[list[int], list[int]]:
+    """Trials and errors per point, from the blocks' counts as
+    ``mapper(_run_block, ...)`` yields them: the builtin map in this
+    process, or a pool's map.
 
     With an error target, block k counts at a point iff that point's target
     was not met over blocks 0..k-1; a block is drawn while any point still
     counts it, and decided at those points only.  Blocks go out in waves of
-    one per worker, so the stop points do not depend on the worker count.
-    They are taken from the block schedule as they go out, so a sweep that
-    meets its target early, or runs in this process, never lists the rest
-    of its trial cap.  Without a target, a pool gets every block in one
-    wave: a wave per worker made `--workers 2` about 14% slower, one wait
-    per wave.
+    ``wave`` blocks (None: all of them); under a target that is one per
+    worker, so the stop points do not depend on the worker count.  They are
+    taken from the block schedule as they go out, so a sweep that meets its
+    target early, or runs in this process with waves of one, never lists
+    the rest of its trial cap.  Without a target, a pool gets every block
+    in one wave: a wave per worker made `--workers 2` about 14% slower, one
+    wait per wave.
     """
     points = range(len(cfg.snr_db))
     trials = [0] * len(points)
     errors = [0] * len(points)
     target = inf if cfg.target_errors is None else cfg.target_errors
     blocks = _blocks(cfg)
-    wave = None if cfg.target_errors is None and pool is not None else workers  # None: all
     while active := tuple(p for p in points if errors[p] < target):
         jobs = [(cfg, b_idx, b_size, active) for b_idx, b_size in islice(blocks, wave)]
         if not jobs:
             break
-        if pool is None:
-            results: Iterable[list[int]] = (_run_block(*job) for job in jobs)
-        else:
-            results = pool.map(_run_block, *zip(*jobs))
-        for (_, _, b_size, _), counts in zip(jobs, results):
+        for (_, _, b_size, _), counts in zip(jobs, mapper(_run_block, *zip(*jobs))):
             for p, err in zip(active, counts):
                 if errors[p] < target:
                     errors[p] += err

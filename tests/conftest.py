@@ -6,20 +6,26 @@ import pytest
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
+def pools(monkeypatch):
     """Replaces the process pool with one that maps in this process; returns
-    the list of the sizes the code under test asked its pools for."""
-    sizes = []
+    the pools the code under test asked for, each with its size and the
+    number of times its context closed it."""
+    made = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.max_workers = max_workers
+            self.closes = 0
+            made.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.closes += 1
 
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-        def shutdown(self):
-            pass
-
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return sizes
+    return made

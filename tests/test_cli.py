@@ -244,7 +244,8 @@ def test_simulate_config_unknown_key(capsys, tmp_path):
 # the last three are not among their flag's choices, which a file value
 # meets as a command-line value does
 @pytest.mark.parametrize(
-    "line", ["trials=1e5", "m=four", "snr_db=a,b", "receiver=genie", "mode=exact", "channel=foo"]
+    "line",
+    ["n 2", "trials=1e5", "m=four", "snr_db=a,b", "receiver=genie", "mode=exact", "channel=foo"],
 )
 def test_simulate_config_bad_value_exits_one(capsys, tmp_path, line):
     cfg = tmp_path / "bad.cfg"
@@ -290,6 +291,11 @@ def test_simulate_config_bad_value_exits_one(capsys, tmp_path, line):
         ["bounds", "--m", "4", "--n", "1", "--channel", "rayleigh", "--rician-k", "inf",
          "--snr-db", "0"],
         ["bounds", "--m", "4", "--n", "1", "--rician-k", "-1", "--snr-db", "0"],
+        ["simulate", "--m", "2", "--trials", "10", "--snr-db", "0", "--workers", "0"],
+        ["simulate", "--m", "2", "--trials", "10", "--snr-db", "0", "--target-errors", "0"],
+        # each SNR is finite, but energy / snr leaves the noise variance's range
+        ["crlb", "--m", "4", "--energy", "1e300", "--snr-db", "-100"],
+        ["crlb", "--m", "4", "--energy", "1e-300", "--snr-db", "300"],
     ],
 )
 def test_out_of_range_value_exits_one(capsys, argv):
@@ -529,7 +535,14 @@ def test_af_writer_formats_each_mirrored_row_once(capsys, monkeypatch, flags, fo
     assert len(calls) == formatted_rows * 161
 
 
-def test_af_workers_do_not_change_output(capsys, pool_sizes):
+def test_af_descending_order_is_the_reversed_perm(capsys):
+    base = ["af", "--m", "5", "--tau-steps", "9", "--doppler-steps", "7"]
+    rc, out, err = _run(capsys, base + ["--order", "descending"])
+    assert rc == 0, err
+    assert _run(capsys, base + ["--perm", "4,3,2,1,0"]) == (0, out, "")
+
+
+def test_af_workers_do_not_change_output(capsys, pools):
     # --workers only labels the output: af runs in one process
     base = ["af", "--m", "8", "--tau-steps", "161", "--doppler-steps", "161"]
     _, out1, _ = _run(capsys, base + ["--workers", "1"])
@@ -537,7 +550,7 @@ def test_af_workers_do_not_change_output(capsys, pool_sizes):
         _, out, _ = _run(capsys, base + ["--workers", str(workers)])
         assert f"# workers={workers}\n" in out
         assert out1 == out.replace(f"# workers={workers}\n", "# workers=1\n")
-    assert pool_sizes == []
+    assert pools == []
 
 
 def test_waveform_beyond_codec_block_limit(capsys):

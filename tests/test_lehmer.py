@@ -85,6 +85,9 @@ def test_block_size_limits():
         rank_to_permutation(0, 21)
     with pytest.raises(ValidationError):
         rank_to_permutation(0, 0)
+    for m in (2.0, True):
+        with pytest.raises(ValidationError, match="block size must be an integer"):
+            rank_to_permutation(0, m)
     # 20 is the largest supported block
     assert permutation_to_rank(rank_to_permutation(10**18, 20)) == 10**18
 

@@ -848,14 +848,20 @@ def test_coupling_term_against_smoothed_pulse_integral(edge_fraction):
     assert abs(numeric / closed - 1.0) <= 0.01
 
 
-# grids for af_grid's two paths: one kernel call on the distinct delays
-# when the Doppler axis is symmetric about 0 bit for bit, whether the delays
-# are too, all at most 0 or all above it; and two calls on any other
+# grids for af_grid's row groups, one kernel call per non-empty group on
+# its distinct delays: one group when the Doppler axis is symmetric about 0
+# bit for bit, whether the delays are too, all at most 0 or all above it;
+# on any other, the rows with tau <= 0 and the others, either of which may
+# be empty, and a repeated delay evaluated once
+_SKEW_DOPPLER = 2.0 * pi * np.linspace(-2.0, 1.3, 19)
 _REPRESENTATIVE_GRIDS = {
     "symmetric": (af_axis(-4.0, 4.0, 33), 2.0 * pi * af_axis(-2.0, 2.0, 25)),
     "tau<=0": (np.linspace(-1.0, 0.0, 11), 2.0 * pi * af_axis(-2.0, 2.0, 25)),
     "tau>0": (np.linspace(0.3, 2.7, 13), 2.0 * pi * af_axis(-2.0, 2.0, 25)),
-    "skew-doppler": (af_axis(-4.0, 4.0, 33), 2.0 * pi * np.linspace(-2.0, 1.3, 19)),
+    "skew-doppler": (af_axis(-4.0, 4.0, 33), _SKEW_DOPPLER),
+    "skew-doppler-tau<=0": (np.linspace(-1.0, 0.0, 11), _SKEW_DOPPLER),
+    "skew-doppler-tau>0": (np.linspace(0.3, 2.7, 13), _SKEW_DOPPLER),
+    "skew-doppler-repeated": (np.array([-0.7, 0.2, -0.7, -0.2, 0.2, 1.1]), _SKEW_DOPPLER),
 }
 
 

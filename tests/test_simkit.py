@@ -596,6 +596,11 @@ def test_wilson_interval_contains_estimate():
         assert 0.0 <= lo <= errors / trials <= hi <= 1.0
 
 
+def test_wilson_interval_needs_a_trial():
+    with pytest.raises(ValidationError, match="at least one trial"):
+        wilson_interval(0, 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=10**7), st.data())
 def test_wilson_interval_property(trials, data):
@@ -711,12 +716,12 @@ def test_a_serial_sweep_takes_its_blocks_one_at_a_time(monkeypatch):
     assert peak <= 2**19
 
 
-def test_process_pool_is_sized_to_the_blocks_and_the_cores(pool_sizes, monkeypatch):
+def test_process_pool_is_sized_to_the_blocks_and_the_cores(pools, monkeypatch):
     base = dict(m=2, n=1, snr_db=(0.0, 3.0), master_seed=5)
     # one block needs no pool at all
     serial = run_bler_sweep(SimConfig(workers=1, trials=100, **base))
     assert run_bler_sweep(SimConfig(workers=64, trials=100, **base)) == serial
-    assert pool_sizes == []
+    assert pools == []
     # three blocks: one process per block, and no more than the cores
     for target_errors in (None, 10):
         cfg = SimConfig(trials=2 * _BLOCK + 1, target_errors=target_errors, **base)
@@ -724,7 +729,20 @@ def test_process_pool_is_sized_to_the_blocks_and_the_cores(pool_sizes, monkeypat
         for cores in (64, 2):
             monkeypatch.setattr(os, "cpu_count", lambda: cores)
             assert run_bler_sweep(replace(cfg, workers=64)) == serial
-    assert pool_sizes == [3, 2, 3, 2]
+    assert [pool.max_workers for pool in pools] == [3, 2, 3, 2]
+    assert [pool.closes for pool in pools] == [1] * 4
+
+
+def test_process_pool_is_closed_when_a_block_fails(pools, monkeypatch):
+    def fail(cfg, b_idx, size, points):
+        raise NumericError("statistic shift overflows")
+
+    monkeypatch.setattr(simkit, "_run_block", fail)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = SimConfig(m=2, n=1, snr_db=(0.0,), trials=2 * _BLOCK, workers=2)
+    with pytest.raises(NumericError, match="overflows"):
+        run_bler_sweep(cfg)
+    assert [(pool.max_workers, pool.closes) for pool in pools] == [(2, 1)]
 
 
 def test_bler_decreases_with_snr():
